@@ -16,13 +16,12 @@ from .glyph_metrics import AiouResult, aiou, iou
 from .seq_metrics import AlignmentPath, DtwResult, dtw, ldtw, rmse
 from .losses import (LossWeights, PredictedPoint, SoftParams, l1_loss, sdtw,
                      sdtw_grad, softmin, total_loss, wce_loss)
-from .error_sim import (ErrorKind, PointDrift, StrokeDelete, StrokeDrift,
-                        StrokeInsert, change_sample_rate, delete_strokes,
+from .error_sim import (ERROR_KINDS, change_sample_rate, delete_strokes,
                         drift_points, drift_strokes, insert_strokes, perturb,
                         widen_strokes)
 from .bench import (CurveReport, invariance_run, make_synthetic_corpus,
                     normalize_curve, reports_to_csv, reports_to_json,
-                    sensitivity_run)
+                    score_pair, sensitivity_run)
 
 __version__ = "0.1.0"
 

@@ -2,7 +2,8 @@
 
 Runs a seeded error simulation over a trajectory corpus, averages the chosen
 metrics per error magnitude, and min-max normalizes each curve to [0, 1] for
-trend comparison.  A seeded synthetic corpus generator ships here so the
+trend comparison.  `score_pair` is the one place a (ground truth, prediction)
+pair is scored; the runners and `trajeval evaluate` all go through it.  A seeded synthetic corpus generator ships here so the
 runners need no external datasets.
 """
 
@@ -10,19 +11,20 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .error_sim import (change_sample_rate, delete_strokes, drift_points,
-                        drift_strokes, insert_strokes, widen_strokes)
+from .error_sim import (ERROR_KINDS, change_sample_rate, drift_points, perturb,
+                        widen_strokes)
 from .glyph_metrics import aiou, iou
-from .raster import binarize, rasterize
+from .raster import BinaryMask, binarize, rasterize
 from .seq_metrics import dtw, rmse
 from .traj_core import (PenState, TrajPoint, Trajectory, normalize_to_canvas)
 
-SENSITIVITY_KINDS = ("stroke-insert", "stroke-delete", "point-drift", "stroke-drift")
+GLYPH_METRICS = ("aiou", "iou")
+METRICS = GLYPH_METRICS + ("ldtw", "dtw", "rmse")
+SENSITIVITY_KINDS = tuple(ERROR_KINDS)
 INVARIANCE_TRANSFORMS = ("stroke-width", "sample-rate")
 
 DEFAULT_GRIDS = {
@@ -64,37 +66,56 @@ def derive_seed(seed: int, index: int) -> int:
     return (seed ^ index) & 0xFFFFFFFFFFFFFFFF
 
 
-def _thread_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def score_pair(gt, pred, metrics, k_max: int = 10, side: int | None = None,
+               gt_mask: BinaryMask | None = None,
+               rmse_pred: Trajectory | None = None) -> tuple[dict, dict]:
+    """Score one (ground truth, prediction) pair on each named metric.
 
+    gt and pred are trajectories or binary masks; a mask ground truth (a PGM
+    scan, a widened image) scores glyph metrics only.  Glyph metrics render
+    the prediction first, then the ground truth, at `side` (default: each
+    trajectory's canvas; a mask ground truth sets it); with no glyph metric
+    nothing is rendered.  gt_mask is gt already rendered, for callers that
+    score many predictions against one ground truth; rmse_pred, if given,
+    replaces pred for RMSE.
 
-def _metric_values(gt: Trajectory, pred: Trajectory, metrics, k_max: int) -> dict:
-    """Per-metric values for one (gt, pred) pair; None marks a skipped metric."""
-    out: dict[str, float | None] = {}
-    masks = None
-    dtw_result = None
+    Returns (values, errors) keyed by metric in metric order: a metric that
+    raises ValueError gets value None and its exception in errors, and
+    leaves the other metrics alone.
+    """
+    if isinstance(gt, BinaryMask):
+        gt, gt_mask = None, gt
+    if gt_mask is not None:
+        side = gt_mask.width
+    values: dict[str, float | None] = {}
+    errors: dict[str, ValueError] = {}
+    pred_mask = dtw_result = None
     for name in metrics:
         try:
-            if name in ("aiou", "iou"):
-                if masks is None:
-                    masks = (rasterize(gt), rasterize(pred))
-                out[name] = (aiou(masks[0], masks[1], k_max).score
-                             if name == "aiou" else iou(masks[0], masks[1]))
+            if name in GLYPH_METRICS:
+                if pred_mask is None:
+                    pred_mask = pred if isinstance(pred, BinaryMask) else rasterize(pred, side)
+                if gt_mask is None:
+                    gt_mask = rasterize(gt, side)
+                values[name] = (aiou(gt_mask, pred_mask, k_max).score if name == "aiou"
+                                else iou(gt_mask, pred_mask))
             elif name in ("dtw", "ldtw"):
+                if gt is None:
+                    raise ValueError("sequence metrics need a trajectory ground truth")
                 if dtw_result is None:
                     dtw_result = dtw(gt, pred)
-                out[name] = (dtw_result.cost if name == "dtw"
-                             else dtw_result.cost / len(dtw_result.path))
+                values[name] = (dtw_result.cost if name == "dtw"
+                                else dtw_result.cost / len(dtw_result.path))
             elif name == "rmse":
-                out[name] = rmse(gt, pred)
+                if gt is None:
+                    raise ValueError("RMSE needs a trajectory ground truth")
+                values[name] = rmse(gt, pred if rmse_pred is None else rmse_pred)
             else:
                 raise KeyError(f"unknown metric {name!r}")
-        except ValueError:
-            out[name] = None
-    return out
+        except ValueError as exc:
+            values[name] = None
+            errors[name] = exc
+    return values, errors
 
 
 def _aggregate(grid, metrics, per_sample: list, seed: int) -> list[CurveReport]:
@@ -120,18 +141,6 @@ def _aggregate(grid, metrics, per_sample: list, seed: int) -> list[CurveReport]:
     return reports
 
 
-def _apply_error(kind: str, traj: Trajectory, magnitude, seed: int) -> Trajectory:
-    if kind == "stroke-insert":
-        return insert_strokes(traj, int(magnitude), seed)
-    if kind == "stroke-delete":
-        return delete_strokes(traj, int(magnitude), seed)
-    if kind == "point-drift":
-        return drift_points(traj, float(magnitude), seed)
-    if kind == "stroke-drift":
-        return drift_strokes(traj, float(magnitude), seed)
-    raise ValueError(f"unknown error kind {kind!r}")
-
-
 def _check_run_inputs(corpus, grid):
     if not corpus:
         raise ValueError("corpus must be non-empty")
@@ -142,33 +151,34 @@ def _check_run_inputs(corpus, grid):
 
 
 def sensitivity_run(corpus, kind: str, grid=None, metrics=("aiou", "ldtw"),
-                    seed: int = 0, k_max: int = 10, threads: int = 1) -> list[CurveReport]:
+                    seed: int = 0, k_max: int = 10) -> list[CurveReport]:
     """Error-sensitivity curves: mean metric value per error magnitude."""
     if kind not in SENSITIVITY_KINDS:
         raise ValueError(f"unknown error kind {kind!r}; expected one of {SENSITIVITY_KINDS}")
     grid = tuple(grid if grid is not None else DEFAULT_GRIDS[kind])
     _check_run_inputs(corpus, grid)
-
-    def eval_sample(item):
-        i, traj = item
+    glyph = any(name in GLYPH_METRICS for name in metrics)
+    per_sample = []
+    for i, traj in enumerate(corpus):
         sseed = derive_seed(seed, i)
+        try:
+            gt_mask = rasterize(traj) if glyph else None
+        except ValueError:
+            gt_mask = None  # score_pair meets the same error and skips the metric
         rows = []
         for magnitude in grid:
             try:
-                pred = _apply_error(kind, traj, magnitude, sseed)
+                pred = perturb(traj, kind, magnitude, sseed)
             except ValueError:
-                rows.append({name: None for name in metrics})
+                rows.append(dict.fromkeys(metrics))
                 continue
-            rows.append(_metric_values(traj, pred, metrics, k_max))
-        return rows
-
-    per_sample = _thread_map(eval_sample, list(enumerate(corpus)), threads)
+            rows.append(score_pair(traj, pred, metrics, k_max, gt_mask=gt_mask)[0])
+        per_sample.append(rows)
     return _aggregate(grid, metrics, per_sample, seed)
 
 
 def invariance_run(corpus, transform: str, grid=None, metrics=None, seed: int = 0,
-                   k_max: int = 10, threads: int = 1,
-                   base_drift: float | None = None) -> list[CurveReport]:
+                   k_max: int = 10, base_drift: float | None = None) -> list[CurveReport]:
     """Nuisance-transform curves: stroke width (glyph metrics) or sample rate
     (sequence metrics).
 
@@ -177,7 +187,8 @@ def invariance_run(corpus, transform: str, grid=None, metrics=None, seed: int = 
     stroke-width mode the default prediction is the clean trajectory, since
     any misalignment couples the glyph scores to the width axis and masks the
     adaptation effect being measured.  Pass base_drift explicitly to override
-    either default (0 keeps the prediction clean).
+    either default (0 keeps the prediction clean).  In stroke-width mode the
+    ground truth is the widened image, so sequence metrics are skipped.
     """
     if transform not in INVARIANCE_TRANSFORMS:
         raise ValueError(
@@ -185,34 +196,20 @@ def invariance_run(corpus, transform: str, grid=None, metrics=None, seed: int = 
     grid = tuple(grid if grid is not None else DEFAULT_GRIDS[transform])
     _check_run_inputs(corpus, grid)
     if metrics is None:
-        metrics = ("aiou", "iou") if transform == "stroke-width" else ("dtw", "ldtw")
+        metrics = GLYPH_METRICS if transform == "stroke-width" else ("dtw", "ldtw")
     if base_drift is None:
         base_drift = DEFAULT_BASE_DRIFT if transform == "sample-rate" else 0.0
-
-    def eval_sample(item):
-        i, traj = item
-        sseed = derive_seed(seed, i)
-        pred = drift_points(traj, base_drift, sseed) if base_drift > 0 else traj
-        rows = []
+    per_sample = []
+    for i, traj in enumerate(corpus):
+        pred = drift_points(traj, base_drift, derive_seed(seed, i)) if base_drift > 0 else traj
         if transform == "stroke-width":
             pred_mask = rasterize(pred)
-            for k in grid:
-                g = binarize(widen_strokes(traj, int(k)))
-                row = {}
-                for name in metrics:
-                    try:
-                        row[name] = (aiou(g, pred_mask, k_max).score
-                                     if name == "aiou" else iou(g, pred_mask))
-                    except ValueError:
-                        row[name] = None
-                rows.append(row)
+            rows = [score_pair(binarize(widen_strokes(traj, int(k))), pred_mask,
+                               metrics, k_max)[0] for k in grid]
         else:
-            for factor in grid:
-                predf = change_sample_rate(pred, float(factor))
-                rows.append(_metric_values(traj, predf, metrics, k_max))
-        return rows
-
-    per_sample = _thread_map(eval_sample, list(enumerate(corpus)), threads)
+            rows = [score_pair(traj, change_sample_rate(pred, float(factor)),
+                               metrics, k_max)[0] for factor in grid]
+        per_sample.append(rows)
     return _aggregate(grid, metrics, per_sample, seed)
 
 
@@ -242,7 +239,9 @@ def reports_to_json(reports) -> str:
             rows.append({
                 "metric": rep.metric,
                 "magnitude": round(float(magnitude), 6),
-                "raw_mean": round(rep.raw_mean[mi], 6),
+                # a magnitude with no usable samples has no mean: null, not NaN
+                "raw_mean": (None if math.isnan(rep.raw_mean[mi])
+                             else round(rep.raw_mean[mi], 6)),
                 "normalized": round(rep.normalized[mi], 6),
                 "samples_used": rep.samples_used[mi],
                 "samples_skipped": rep.samples_skipped[mi],

@@ -1,8 +1,9 @@
 """Command-line front end: evaluation, benchmarking, rasterization, conversion.
 
-Directory-mode evaluation pairs files by basename (gt/x.json <-> pred/x.json).
-All numeric CSV fields use 6 fixed decimal digits so repeated runs diff
-byte-identically; the TRAJEVAL_THREADS environment variable caps parallelism.
+Directory-mode evaluation pairs files by basename (gt/x.json <-> pred/x.json)
+and scores each pair with `bench.score_pair`.  Everything runs serially in
+one process.  All numeric CSV fields use 6 fixed decimal digits, so a seeded
+run's output is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -10,30 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import bench
-from .glyph_metrics import aiou, iou
 from .raster import (dilate3x3, rasterize, read_pgm, binarize, write_mask_pgm)
-from .seq_metrics import dtw, rmse
 from .traj_core import (Trajectory, dedupe_points, downsample_half, load_trajectory,
                         normalize_to_canvas, resample, save_trajectory, strokes_of)
-
-ALL_METRICS = ("aiou", "iou", "ldtw", "dtw", "rmse")
-GLYPH_ONLY_METRICS = ("aiou", "iou")
-
-
-def _threads() -> int:
-    raw = os.environ.get("TRAJEVAL_THREADS", "1")
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        return 1
-
 
 def _fmt(v) -> str:
     if v is None:
@@ -44,8 +29,9 @@ def _fmt(v) -> str:
 def _parse_metrics(spec: str) -> tuple[str, ...]:
     names = tuple(s.strip() for s in spec.split(",") if s.strip())
     for name in names:
-        if name not in ALL_METRICS:
-            raise SystemExit(f"error: unknown metric {name!r}; choose from {','.join(ALL_METRICS)}")
+        if name not in bench.METRICS:
+            raise SystemExit(
+                f"error: unknown metric {name!r}; choose from {','.join(bench.METRICS)}")
     if not names:
         raise SystemExit("error: empty metric selection")
     return names
@@ -102,70 +88,35 @@ def _collect_pairs(gt_path: Path, pred_path: Path):
 
 
 def _evaluate_pair(gt_file: Path, pred_file: Path, metrics, args) -> dict:
-    row: dict[str, object] = {name: None for name in metrics}
+    row: dict[str, object] = dict.fromkeys(metrics)
     row["error"] = ""
+    if not pred_file.exists():
+        row["error"] = f"missing prediction file {pred_file}"
+        return row
     try:
         pred = _preprocess(load_trajectory(pred_file), args)
-        if gt_file.suffix == ".pgm":
-            gt_mask = binarize(read_pgm(gt_file))
-            gt_traj = None
-        else:
-            gt_traj = _preprocess(load_trajectory(gt_file), args)
-            gt_mask = None
+        gt = (binarize(read_pgm(gt_file)) if gt_file.suffix == ".pgm"
+              else _preprocess(load_trajectory(gt_file), args))
     except (OSError, ValueError) as exc:
         row["error"] = str(exc)
         return row
-    pred_mask = None
-    dtw_result = None
-    for name in metrics:
-        try:
-            if name in GLYPH_ONLY_METRICS:
-                if pred_mask is None:
-                    side = gt_mask.width if gt_mask is not None else args.canvas
-                    pred_mask = rasterize(pred, side)
-                g = gt_mask if gt_mask is not None else rasterize(gt_traj, args.canvas)
-                row[name] = (aiou(g, pred_mask, args.kmax).score
-                             if name == "aiou" else iou(g, pred_mask))
-            elif name in ("ldtw", "dtw"):
-                if gt_traj is None:
-                    raise ValueError("sequence metrics need a trajectory ground truth")
-                if dtw_result is None:
-                    dtw_result = dtw(gt_traj, pred)
-                row[name] = (dtw_result.cost if name == "dtw"
-                             else dtw_result.cost / len(dtw_result.path))
-            elif name == "rmse":
-                if gt_traj is None:
-                    raise ValueError("RMSE needs a trajectory ground truth")
-                target = pred
-                if args.rmse_resample:
-                    target = _resample_to_count(pred, len(gt_traj.drawn_points()))
-                row[name] = rmse(gt_traj, target)
-        except ValueError as exc:
-            row[name] = None
-            if not row["error"]:
-                row["error"] = f"{name}: {exc}"
+    rmse_pred = None
+    if args.rmse_resample and isinstance(gt, Trajectory):
+        rmse_pred = _resample_to_count(pred, len(gt.drawn_points()))
+    values, errors = bench.score_pair(gt, pred, metrics, args.kmax, side=args.canvas,
+                                      rmse_pred=rmse_pred)
+    row.update(values)
+    if errors:
+        name, exc = next(iter(errors.items()))
+        row["error"] = f"{name}: {exc}"
     return row
 
 
 def cmd_evaluate(args) -> int:
     metrics = _parse_metrics(args.metrics)
     pairs = _collect_pairs(Path(args.gt), Path(args.pred))
-
-    def run(pair):
-        name, gt_file, pred_file = pair
-        if not pred_file.exists():
-            row = {m: None for m in metrics}
-            row["error"] = f"missing prediction file {pred_file}"
-            return (name, row)
-        return (name, _evaluate_pair(gt_file, pred_file, metrics, args))
-
-    threads = _threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, pairs))
-    else:
-        rows = [run(pair) for pair in pairs]
-    rows.sort(key=lambda r: r[0])
+    rows = sorted(((name, _evaluate_pair(gt_file, pred_file, metrics, args))
+                   for name, gt_file, pred_file in pairs), key=lambda r: r[0])
 
     aggregates = {}
     for m in metrics:
@@ -232,8 +183,7 @@ def cmd_sensitivity(args) -> int:
     grid = _parse_grid(args.grid) if args.grid else None
     metrics = _parse_metrics(args.metrics)
     reports = bench.sensitivity_run(corpus, args.error, grid=grid, metrics=metrics,
-                                    seed=args.seed, k_max=args.kmax,
-                                    threads=_threads())
+                                    seed=args.seed, k_max=args.kmax)
     _emit_reports(reports, args)
     return 0
 
@@ -244,7 +194,7 @@ def cmd_invariance(args) -> int:
     metrics = _parse_metrics(args.metrics) if args.metrics else None
     reports = bench.invariance_run(corpus, args.transform, grid=grid,
                                    metrics=metrics, seed=args.seed,
-                                   k_max=args.kmax, threads=_threads())
+                                   k_max=args.kmax)
     _emit_reports(reports, args)
     return 0
 
@@ -301,9 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gt", help="ground-truth file or directory (trajectory JSON or PGM)")
     p.add_argument("pred", help="prediction file or directory (trajectory JSON)")
     p.add_argument("--metrics", default="aiou,ldtw",
-                   help=f"comma list from {{{','.join(ALL_METRICS)}}}")
-    p.add_argument("--gamma", type=float, default=1.0,
-                   help="soft-min temperature (reserved for loss reporting)")
+                   help=f"comma list from {{{','.join(bench.METRICS)}}}")
     p.add_argument("--normalize", action="store_true",
                    help="normalize trajectories to the canvas before scoring")
     p.add_argument("--dedupe", action="store_true",

@@ -10,52 +10,13 @@ monotone sensitivity curves).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .raster import GrayImage, dilate3x3, mask_to_gray, rasterize
 from .traj_core import (PenState, Stroke, TrajPoint, Trajectory, concat_strokes,
                         resample, strokes_of)
-
-
-@dataclass(frozen=True)
-class StrokeInsert:
-    count: int
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("insertion count must be at least 1")
-
-
-@dataclass(frozen=True)
-class StrokeDelete:
-    count: int
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("deletion count must be at least 1")
-
-
-@dataclass(frozen=True)
-class PointDrift:
-    distance: float
-
-    def __post_init__(self):
-        if not (self.distance > 0):
-            raise ValueError("drift distance must be positive")
-
-
-@dataclass(frozen=True)
-class StrokeDrift:
-    distance: float
-
-    def __post_init__(self):
-        if not (self.distance > 0):
-            raise ValueError("drift distance must be positive")
-
-
-ErrorKind = StrokeInsert | StrokeDelete | PointDrift | StrokeDrift
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -175,14 +136,20 @@ def change_sample_rate(traj: Trajectory, factor: float) -> Trajectory:
     return resample(traj, factor)
 
 
-def perturb(traj: Trajectory, kind: ErrorKind, seed: int) -> Trajectory:
-    """Apply an error kind to a trajectory under a fixed seed."""
-    if isinstance(kind, StrokeInsert):
-        return insert_strokes(traj, kind.count, seed)
-    if isinstance(kind, StrokeDelete):
-        return delete_strokes(traj, kind.count, seed)
-    if isinstance(kind, PointDrift):
-        return drift_points(traj, kind.distance, seed)
-    if isinstance(kind, StrokeDrift):
-        return drift_strokes(traj, kind.distance, seed)
-    raise TypeError(f"unknown error kind {kind!r}")
+# kind name -> generator(traj, magnitude, seed), with the magnitude cast to
+# the generator's parameter type; the generators validate it.  The lambdas
+# look each generator up by name when called, so a rebound module attribute
+# is honoured.
+ERROR_KINDS = {
+    "stroke-insert": lambda traj, m, seed: insert_strokes(traj, int(m), seed),
+    "stroke-delete": lambda traj, m, seed: delete_strokes(traj, int(m), seed),
+    "point-drift": lambda traj, m, seed: drift_points(traj, float(m), seed),
+    "stroke-drift": lambda traj, m, seed: drift_strokes(traj, float(m), seed),
+}
+
+
+def perturb(traj: Trajectory, kind: str, magnitude, seed: int) -> Trajectory:
+    """Apply the named error kind at `magnitude` under a fixed seed."""
+    if kind not in ERROR_KINDS:
+        raise ValueError(f"unknown error kind {kind!r}; expected one of {tuple(ERROR_KINDS)}")
+    return ERROR_KINDS[kind](traj, magnitude, seed)

@@ -254,7 +254,10 @@ def _canvas_side_of(obj) -> int:
     canvas = obj.get("canvas", [64, 64])
     if not isinstance(canvas, (list, tuple)) or len(canvas) != 2:
         raise ValueError(f"canvas must be a [width, height] pair, got {canvas!r}")
-    return int(max(canvas))
+    try:
+        return int(max(canvas))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"canvas must hold two finite numbers, got {canvas!r}") from exc
 
 
 def trajectory_from_obj(obj) -> Trajectory:
@@ -263,27 +266,32 @@ def trajectory_from_obj(obj) -> Trajectory:
         raise ValueError("trajectory file must contain a JSON object")
     side = _canvas_side_of(obj)
     if "points" in obj:
+        if not isinstance(obj["points"], list):
+            raise ValueError("'points' must be a list of point records")
         points = []
         for i, rec in enumerate(obj["points"]):
             try:
                 state = PenState.from_one_hot(rec["s"])
                 points.append(TrajPoint(float(rec["x"]), float(rec["y"]), state))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"invalid point at index {i}: {exc}") from exc
         return Trajectory(tuple(points), canvas_side=side)
     if "strokes" in obj:
         strokes = obj["strokes"]
-        if not strokes:
-            raise ValueError("strokes form must contain at least one stroke")
+        if not isinstance(strokes, list) or not strokes:
+            raise ValueError("strokes form must contain a list of at least one stroke")
         points = []
         for si, stroke in enumerate(strokes):
-            if not stroke:
-                raise ValueError(f"stroke {si} is empty")
+            if not isinstance(stroke, list) or not stroke:
+                raise ValueError(f"stroke {si} must be a non-empty list of points")
             for j, xy in enumerate(stroke):
                 if not isinstance(xy, (list, tuple)) or len(xy) != 2:
                     raise ValueError(f"stroke {si} point {j} must be an [x, y] pair")
                 state = PenState.UP if j == len(stroke) - 1 else PenState.DOWN
-                points.append(TrajPoint(float(xy[0]), float(xy[1]), state))
+                try:
+                    points.append(TrajPoint(float(xy[0]), float(xy[1]), state))
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ValueError(f"invalid stroke {si} point {j}: {exc}") from exc
         last = points[-1]
         points.append(TrajPoint(last.x, last.y, PenState.EOS))
         return Trajectory(tuple(points), canvas_side=side)
@@ -292,7 +300,10 @@ def trajectory_from_obj(obj) -> Trajectory:
 
 def load_trajectory(path) -> Trajectory:
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError("trajectory JSON is nested too deeply") from None
     return trajectory_from_obj(obj)
 
 

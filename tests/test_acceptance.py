@@ -119,7 +119,7 @@ def test_criterion_5_sensitivity_trends(corpus200):
     ok = True
     details = []
     for kind in ("stroke-insert", "stroke-delete", "point-drift", "stroke-drift"):
-        reports = sensitivity_run(corpus200, kind, seed=0, threads=8)
+        reports = sensitivity_run(corpus200, kind, seed=0)
         by = {r.metric: r for r in reports}
         a, l = by["aiou"].raw_mean, by["ldtw"].raw_mean
         grid = by["aiou"].grid
@@ -135,7 +135,7 @@ def test_criterion_5_sensitivity_trends(corpus200):
 
 
 def test_criterion_6_width_invariance(corpus200):
-    reports = invariance_run(corpus200, "stroke-width", seed=0, threads=8)
+    reports = invariance_run(corpus200, "stroke-width", seed=0)
     by = {r.metric: r.raw_mean for r in reports}
     a, i = by["aiou"], by["iou"]
     spread = (max(a) - min(a)) / max(a)
@@ -151,7 +151,7 @@ def test_criterion_7_sample_rate_invariance():
     corpus = make_synthetic_corpus(200, seed=0, stroke_range=(3, 4),
                                    points_range=(30, 44), step_range=(1.8, 3.2),
                                    wiggle=0.3)
-    reports = invariance_run(corpus, "sample-rate", seed=0, threads=8)
+    reports = invariance_run(corpus, "sample-rate", seed=0)
     by = {r.metric: r for r in reports}
     grid = by["dtw"].grid
     d, l = by["dtw"].raw_mean, by["ldtw"].raw_mean

@@ -7,9 +7,11 @@ import json
 import numpy as np
 import pytest
 
-from trajeval import (CurveReport, invariance_run, make_synthetic_corpus,
-                      normalize_curve, rasterize, reports_to_csv,
-                      reports_to_json, sensitivity_run, strokes_of)
+from trajeval import (CurveReport, OutOfCanvasError, aiou, dtw, invariance_run,
+                      make_synthetic_corpus, normalize_curve, rasterize,
+                      reports_to_csv, reports_to_json, score_pair,
+                      sensitivity_run, strokes_of)
+from trajeval import bench
 from trajeval.bench import DEFAULT_GRIDS, derive_seed
 
 from conftest import traj_from_strokes
@@ -33,6 +35,43 @@ def test_derive_seed_is_schedule_free():
     assert derive_seed(10, 3) == derive_seed(10, 3)
     assert derive_seed(10, 3) != derive_seed(10, 4)
     assert 0 <= derive_seed(-1, 0) < 2 ** 64
+
+
+# --- pair scoring ------------------------------------------------------------
+
+def test_score_pair_matches_direct_calls(corpus):
+    gt, pred = corpus[0], corpus[1]
+    values, errors = score_pair(gt, pred, ("aiou", "iou", "ldtw", "dtw", "rmse"))
+    result = dtw(gt, pred)
+    assert values["aiou"] == aiou(rasterize(gt), rasterize(pred)).score
+    assert values["dtw"] == result.cost
+    assert values["ldtw"] == result.cost / len(result.path)
+    assert values["rmse"] is None and "length mismatch" in str(errors["rmse"])
+    assert list(errors) == ["rmse"]
+
+
+def test_score_pair_rasterizes_only_for_glyph_metrics(corpus, monkeypatch):
+    def no_raster(*args):
+        raise AssertionError("rasterized without a glyph metric")
+    monkeypatch.setattr(bench, "rasterize", no_raster)
+    values, errors = score_pair(corpus[0], corpus[1], ("ldtw", "dtw"))
+    assert not errors and values["dtw"] > 0
+
+
+def test_score_pair_mask_ground_truth_skips_sequence_metrics(corpus):
+    values, errors = score_pair(rasterize(corpus[0]), corpus[0], ("iou", "ldtw", "rmse"))
+    assert values == {"iou": 1.0, "ldtw": None, "rmse": None}
+    assert str(errors["ldtw"]) == "sequence metrics need a trajectory ground truth"
+    assert str(errors["rmse"]) == "RMSE needs a trajectory ground truth"
+
+
+def test_score_pair_reports_the_prediction_error_first():
+    gt = traj_from_strokes([[(70, 10), (20, 20)]])
+    pred = traj_from_strokes([[(10, 90), (20, 20)]])
+    values, errors = score_pair(gt, pred, ("aiou", "iou", "dtw"))
+    assert values["aiou"] is None and values["iou"] is None and values["dtw"] > 0
+    assert isinstance(errors["aiou"], OutOfCanvasError)
+    assert "(10, 90)" in str(errors["aiou"])
 
 
 # --- synthetic corpus --------------------------------------------------------
@@ -78,12 +117,6 @@ def test_sensitivity_reports_cover_grid_and_metrics(corpus):
         assert len(rep.raw_mean) == len(rep.grid)
         assert rep.samples_used == (len(corpus),) * len(rep.grid)
         assert min(rep.normalized) == 0.0 and max(rep.normalized) == 1.0
-
-
-def test_sensitivity_thread_count_does_not_change_results(corpus):
-    serial = sensitivity_run(corpus, "stroke-insert", seed=2, threads=1)
-    parallel = sensitivity_run(corpus, "stroke-insert", seed=2, threads=8)
-    assert reports_to_csv(serial) == reports_to_csv(parallel)
 
 
 def test_sensitivity_skips_impossible_magnitudes():

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from trajeval import (PenState, PointDrift, StrokeDelete, StrokeDrift,
-                      StrokeInsert, change_sample_rate, delete_strokes,
-                      drift_points, drift_strokes, insert_strokes, perturb,
-                      rasterize, resample, strokes_of, widen_strokes)
+from trajeval import (change_sample_rate, delete_strokes, drift_points,
+                      drift_strokes, insert_strokes, perturb, rasterize,
+                      resample, strokes_of, widen_strokes)
 from trajeval.raster import dilate3x3
 
 from conftest import random_traj, traj_from_strokes
@@ -189,20 +188,21 @@ def test_change_sample_rate_delegates_to_resample(rng):
 
 def test_perturb_dispatches_each_kind(rng):
     traj = random_traj(rng, n_strokes=(3, 4))
-    assert coords(perturb(traj, StrokeInsert(2), 5)) == \
+    assert coords(perturb(traj, "stroke-insert", 2, 5)) == \
         coords(insert_strokes(traj, 2, 5))
-    assert coords(perturb(traj, StrokeDelete(1), 5)) == \
+    assert coords(perturb(traj, "stroke-delete", 1, 5)) == \
         coords(delete_strokes(traj, 1, 5))
-    assert coords(perturb(traj, PointDrift(1.5), 5)) == \
+    assert coords(perturb(traj, "point-drift", 1.5, 5)) == \
         coords(drift_points(traj, 1.5, 5))
-    assert coords(perturb(traj, StrokeDrift(1.5), 5)) == \
+    assert coords(perturb(traj, "stroke-drift", 1.5, 5)) == \
         coords(drift_strokes(traj, 1.5, 5))
-    with pytest.raises(TypeError):
-        perturb(traj, "nope", 5)
+    with pytest.raises(ValueError, match="unknown error kind"):
+        perturb(traj, "nope", 1, 5)
 
 
-def test_error_kind_params_validate():
-    for bad in (lambda: StrokeInsert(0), lambda: StrokeDelete(-1),
-                lambda: PointDrift(0.0), lambda: StrokeDrift(-2.0)):
+def test_error_kind_params_validate(rng):
+    traj = random_traj(rng, n_strokes=(3, 4))
+    for kind, magnitude in (("stroke-insert", 0), ("stroke-delete", -1),
+                            ("point-drift", 0.0), ("stroke-drift", -2.0)):
         with pytest.raises(ValueError):
-            bad()
+            perturb(traj, kind, magnitude, 5)

@@ -6,6 +6,8 @@ directly from its definition.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajeval import (BinaryMask, DegenerateHistogramError, GrayImage,
                       OutOfCanvasError, binarize, dedupe_points, dilate3x3,
@@ -208,12 +210,42 @@ def test_pgm_reader_skips_comments(tmp_path):
     b"P5\n2 1\n65535\n\x00\xff",     # unsupported maxval
     b"P5\n4 4\n255\n\x00",           # truncated pixels
     b"P5\n2",                        # truncated header
+    b"P5\n-1 4\n255\n" + bytes(8),   # negative width
+    b"P5\n-2 -3\n255\n" + bytes(6),  # negative width and height
+    b"P5\nx 1\n255\n\x00",          # non-numeric width
 ])
 def test_pgm_reader_rejects_malformed(tmp_path, data):
     path = tmp_path / "bad.pgm"
     path.write_bytes(data)
     with pytest.raises(ValueError):
         read_pgm(path)
+
+
+_pgm_like = st.builds(
+    lambda magic, w, h, maxval, sep, pixels: b"%s%s%d %d%s%d\n%s" % (
+        magic, sep, w, h, sep, maxval, pixels),
+    st.sampled_from([b"P5", b"P2", b"P5#", b""]),
+    st.integers(min_value=-3, max_value=6) | st.integers(),
+    st.integers(min_value=-3, max_value=6) | st.integers(),
+    st.sampled_from([255, 0, 65535, -1]),
+    st.sampled_from([b"\n", b" ", b"\n# c\n", b""]),
+    st.binary(max_size=40))
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "in.pgm"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.binary(max_size=64) | _pgm_like)
+def test_pgm_reader_fuzz_raises_only_value_error(fuzz_path, data):
+    fuzz_path.write_bytes(data)
+    try:
+        img = read_pgm(fuzz_path)
+    except ValueError:
+        return
+    assert img.pixels.size == img.width * img.height > 0
 
 
 # --- preprocessing / raster interaction --------------------------------------

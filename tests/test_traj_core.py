@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajeval import (PenState, Stroke, TrajPoint, Trajectory, dedupe_points,
                       downsample_half, load_trajectory, normalize_to_canvas,
@@ -229,10 +231,54 @@ def test_save_load_round_trip(tmp_path, rng):
     {"strokes": [[]]},                            # empty stroke
     {"strokes": [[[1, 2, 3]]]},                   # bad point arity
     {"points": [{"x": 0, "y": 0, "s": [1, 1, 0]}]},  # bad one-hot
+    {"points": 5},                                # points not a list
+    {"strokes": 5},                               # strokes not a list
+    {"strokes": [5]},                             # stroke not a list
+    {"canvas": ["a", 1], "points": []},           # non-numeric canvas
+    {"canvas": [float("inf"), 2], "points": []},  # canvas too large for an int
+    {"strokes": [[[None, 1]]]},                   # null coordinate
+    {"strokes": [[[10 ** 400, 1]]]},              # coordinate too large for a float
+    {"points": [{"x": 10 ** 400, "y": 0, "s": [1, 0, 0]}]},
 ])
 def test_rejects_malformed_objects(obj):
     with pytest.raises(ValueError):
         trajectory_from_obj(obj)
+
+
+_scalars = (st.none() | st.booleans() | st.text(max_size=4) | st.floats()
+            | st.integers(min_value=-10 ** 400, max_value=10 ** 400))
+_json_like = st.recursive(
+    _scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(["canvas", "points", "strokes",
+                                                      "x", "y", "s"]) | st.text(max_size=3),
+                                     inner, max_size=4)),
+    max_leaves=24)
+_trajectory_like = st.fixed_dictionaries({}, optional={
+    "canvas": st.lists(_scalars, min_size=2, max_size=2) | _json_like,
+    "points": st.lists(st.fixed_dictionaries(
+        {"x": _scalars, "y": _scalars,
+         "s": st.lists(st.sampled_from([0, 1]) | _scalars, max_size=4)}), max_size=4)
+    | _json_like,
+    "strokes": st.lists(st.lists(st.lists(_scalars, max_size=3) | _json_like,
+                                 max_size=3), max_size=3) | _json_like,
+})
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_json_like | _trajectory_like)
+def test_parser_fuzz_raises_only_value_error(obj):
+    try:
+        trajectory_from_obj(obj)
+    except ValueError:
+        pass
+
+
+def test_load_rejects_deeply_nested_json(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        load_trajectory(path)
 
 
 def test_load_reports_bad_point_index(tmp_path):
