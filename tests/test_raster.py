@@ -4,15 +4,18 @@ Each algorithm is checked against an independent brute-force oracle written
 directly from its definition.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajeval import (BinaryMask, DegenerateHistogramError, GrayImage,
-                      OutOfCanvasError, binarize, dedupe_points, dilate3x3,
-                      otsu_threshold, rasterize, read_mask_pgm, read_pgm,
-                      resample, write_mask_pgm, write_pgm)
+                      OutOfCanvasError, PenState, TrajPoint, Trajectory,
+                      binarize, dedupe_points, dilate3x3, otsu_threshold,
+                      rasterize, read_mask_pgm, read_pgm, resample,
+                      write_mask_pgm, write_pgm)
 from trajeval.raster import line_pixels, mask_to_gray
 
 from conftest import random_traj, traj_from_strokes
@@ -118,6 +121,50 @@ def test_rasterize_out_of_canvas_names_the_point():
 def test_rasterize_honors_side_override():
     traj = traj_from_strokes([[(0, 0), (9, 9)]], side=64)
     assert rasterize(traj, 16).width == 16
+
+
+def raster_oracle(strokes, side):
+    """Union of line_pixels over each stroke's consecutive rounded points."""
+    grid = np.zeros((side, side), dtype=bool)
+    for stroke in strokes:
+        pix = [(math.floor(x + 0.5), math.floor(y + 0.5)) for x, y in stroke]
+        grid[pix[0][1], pix[0][0]] = True
+        for (ax, ay), (bx, by) in zip(pix, pix[1:]):
+            for x, y in line_pixels(ax, ay, bx, by):
+                grid[y, x] = True
+    return grid
+
+
+def _points_of(strokes, close_last, eos_at):
+    """Pen-state points of the strokes; the last stroke ends pen-up only if
+    close_last, and an EOS marker is appended at eos_at unless it is None."""
+    points = []
+    for si, stroke in enumerate(strokes):
+        for j, (x, y) in enumerate(stroke):
+            closes = j == len(stroke) - 1 and (si < len(strokes) - 1 or close_last)
+            points.append(TrajPoint(x, y, PenState.UP if closes else PenState.DOWN))
+    if eos_at is not None:
+        points.append(TrajPoint(eos_at[0], eos_at[1], PenState.EOS))
+    return tuple(points)
+
+
+def test_rasterize_matches_segment_oracle():
+    rng = np.random.Generator(np.random.PCG64(2024))
+    for trial in range(300):
+        canvas = int(rng.choice([8, 16, 64]))
+        side = [None, canvas, canvas + 5, max(canvas // 2, 2)][trial % 4]
+        extent = min(canvas, side if side is not None else canvas) - 1.0
+        strokes = []
+        for _ in range(int(rng.integers(1, 5))):
+            m = int(rng.integers(1, 7))  # one in six strokes is a single point
+            strokes.append(list(zip(rng.uniform(0.0, extent, size=m).tolist(),
+                                    rng.uniform(0.0, extent, size=m).tolist())))
+        close_last = trial % 3 != 0
+        eos_at = (None if trial % 2 else
+                  tuple(rng.uniform(0.0, extent, size=2).tolist()))
+        traj = Trajectory(_points_of(strokes, close_last, eos_at), canvas_side=canvas)
+        want = raster_oracle(strokes, side if side is not None else canvas)
+        assert np.array_equal(rasterize(traj, side).bits, want), trial
 
 
 # --- Otsu / binarize ---------------------------------------------------------
