@@ -6,9 +6,9 @@ also ships the differentiable soft-DTW training loss and a seeded
 error-simulation harness for sensitivity / invariance benchmarks.
 """
 
-from .traj_core import (PenState, Stroke, TrajPoint, Trajectory, dedupe_points,
+from .traj_core import (PenState, TrajPoint, Trajectory, dedupe_points,
                         downsample_half, load_trajectory, normalize_to_canvas,
-                        resample, save_trajectory, strokes_of)
+                        resample, save_trajectory, stroke_bounds, strokes_of)
 from .raster import (BinaryMask, DegenerateHistogramError, GrayImage,
                      OutOfCanvasError, binarize, dilate3x3, otsu_threshold,
                      rasterize, read_mask_pgm, read_pgm, write_mask_pgm, write_pgm)

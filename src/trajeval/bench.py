@@ -20,7 +20,7 @@ from .error_sim import (ERROR_KINDS, change_sample_rate, drift_points, perturb,
 from .glyph_metrics import aiou, iou
 from .raster import BinaryMask, binarize, rasterize
 from .seq_metrics import dtw, rmse
-from .traj_core import (PenState, TrajPoint, Trajectory, normalize_to_canvas)
+from .traj_core import DOWN, EOS, UP, Trajectory, normalize_to_canvas
 
 GLYPH_METRICS = ("aiou", "iou")
 METRICS = GLYPH_METRICS + ("ldtw", "dtw", "rmse")
@@ -51,13 +51,18 @@ class CurveReport:
 
 
 def normalize_curve(values) -> list[float]:
-    """Min-max normalization to [0, 1]; a constant curve maps to all zeros."""
+    """Min-max normalization to [0, 1] over the defined values.
+
+    An undefined (NaN) value stays NaN; a curve with a single defined level
+    maps its defined values to zero.
+    """
     vals = [float(v) for v in values]
     if not vals:
         raise ValueError("cannot normalize an empty curve")
-    lo, hi = min(vals), max(vals)
+    defined = [v for v in vals if not math.isnan(v)]
+    lo, hi = (min(defined), max(defined)) if defined else (0.0, 0.0)
     if hi == lo:
-        return [0.0] * len(vals)
+        return [v if math.isnan(v) else 0.0 for v in vals]
     return [(v - lo) / (hi - lo) for v in vals]
 
 
@@ -129,11 +134,7 @@ def _aggregate(grid, metrics, per_sample: list, seed: int) -> list[CurveReport]:
             means.append(math.fsum(vals) / len(vals) if vals else math.nan)
             used.append(len(vals))
             skipped.append(n_skip)
-        if all(not math.isnan(v) for v in means):
-            norm = normalize_curve(means)
-        else:
-            # undefined points poison min-max scaling; report a flat curve
-            norm = [0.0] * len(means)
+        norm = normalize_curve(means)
         reports.append(CurveReport(metric=name, grid=tuple(grid),
                                    raw_mean=tuple(means), normalized=tuple(norm),
                                    samples_used=tuple(used),
@@ -231,6 +232,10 @@ def reports_to_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_number(v: float) -> float | None:
+    return None if math.isnan(v) else round(v, 6)
+
+
 def reports_to_json(reports) -> str:
     """JSON mirror of the CSV content."""
     rows = []
@@ -240,9 +245,8 @@ def reports_to_json(reports) -> str:
                 "metric": rep.metric,
                 "magnitude": round(float(magnitude), 6),
                 # a magnitude with no usable samples has no mean: null, not NaN
-                "raw_mean": (None if math.isnan(rep.raw_mean[mi])
-                             else round(rep.raw_mean[mi], 6)),
-                "normalized": round(rep.normalized[mi], 6),
+                "raw_mean": _json_number(rep.raw_mean[mi]),
+                "normalized": _json_number(rep.normalized[mi]),
                 "samples_used": rep.samples_used[mi],
                 "samples_skipped": rep.samples_skipped[mi],
             })
@@ -267,23 +271,22 @@ def make_synthetic_corpus(n: int, seed: int = 0, side: int = 64,
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(entropy=seed, spawn_key=(i,))))
         n_strokes = int(rng.integers(stroke_range[0], stroke_range[1] + 1))
-        points: list[TrajPoint] = []
+        xy: list[tuple[float, float]] = []
+        state: list[int] = []
         for _ in range(n_strokes):
             m = int(rng.integers(points_range[0], points_range[1] + 1))
             x = float(rng.uniform(4.0, side - 5.0))
             y = float(rng.uniform(4.0, side - 5.0))
             heading = float(rng.uniform(0.0, 2.0 * math.pi))
-            coords = [(x, y)]
+            xy.append((x, y))
             for _ in range(m - 1):
                 heading += float(rng.uniform(-wiggle, wiggle))
                 step = float(rng.uniform(step_range[0], step_range[1]))
                 x = min(max(x + step * math.cos(heading), 0.0), side - 1.0)
                 y = min(max(y + step * math.sin(heading), 0.0), side - 1.0)
-                coords.append((x, y))
-            for j, (cx, cy) in enumerate(coords):
-                state = PenState.UP if j == len(coords) - 1 else PenState.DOWN
-                points.append(TrajPoint(cx, cy, state))
-        last = points[-1]
-        points.append(TrajPoint(last.x, last.y, PenState.EOS))
-        corpus.append(normalize_to_canvas(Trajectory(tuple(points), canvas_side=side)))
+                xy.append((x, y))
+            state.extend([DOWN] * (m - 1) + [UP])
+        xy.append(xy[-1])
+        state.append(EOS)
+        corpus.append(normalize_to_canvas(Trajectory.from_arrays(xy, state, side)))
     return corpus

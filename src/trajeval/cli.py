@@ -18,7 +18,7 @@ from pathlib import Path
 from . import bench
 from .raster import (dilate3x3, rasterize, read_pgm, binarize, write_mask_pgm)
 from .traj_core import (Trajectory, dedupe_points, downsample_half, load_trajectory,
-                        normalize_to_canvas, resample, save_trajectory, strokes_of)
+                        normalize_to_canvas, resample, save_trajectory, stroke_bounds)
 
 def _fmt(v) -> str:
     if v is None:
@@ -59,14 +59,14 @@ def _preprocess(traj: Trajectory, args) -> Trajectory:
 
 def _resample_to_count(traj: Trajectory, target: int) -> Trajectory:
     """Resample so the drawn point count reaches `target` (RMSE opt-in mode)."""
-    current = len(traj.drawn_points())
+    current, strokes = len(traj.drawn_xy()), len(stroke_bounds(traj))
     if current == target or current < 2:
         return traj
-    factor = (target - len(strokes_of(traj))) / max(current - len(strokes_of(traj)), 1)
+    factor = (target - strokes) / max(current - strokes, 1)
     out = resample(traj, max(factor, 1e-6))
     # rounding may leave an off-by-few mismatch; nudge with per-stroke factors
     for _ in range(4):
-        have = len(out.drawn_points())
+        have = len(out.drawn_xy())
         if have == target:
             break
         out = resample(traj, max(factor * target / max(have, 1), 1e-6))
@@ -102,7 +102,7 @@ def _evaluate_pair(gt_file: Path, pred_file: Path, metrics, args) -> dict:
         return row
     rmse_pred = None
     if args.rmse_resample and isinstance(gt, Trajectory):
-        rmse_pred = _resample_to_count(pred, len(gt.drawn_points()))
+        rmse_pred = _resample_to_count(pred, len(gt.drawn_xy()))
     values, errors = bench.score_pair(gt, pred, metrics, args.kmax, side=args.canvas,
                                       rmse_pred=rmse_pred)
     row.update(values)

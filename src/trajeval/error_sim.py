@@ -10,34 +10,26 @@ monotone sensitivity curves).
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from .raster import GrayImage, dilate3x3, mask_to_gray, rasterize
-from .traj_core import (PenState, Stroke, TrajPoint, Trajectory, concat_strokes,
-                        resample, strokes_of)
+from .traj_core import Trajectory, join_strokes, resample, stroke_bounds
 
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _assemble(strokes, like: Trajectory) -> Trajectory:
-    """Rebuild a trajectory from strokes; every stroke is closed with pen-up."""
-    fixed = []
-    for st in strokes:
-        pts = [replace(p, state=PenState.DOWN) for p in st.points[:-1]]
-        pts.append(replace(st.points[-1], state=PenState.UP))
-        fixed.append(Stroke(tuple(pts)))
-    return concat_strokes(fixed, like.canvas_side, like.eos_point())
+def _stroke_xy(traj: Trajectory) -> list[np.ndarray]:
+    return [traj.xy[a:b] for a, b in stroke_bounds(traj)]
 
 
 def insert_strokes(traj: Trajectory, k: int, seed: int) -> Trajectory:
     """Insert k copies of randomly chosen strokes at random canvas positions."""
     if k < 1:
         raise ValueError("insertion count must be at least 1")
-    strokes = strokes_of(traj)
+    strokes = _stroke_xy(traj)
     if not strokes:
         raise ValueError("trajectory has no strokes to copy")
     side = traj.canvas_side
@@ -45,31 +37,27 @@ def insert_strokes(traj: Trajectory, k: int, seed: int) -> Trajectory:
     out = list(strokes)
     for _ in range(k):
         src = strokes[int(rng.integers(len(strokes)))]
-        min_x = min(p.x for p in src.points)
-        max_x = max(p.x for p in src.points)
-        min_y = min(p.y for p in src.points)
-        max_y = max(p.y for p in src.points)
+        (min_x, min_y), (max_x, max_y) = src.min(axis=0).tolist(), src.max(axis=0).tolist()
         new_min_x = rng.uniform(0.0, max(side - 1 - (max_x - min_x), 0.0))
         new_min_y = rng.uniform(0.0, max(side - 1 - (max_y - min_y), 0.0))
-        ox, oy = new_min_x - min_x, new_min_y - min_y
-        moved = Stroke(tuple(replace(p, x=p.x + ox, y=p.y + oy) for p in src.points))
+        moved = src + (new_min_x - min_x, new_min_y - min_y)
         pos = int(rng.integers(len(out) + 1))
         out.insert(pos, moved)
-    return _assemble(out, traj)
+    return join_strokes(out, traj)
 
 
 def delete_strokes(traj: Trajectory, k: int, seed: int) -> Trajectory:
     """Remove k uniformly chosen distinct strokes, keeping survivor order."""
     if k < 1:
         raise ValueError("deletion count must be at least 1")
-    strokes = strokes_of(traj)
+    strokes = _stroke_xy(traj)
     if k >= len(strokes):
         raise ValueError(
             f"cannot delete {k} of {len(strokes)} strokes: at least one must remain")
     order = _rng(seed).permutation(len(strokes))
     doomed = set(int(i) for i in order[:k])
     survivors = [st for i, st in enumerate(strokes) if i not in doomed]
-    return _assemble(survivors, traj)
+    return join_strokes(survivors, traj)
 
 
 def drift_points(traj: Trajectory, d: float, seed: int,
@@ -83,19 +71,14 @@ def drift_points(traj: Trajectory, d: float, seed: int,
     if not (0 < fraction <= 1):
         raise ValueError("fraction must lie in (0, 1]")
     rng = _rng(seed)
-    points = list(traj.points)
-    drawn_idx = [i for i, p in enumerate(points) if p.state is not PenState.EOS]
-    m = math.ceil(fraction * len(drawn_idx))
-    chosen = rng.permutation(len(drawn_idx))[:m]
-    angles = rng.uniform(0.0, 2.0 * math.pi, size=m)
-    hi = traj.canvas_side - 1
-    for sel, theta in zip(chosen, angles):
-        gi = drawn_idx[int(sel)]
-        pt = points[gi]
-        nx = min(max(pt.x + d * math.cos(theta), 0.0), hi)
-        ny = min(max(pt.y + d * math.sin(theta), 0.0), hi)
-        points[gi] = replace(pt, x=nx, y=ny)
-    return Trajectory(tuple(points), canvas_side=traj.canvas_side)
+    n_drawn = len(traj.drawn_xy())
+    m = math.ceil(fraction * n_drawn)
+    chosen = rng.permutation(n_drawn)[:m]
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=m).tolist()
+    step = d * np.array([(math.cos(t), math.sin(t)) for t in angles]).reshape(-1, 2)
+    xy = traj.xy.copy()
+    xy[chosen] = np.minimum(np.maximum(xy[chosen] + step, 0.0), traj.canvas_side - 1)
+    return Trajectory.from_arrays(xy, traj.state, traj.canvas_side)
 
 
 def drift_strokes(traj: Trajectory, d: float, seed: int) -> Trajectory:
@@ -109,18 +92,14 @@ def drift_strokes(traj: Trajectory, d: float, seed: int) -> Trajectory:
     rng = _rng(seed)
     hi = traj.canvas_side - 1
     out = []
-    for st in strokes_of(traj):
+    for st in _stroke_xy(traj):
         theta = rng.uniform(0.0, 2.0 * math.pi)
         ox, oy = d * math.cos(theta), d * math.sin(theta)
-        min_x = min(p.x for p in st.points)
-        max_x = max(p.x for p in st.points)
-        min_y = min(p.y for p in st.points)
-        max_y = max(p.y for p in st.points)
+        (min_x, min_y), (max_x, max_y) = st.min(axis=0).tolist(), st.max(axis=0).tolist()
         ox = min(max(ox, -min_x), hi - max_x)
         oy = min(max(oy, -min_y), hi - max_y)
-        out.append(Stroke(tuple(replace(p, x=p.x + ox, y=p.y + oy)
-                                for p in st.points)))
-    return _assemble(out, traj)
+        out.append(st + (ox, oy))
+    return join_strokes(out, traj)
 
 
 def widen_strokes(traj: Trajectory, k: int, side: int | None = None) -> GrayImage:

@@ -134,24 +134,23 @@ def sdtw_grad(q: Trajectory, p: Trajectory, gamma: float = 1.0) -> np.ndarray:
 
 def l1_loss(pred, gt: Trajectory) -> float:
     """Mean |dx| + |dy| under teacher-forced (index-wise) correspondence."""
-    if len(pred) != len(gt.points):
+    if len(pred) != len(gt):
         raise ValueError(f"length mismatch: {len(pred)} predictions vs "
-                         f"{len(gt.points)} ground-truth points")
-    total = math.fsum(abs(pp.x - gp.x) + abs(pp.y - gp.y)
-                      for pp, gp in zip(pred, gt.points))
+                         f"{len(gt)} ground-truth points")
+    total = math.fsum(abs(pp.x - gx) + abs(pp.y - gy)
+                      for pp, (gx, gy) in zip(pred, gt.xy.tolist()))
     return total / len(pred)
 
 
 def wce_loss(pred, gt: Trajectory, weights=(1.0, 5.0, 1.0)) -> float:
     """Class-weighted cross-entropy over pen states, mean per point."""
-    if len(pred) != len(gt.points):
+    if len(pred) != len(gt):
         raise ValueError(f"length mismatch: {len(pred)} predictions vs "
-                         f"{len(gt.points)} ground-truth points")
+                         f"{len(gt)} ground-truth points")
     if len(weights) != 3:
         raise ValueError("weights must cover the 3 pen-state classes")
     total = 0.0
-    for pp, gp in zip(pred, gt.points):
-        cls = gp.state.value
+    for pp, cls in zip(pred, gt.state.tolist()):
         prob = max(pp.state_probs[cls], _PROB_FLOOR)
         total += -weights[cls] * math.log(prob)
     return total / len(pred)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traj_core import Trajectory, strokes_of
+from .traj_core import DOWN, Trajectory, pixel_of
 
 
 class OutOfCanvasError(ValueError):
@@ -81,23 +81,34 @@ def line_pixels(x0: int, y0: int, x1: int, y1: int) -> list[tuple[int, int]]:
 
 
 def rasterize(traj: Trajectory, side: int | None = None) -> BinaryMask:
-    """Render a trajectory as a width-1 mask; no segment crosses a pen-up."""
+    """Render a trajectory as a width-1 mask; no segment crosses a pen-up.
+
+    Every drawn point is set, and each segment from a pen-down point to its
+    successor is drawn with the round-half-up rule of `line_pixels`, all
+    segments in one pass.
+    """
     side = side if side is not None else traj.canvas_side
-    for idx, pt in enumerate(traj.drawn_points()):
-        px, py = pt.pixel()
-        if not (0 <= px < side and 0 <= py < side):
-            raise OutOfCanvasError(
-                f"point {idx} at ({pt.x}, {pt.y}) rounds to pixel ({px}, {py}) "
-                f"outside the {side}x{side} canvas")
+    xy = traj.drawn_xy()
+    pix = np.floor(xy + 0.5)
+    outside = ((pix < 0) | (pix >= side)).any(axis=1)
+    if outside.any():
+        idx = int(np.argmax(outside))
+        x, y = xy[idx].tolist()
+        px, py = pixel_of(x, y)
+        raise OutOfCanvasError(
+            f"point {idx} at ({x}, {y}) rounds to pixel ({px}, {py}) "
+            f"outside the {side}x{side} canvas")
+    pix = pix.astype(np.int64)
     grid = np.zeros((side, side), dtype=bool)
-    for stroke in strokes_of(traj):
-        pix = [p.pixel() for p in stroke.points]
-        if len(pix) == 1:
-            grid[pix[0][1], pix[0][0]] = True
-            continue
-        for (ax, ay), (bx, by) in zip(pix, pix[1:]):
-            for x, y in line_pixels(ax, ay, bx, by):
-                grid[y, x] = True
+    grid[pix[:, 1], pix[:, 0]] = True
+    seg = np.flatnonzero(traj.state[:len(pix)][:-1] == DOWN)
+    start, delta = pix[seg], pix[seg + 1] - pix[seg]
+    n = np.abs(delta).max(axis=1)
+    owner = np.repeat(np.arange(len(seg)), n)  # one row per step i in 0..n-1
+    i = (np.arange(len(owner)) - np.repeat(np.cumsum(n) - n, n))[:, None]
+    m = n[owner, None]
+    line = start[owner] + (2 * delta[owner] * i + m) // (2 * m)
+    grid[line[:, 1], line[:, 0]] = True
     return BinaryMask(grid)
 
 
@@ -136,14 +147,14 @@ def dilate3x3(mask: BinaryMask, k: int = 1) -> BinaryMask:
     if k < 0:
         raise ValueError("dilation count must be non-negative")
     bits = mask.bits
-    h, w = bits.shape
     for _ in range(k):
-        padded = np.pad(bits, 1)
-        acc = np.zeros_like(bits)
-        for dy in range(3):
-            for dx in range(3):
-                acc |= padded[dy:dy + h, dx:dx + w]
-        bits = acc
+        # the 3x3 square is separable: row neighbours, then column neighbours
+        rows = bits.copy()
+        rows[1:] |= bits[:-1]
+        rows[:-1] |= bits[1:]
+        bits = rows.copy()
+        bits[:, 1:] |= rows[:, :-1]
+        bits[:, :-1] |= rows[:, 1:]
     return BinaryMask(bits)
 
 

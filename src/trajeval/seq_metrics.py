@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traj_core import PenState, Trajectory
+from .traj_core import Trajectory
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,10 @@ class DtwResult:
 
 
 def _coords(traj: Trajectory) -> np.ndarray:
-    pts = [p for p in traj.points if p.state is not PenState.EOS]
-    if not pts:
+    xy = traj.drawn_xy()
+    if not len(xy):
         raise ValueError("trajectory has no drawn points to align")
-    return np.array([[p.x, p.y] for p in pts], dtype=np.float64)
+    return xy
 
 
 def dtw(q: Trajectory, p: Trajectory) -> DtwResult:

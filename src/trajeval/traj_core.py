@@ -1,18 +1,23 @@
 """Trajectory data model, stroke segmentation, and preprocessing.
 
-A trajectory is an ordered sequence of pen-tip points on a square canvas.
-Each point carries a 3-way pen state: pen-down points draw a segment to
-their successor, a pen-up point closes its stroke, and an optional final
-end-of-sequence marker carries no ink.  All types are immutable values and
-all operations are pure functions.
+A trajectory is an ordered sequence of pen-tip points on a square canvas,
+stored as two read-only columns: `xy` (float64, shape (n, 2)) and `state`
+(int8, shape (n,), holding `PenState` values).  A pen-down point draws a
+segment to its successor, a pen-up point closes its stroke, and an optional
+final end-of-sequence marker carries no ink.  Stroke boundaries are derived
+from `state` (`stroke_bounds`), never stored.  `TrajPoint` is a per-point
+view for file I/O and tests.  All types are immutable values and all
+operations are pure functions.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 
 class PenState(Enum):
@@ -33,6 +38,10 @@ class PenState(Enum):
         return cls(vec.index(1))
 
 
+_STATES = tuple(PenState)  # indexed by value
+DOWN, UP, EOS = (s.value for s in _STATES)
+
+
 def pixel_of(x: float, y: float) -> tuple[int, int]:
     """Round half-up to the containing pixel."""
     return (math.floor(x + 0.5), math.floor(y + 0.5))
@@ -48,95 +57,117 @@ class TrajPoint:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
 
-    def pixel(self) -> tuple[int, int]:
-        return pixel_of(self.x, self.y)
 
-
-@dataclass(frozen=True)
 class Trajectory:
-    points: tuple[TrajPoint, ...]
-    canvas_side: int = 64
+    """Columns `xy` and `state` plus `canvas_side`; see the module docstring.
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        if not self.points:
+    `Trajectory(points, canvas_side)` builds from `TrajPoint`s;
+    `Trajectory.from_arrays(xy, state, canvas_side)` copies two columns.
+    """
+
+    __slots__ = ("xy", "state", "canvas_side", "_points")
+
+    def __init__(self, points, canvas_side: int = 64):
+        points = tuple(points)
+        xy = np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(-1, 2)
+        self._set(xy, [p.state.value for p in points], canvas_side)
+
+    @classmethod
+    def from_arrays(cls, xy, state, canvas_side: int = 64) -> "Trajectory":
+        traj = cls.__new__(cls)
+        traj._set(np.array(xy, dtype=np.float64), state, canvas_side)
+        return traj
+
+    def _set(self, xy: np.ndarray, state, canvas_side: int) -> None:
+        state = np.array(state)
+        if len(state) == 0:
             raise ValueError("trajectory must contain at least one point")
-        if self.canvas_side <= 0:
+        if canvas_side <= 0:
             raise ValueError("canvas_side must be positive")
-        eos = [i for i, p in enumerate(self.points) if p.state is PenState.EOS]
+        if xy.shape != (len(state), 2) or state.ndim != 1:
+            raise ValueError(f"xy of shape {xy.shape} does not match "
+                             f"{len(state)} pen states")
+        if not ((state == DOWN) | (state == UP) | (state == EOS)).all():
+            raise ValueError("pen states must be 0 (down), 1 (up) or 2 (end of sequence)")
+        if not np.isfinite(xy).all():
+            x, y = xy[~np.isfinite(xy).all(axis=1)][0].tolist()
+            raise ValueError(f"non-finite coordinates ({x}, {y})")
+        eos = np.flatnonzero(state == EOS)
         if len(eos) > 1:
             raise ValueError("at most one end-of-sequence point is allowed")
-        if eos and eos[0] != len(self.points) - 1:
+        if len(eos) and eos[0] != len(state) - 1:
             raise ValueError("the end-of-sequence point must be last")
+        xy.flags.writeable = False
+        state = state.astype(np.int8)
+        state.flags.writeable = False
+        for name, value in (("xy", xy), ("state", state),
+                            ("canvas_side", canvas_side), ("_points", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Trajectory is immutable; cannot set {name!r}")
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.state)
 
     @property
     def has_eos(self) -> bool:
-        return self.points[-1].state is PenState.EOS
+        return bool(self.state[-1] == EOS)
+
+    def drawn_xy(self) -> np.ndarray:
+        """Coordinates that carry ink (every row but the EOS marker)."""
+        return self.xy[:-1] if self.has_eos else self.xy
+
+    @property
+    def points(self) -> tuple[TrajPoint, ...]:
+        """The rows as `TrajPoint`s, built on first use."""
+        if self._points is None:
+            object.__setattr__(self, "_points", tuple(
+                TrajPoint(x, y, _STATES[s])
+                for (x, y), s in zip(self.xy.tolist(), self.state.tolist())))
+        return self._points
 
     def drawn_points(self) -> tuple[TrajPoint, ...]:
         """Points that carry ink (everything but the EOS marker)."""
         return self.points[:-1] if self.has_eos else self.points
 
-    def eos_point(self) -> TrajPoint | None:
-        return self.points[-1] if self.has_eos else None
+
+def stroke_bounds(traj: Trajectory) -> list[tuple[int, int]]:
+    """Row ranges [start, stop) of the strokes: maximal pen-down runs of the
+    drawn rows, each closed by a pen-up point or by the last drawn row."""
+    n = len(traj.drawn_xy())
+    stops = (np.flatnonzero(traj.state[:n] == UP) + 1).tolist()
+    if n and (not stops or stops[-1] != n):
+        stops.append(n)  # trailing stroke without pen-up
+    return list(zip([0] + stops[:-1], stops))
 
 
-@dataclass(frozen=True)
-class Stroke:
-    """Maximal pen-down run; contiguous slice of a trajectory."""
-
-    points: tuple[TrajPoint, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        if not self.points:
-            raise ValueError("stroke must contain at least one point")
-        for p in self.points[:-1]:
-            if p.state is not PenState.DOWN:
-                raise ValueError("all stroke points except the last must be pen-down")
-        if self.points[-1].state is PenState.EOS:
-            raise ValueError("a stroke cannot contain the end-of-sequence point")
-
-    def __len__(self) -> int:
-        return len(self.points)
+def strokes_of(traj: Trajectory) -> list[Trajectory]:
+    """Split a trajectory into strokes, each a trajectory over its rows."""
+    return [Trajectory.from_arrays(traj.xy[a:b], traj.state[a:b], traj.canvas_side)
+            for a, b in stroke_bounds(traj)]
 
 
-def strokes_of(traj: Trajectory) -> list[Stroke]:
-    """Split a trajectory into strokes; a boundary follows every pen-up point."""
-    strokes: list[Stroke] = []
-    current: list[TrajPoint] = []
-    for pt in traj.drawn_points():
-        current.append(pt)
-        if pt.state is PenState.UP:
-            strokes.append(Stroke(tuple(current)))
-            current = []
-    if current:
-        strokes.append(Stroke(tuple(current)))  # trailing stroke without pen-up
-    return strokes
+def join_strokes(parts, like: Trajectory, closing=UP) -> Trajectory:
+    """Concatenate stroke coordinate arrays on `like`'s canvas.
+
+    Every point of a stroke is pen-down except its last, which takes the
+    stroke's closing state (a scalar, or one per stroke); `like`'s EOS
+    marker, if any, is appended.
+    """
+    eos = like.xy[-1:] if like.has_eos else like.xy[:0]
+    xy = np.concatenate([*parts, eos])
+    state = np.full(len(xy), DOWN, dtype=np.int8)
+    state[np.cumsum([len(p) for p in parts], dtype=np.intp) - 1] = closing
+    state[len(xy) - len(eos):] = EOS
+    return Trajectory.from_arrays(xy, state, like.canvas_side)
 
 
-def concat_strokes(strokes, canvas_side: int, eos: TrajPoint | None = None) -> Trajectory:
-    """Reassemble strokes (states taken as-is) into a trajectory."""
-    points: list[TrajPoint] = []
-    for st in strokes:
-        points.extend(st.points)
-    if eos is not None:
-        points.append(replace(eos, state=PenState.EOS))
-    return Trajectory(tuple(points), canvas_side=canvas_side)
-
-
-def _rebuild(strokes, like: Trajectory) -> Trajectory:
-    return concat_strokes(strokes, like.canvas_side, like.eos_point())
-
-
-def _with_stroke_states(points: list[TrajPoint], closing: PenState) -> tuple[TrajPoint, ...]:
-    """Interior points become pen-down; the last point takes the closing state."""
-    fixed = [replace(p, state=PenState.DOWN) for p in points[:-1]]
-    fixed.append(replace(points[-1], state=closing))
-    return tuple(fixed)
+def _per_stroke(traj: Trajectory, fn) -> Trajectory:
+    """Map each stroke's coordinates through fn; strokes keep their closing states."""
+    bounds = stroke_bounds(traj)
+    return join_strokes([fn(traj.xy[a:b]) for a, b in bounds], traj,
+                        traj.state[[b - 1 for _, b in bounds]])
 
 
 def normalize_to_canvas(traj: Trajectory, side: int | None = None) -> Trajectory:
@@ -149,50 +180,50 @@ def normalize_to_canvas(traj: Trajectory, side: int | None = None) -> Trajectory
     side = side if side is not None else traj.canvas_side
     if side <= 1:
         raise ValueError("side must be at least 2")
-    drawn = traj.drawn_points()
-    min_x = min(p.x for p in drawn)
-    max_x = max(p.x for p in drawn)
-    min_y = min(p.y for p in drawn)
-    max_y = max(p.y for p in drawn)
-    span = max(max_x - min_x, max_y - min_y)
+    drawn = traj.drawn_xy()
+    lo, hi = drawn.min(axis=0), drawn.max(axis=0)
+    span = max(hi[0] - lo[0], hi[1] - lo[1])
     if span == 0.0:
-        center = (side - 1) / 2.0
-        mapped = [replace(p, x=p.x - min_x + center, y=p.y - min_y + center)
-                  for p in traj.points]
+        mapped = traj.xy - lo + (side - 1) / 2.0
     else:
-        scale = (side - 1) / span
-        mapped = [replace(p, x=(p.x - min_x) * scale, y=(p.y - min_y) * scale)
-                  for p in traj.points]
-    return Trajectory(tuple(mapped), canvas_side=side)
+        mapped = (traj.xy - lo) * ((side - 1) / span)
+    return Trajectory.from_arrays(mapped, traj.state, side)
 
 
 def dedupe_points(traj: Trajectory) -> Trajectory:
     """Collapse consecutive points within a stroke that round to the same pixel."""
-    out: list[Stroke] = []
-    for st in strokes_of(traj):
-        kept = [st.points[0]]
-        for pt in st.points[1:]:
-            if pt.pixel() != kept[-1].pixel():
-                kept.append(pt)
-        out.append(Stroke(_with_stroke_states(kept, st.points[-1].state)))
-    return _rebuild(out, traj)
+    def kept(pts):
+        pix = np.floor(pts + 0.5)
+        return pts[np.r_[True, (pix[1:] != pix[:-1]).any(axis=1)]]
+    return _per_stroke(traj, kept)
 
 
 def downsample_half(traj: Trajectory) -> Trajectory:
     """Keep every 2nd point of each stroke, always retaining both endpoints."""
-    out: list[Stroke] = []
-    for st in strokes_of(traj):
-        n = len(st.points)
-        idx = list(range(0, n, 2))
-        if idx[-1] != n - 1:
-            idx.append(n - 1)
-        kept = [st.points[i] for i in idx]
-        out.append(Stroke(_with_stroke_states(kept, st.points[-1].state)))
-    return _rebuild(out, traj)
+    return _per_stroke(traj, lambda pts: pts[np.unique(np.r_[0:len(pts):2, len(pts) - 1])])
 
 
-def _rhu(v: float) -> int:
-    return math.floor(v + 0.5)
+def _rhu(v):
+    return np.floor(v + 0.5).astype(np.int64)
+
+
+def _resample_stroke(pts: np.ndarray, factor: float) -> np.ndarray:
+    n = len(pts)
+    if n == 1:
+        return pts
+    if factor < 1:
+        target = max(int(_rhu(factor * (n - 1))) + 1, 2)
+        return pts[np.unique(_rhu(np.arange(target) * (n - 1) / (target - 1)))]
+    # segment i splits into max(rhu(factor*i) - rhu(factor*(i-1)), 1) pieces;
+    # interpolated points are inserted, the original points kept exactly
+    pieces = np.maximum(np.diff(_rhu(factor * np.arange(n))), 1)
+    seg = np.repeat(np.arange(n - 1), pieces)
+    j = np.arange(len(seg)) + 1 - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    a, b = pts[seg], pts[seg + 1]
+    out = a + (b - a) * (j / pieces[seg])[:, None]
+    ends = j == pieces[seg]
+    out[ends] = b[ends]
+    return np.concatenate([pts[:1], out])
 
 
 def resample(traj: Trajectory, factor: float) -> Trajectory:
@@ -204,33 +235,7 @@ def resample(traj: Trajectory, factor: float) -> Trajectory:
     """
     if factor <= 0:
         raise ValueError("resample factor must be positive")
-    out: list[Stroke] = []
-    for st in strokes_of(traj):
-        pts = st.points
-        n = len(pts)
-        if n == 1:
-            out.append(st)
-            continue
-        if factor >= 1:
-            new_pts: list[TrajPoint] = [pts[0]]
-            prev_r = 0
-            for i in range(1, n):
-                r = _rhu(factor * i)
-                pieces = max(r - prev_r, 1)
-                prev_r = r
-                a, b = pts[i - 1], pts[i]
-                for j in range(1, pieces):
-                    t = j / pieces
-                    new_pts.append(TrajPoint(a.x + (b.x - a.x) * t,
-                                             a.y + (b.y - a.y) * t,
-                                             PenState.DOWN))
-                new_pts.append(replace(b, state=PenState.DOWN))
-        else:
-            target = max(_rhu(factor * (n - 1)) + 1, 2)
-            idx = sorted({_rhu(k * (n - 1) / (target - 1)) for k in range(target)})
-            new_pts = [pts[i] for i in idx]
-        out.append(Stroke(_with_stroke_states(new_pts, pts[-1].state)))
-    return _rebuild(out, traj)
+    return _per_stroke(traj, lambda pts: _resample_stroke(pts, factor))
 
 
 # --- canonical file formats -------------------------------------------------
@@ -238,15 +243,15 @@ def resample(traj: Trajectory, factor: float) -> Trajectory:
 def trajectory_to_points_obj(traj: Trajectory) -> dict:
     return {
         "canvas": [traj.canvas_side, traj.canvas_side],
-        "points": [{"x": p.x, "y": p.y, "s": list(p.state.one_hot())}
-                   for p in traj.points],
+        "points": [{"x": x, "y": y, "s": list(_STATES[s].one_hot())}
+                   for (x, y), s in zip(traj.xy.tolist(), traj.state.tolist())],
     }
 
 
 def trajectory_to_strokes_obj(traj: Trajectory) -> dict:
     return {
         "canvas": [traj.canvas_side, traj.canvas_side],
-        "strokes": [[[p.x, p.y] for p in st.points] for st in strokes_of(traj)],
+        "strokes": [traj.xy[a:b].tolist() for a, b in stroke_bounds(traj)],
     }
 
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +30,14 @@ def test_normalize_curve_min_max():
     assert normalize_curve([7.0, 7.0]) == [0.0, 0.0]
     with pytest.raises(ValueError):
         normalize_curve([])
+
+
+def test_normalize_curve_skips_undefined_points():
+    out = normalize_curve([2.0, math.nan, 4.0])
+    assert out[0] == 0.0 and math.isnan(out[1]) and out[2] == 1.0
+    out = normalize_curve([5.0, math.nan])
+    assert out[0] == 0.0 and math.isnan(out[1])
+    assert all(math.isnan(v) for v in normalize_curve([math.nan, math.nan]))
 
 
 def test_derive_seed_is_schedule_free():
@@ -126,7 +135,8 @@ def test_sensitivity_skips_impossible_magnitudes():
     for rep in reports:
         assert rep.samples_used == (4, 0)
         assert rep.samples_skipped == (0, 4)
-        assert rep.normalized == (0.0, 0.0)  # undefined curve reported flat
+        assert rep.normalized[0] == 0.0
+        assert math.isnan(rep.normalized[1])  # undefined point stays undefined
 
 
 def test_sensitivity_validates_inputs(corpus):

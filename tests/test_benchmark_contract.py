@@ -1,0 +1,71 @@
+"""The package surface that the benchmark under benchmarks/ relies on.
+
+The benchmark wraps the functions named in `layer_trace.TABLE` and builds
+its inputs with the point API (`Trajectory(points)`, `.points`,
+`.drawn_points()`, `strokes_of`).  A rename or a broken view fails here in
+about a second instead of at the benchmark's own run.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import trajeval
+from trajeval import PenState, TrajPoint, Trajectory, strokes_of
+
+LAYER_TRACE = Path(__file__).resolve().parents[1] / "benchmarks" / "layer_trace.py"
+
+
+@pytest.fixture(scope="module")
+def layer_trace():
+    spec = importlib.util.spec_from_file_location("layer_trace", LAYER_TRACE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_resolves(layer_trace):
+    assert layer_trace.PACKAGE == "trajeval"
+    for layer, functions in layer_trace.TABLE.items():
+        module = importlib.import_module(f"trajeval.{layer}")
+        for name in functions:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"
+
+
+def test_layer_trace_counts_a_small_sweep(layer_trace):
+    tracer = layer_trace.Tracer()
+    tracer.install()
+    try:
+        corpus = trajeval.bench.make_synthetic_corpus(2, seed=1)
+        trajeval.bench.sensitivity_run(corpus, "point-drift", grid=(1, 2),
+                                       metrics=("aiou", "dtw"))
+    finally:
+        tracer.uninstall()
+    out = layer_trace.summarize(tracer.take(), wall_s=1.0)
+    assert out["traj_core.normalize_to_canvas.calls"] == 2
+    assert out["error_sim.drift_points.calls"] == 4
+    assert out["raster.rasterize.calls"] == 6  # one ground truth + two predictions each
+    assert out["raster.rasterize.repeat_share"] == 0.0
+    assert out["seq_metrics.dtw.calls"] == 4
+    assert out["seq_metrics.dtw.cells"] == sum(2 * len(t.drawn_points()) ** 2
+                                               for t in corpus)
+
+
+def test_point_api_the_benchmark_builds_with():
+    gt = trajeval.bench.make_synthetic_corpus(1, seed=0)[0]
+    assert [p.state.value for p in gt.points] == gt.state.tolist()
+    assert gt.points[-1].state is PenState.EOS
+    assert len(gt.drawn_points()) == len(gt) - 1
+    strokes = strokes_of(gt)
+    assert len(strokes) == gt.state.tolist().count(PenState.UP.value)
+    assert sum(len(s) for s in strokes) == len(gt.drawn_points())
+
+    # a finite-difference probe: one coordinate moved, rebuilt from points
+    points = list(gt.points)
+    p = points[3]
+    points[3] = TrajPoint(p.x + 1e-4, p.y, p.state)
+    shifted = Trajectory(tuple(points), canvas_side=gt.canvas_side)
+    assert shifted.xy[3, 0] == p.x + 1e-4 and shifted.xy[3, 1] == p.y
+    assert shifted.state.tolist() == gt.state.tolist()

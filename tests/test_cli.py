@@ -167,6 +167,22 @@ def test_sensitivity_json_writes_null_for_an_undefined_mean(capsys):
         [(3, False), (0, True)]
 
 
+def test_sensitivity_normalizes_over_the_defined_magnitudes(capsys):
+    # magnitudes 1 and 2 are defined, 9 is not; the curve spans the defined ones
+    code, out = run_cli(["sensitivity", "--synthetic", "3", "--error",
+                         "stroke-delete", "--grid", "1,2,9", "--metrics", "ldtw",
+                         "--format", "json"], capsys)
+    assert code == 0
+
+    def reject(token):
+        raise ValueError(f"non-finite JSON constant {token}")
+
+    rows = json.loads(out, parse_constant=reject)["rows"]
+    assert [r["magnitude"] for r in rows] == [1.0, 2.0, 9.0]
+    assert [r["normalized"] for r in rows] == [0.0, 1.0, None]
+    assert rows[2]["raw_mean"] is None
+
+
 def test_sensitivity_corpus_directory(tmp_path, rng, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

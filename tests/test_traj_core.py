@@ -3,13 +3,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajeval import (PenState, Stroke, TrajPoint, Trajectory, dedupe_points,
+from trajeval import (PenState, TrajPoint, Trajectory, dedupe_points,
                       downsample_half, load_trajectory, normalize_to_canvas,
-                      resample, save_trajectory, strokes_of)
+                      resample, save_trajectory, stroke_bounds, strokes_of)
 from trajeval.traj_core import (pixel_of, trajectory_from_obj,
                                 trajectory_to_points_obj,
                                 trajectory_to_strokes_obj)
@@ -48,11 +49,71 @@ def test_trajectory_rejects_misplaced_eos():
         Trajectory(())
 
 
-def test_stroke_rejects_interior_pen_up():
-    up = TrajPoint(0, 0, PenState.UP)
-    down = TrajPoint(1, 1, PenState.DOWN)
+# name, xy, state, canvas_side
+MALFORMED_COLUMNS = [
+    ("empty", np.zeros((0, 2)), [], 64),
+    ("non-finite", [[0.0, 0.0], [math.nan, 1.0]], [0, 1], 64),
+    ("infinite", [[math.inf, 0.0]], [1], 64),
+    ("eos-not-last", [[0.0, 0.0], [1.0, 1.0]], [2, 1], 64),
+    ("two-eos", [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]], [1, 2, 2], 64),
+    ("zero-canvas", [[0.0, 0.0]], [1], 0),
+    ("negative-canvas", [[0.0, 0.0]], [1], -3),
+    ("state-3", [[0.0, 0.0]], [3], 64),
+    ("state-minus-1", [[0.0, 0.0], [1.0, 1.0]], [0, -1], 64),
+    ("length-mismatch", [[0.0, 0.0], [1.0, 1.0]], [1], 64),
+    ("xy-not-pairs", [[0.0, 0.0, 0.0]], [1], 64),
+]
+
+
+@pytest.mark.parametrize("xy, state, side", [c[1:] for c in MALFORMED_COLUMNS],
+                         ids=[c[0] for c in MALFORMED_COLUMNS])
+def test_constructors_reject_the_same_malformed_input(xy, state, side):
     with pytest.raises(ValueError):
-        Stroke((up, down))
+        Trajectory.from_arrays(xy, state, side)
+    rows = np.asarray(xy, dtype=float)
+    if rows.shape == (len(state), 2) and set(state) <= {0, 1, 2}:
+        with pytest.raises(ValueError):  # TrajPoint itself rejects non-finite
+            Trajectory(tuple(TrajPoint(x, y, PenState(s))
+                             for (x, y), s in zip(rows.tolist(), state)),
+                       canvas_side=side)
+
+
+def test_columns_are_read_only(rng):
+    traj = random_traj(rng)
+    with pytest.raises(ValueError):
+        traj.xy[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        traj.state[0] = PenState.UP.value
+    with pytest.raises(AttributeError):
+        traj.xy = np.zeros((1, 2))
+
+
+def test_from_arrays_copies_its_inputs():
+    xy, state = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1])
+    traj = Trajectory.from_arrays(xy, state, 8)
+    xy[0, 0], state[1] = 99.0, 0
+    assert traj.xy.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert traj.state.tolist() == [0, 1]
+    assert traj.xy.dtype == np.float64 and traj.state.dtype == np.int8
+    assert xy.flags.writeable and state.flags.writeable
+
+
+def test_points_view_round_trips(rng):
+    for eos in (True, False):
+        traj = random_traj(rng, eos=eos)
+        back = Trajectory(traj.points, traj.canvas_side)
+        assert np.array_equal(back.xy, traj.xy)
+        assert np.array_equal(back.state, traj.state)
+        assert back.canvas_side == traj.canvas_side
+        assert [p.state for p in traj.points] == \
+            [PenState(s) for s in traj.state.tolist()]
+
+
+def test_stroke_bounds_follow_pen_up_points():
+    state = [0, 1, 1, 0, 0, 1, 0, 0, 2]  # single-point stroke, open last stroke
+    traj = Trajectory.from_arrays(np.zeros((len(state), 2)), state, 8)
+    assert stroke_bounds(traj) == [(0, 2), (2, 3), (3, 6), (6, 8)]
+    assert stroke_bounds(Trajectory.from_arrays([[0.0, 0.0]], [2], 8)) == []
 
 
 def test_pixel_rounding_is_half_up():
@@ -186,6 +247,41 @@ def test_resample_identity_factor_is_noop(rng):
 def test_resample_rejects_non_positive_factor(rng):
     with pytest.raises(ValueError):
         resample(random_traj(rng), 0.0)
+
+
+def resample_reference(stroke, factor):
+    """Point-by-point definition of one stroke's resampled coordinates."""
+    def rhu(v):
+        return math.floor(v + 0.5)
+    n = len(stroke)
+    if n == 1:
+        return list(stroke)
+    if factor < 1:
+        target = max(rhu(factor * (n - 1)) + 1, 2)
+        keep = sorted({rhu(k * (n - 1) / (target - 1)) for k in range(target)})
+        return [stroke[i] for i in keep]
+    out, prev_r = [stroke[0]], 0
+    for i in range(1, n):
+        r = rhu(factor * i)
+        pieces, prev_r = max(r - prev_r, 1), r
+        (ax, ay), (bx, by) = stroke[i - 1], stroke[i]
+        out += [(ax + (bx - ax) * (j / pieces), ay + (by - ay) * (j / pieces))
+                for j in range(1, pieces)]
+        out.append(stroke[i])
+    return out
+
+
+def test_resample_matches_pointwise_reference(rng):
+    for trial in range(60):
+        traj = random_traj(rng, n_strokes=(1, 4), n_points=(1, 9), eos=trial % 2 == 0)
+        strokes = [[tuple(p) for p in s.xy.tolist()] for s in strokes_of(traj)]
+        for factor in (0.3, 0.5, 0.8, 1.0, 1.5, 2.0, 3.7):
+            out = resample(traj, factor)
+            assert [[tuple(p) for p in s.xy.tolist()] for s in strokes_of(out)] == \
+                [resample_reference(s, factor) for s in strokes]
+            assert [s.state[-1] for s in strokes_of(out)] == \
+                [s.state[-1] for s in strokes_of(traj)]
+            assert out.has_eos == traj.has_eos
 
 
 def test_preprocessing_preserves_eos(rng):
