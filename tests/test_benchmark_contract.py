@@ -10,10 +10,13 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import trajeval
 from trajeval import PenState, TrajPoint, Trajectory, strokes_of
+
+from conftest import traj_from_strokes
 
 LAYER_TRACE = Path(__file__).resolve().parents[1] / "benchmarks" / "layer_trace.py"
 
@@ -51,6 +54,27 @@ def test_layer_trace_counts_a_small_sweep(layer_trace):
     assert out["seq_metrics.dtw.calls"] == 4
     assert out["seq_metrics.dtw.cells"] == sum(2 * len(t.drawn_points()) ** 2
                                                for t in corpus)
+
+
+def test_layer_trace_counts_one_loss_step(layer_trace):
+    """One sdtw and one sdtw_grad call each record exactly one span, so the
+    gradient must not route through the public (traced) sdtw."""
+    rng = np.random.Generator(np.random.PCG64(7))
+    m, n = 5, 8
+    gt = traj_from_strokes([rng.uniform(0.0, 63.0, size=(m, 2)).tolist()])
+    pred = traj_from_strokes([rng.uniform(0.0, 63.0, size=(n, 2)).tolist()])
+    tracer = layer_trace.Tracer()
+    tracer.install()
+    try:
+        trajeval.losses.sdtw(gt, pred)
+        trajeval.losses.sdtw_grad(gt, pred)
+    finally:
+        tracer.uninstall()
+    out = layer_trace.summarize(tracer.take(), wall_s=1.0)
+    assert out["losses.sdtw.calls"] == 1
+    assert out["losses.sdtw_grad.calls"] == 1
+    assert out["losses.sdtw.cells"] == m * n
+    assert out["losses.sdtw_grad.cells"] == 2 * m * n
 
 
 def test_point_api_the_benchmark_builds_with():

@@ -135,6 +135,58 @@ def test_sdtw_grad_descent_step_reduces_loss(rng):
     assert sdtw(q, stepped, gamma=1.0) < before
 
 
+# --- soft-DTW against a scalar reference -------------------------------------
+
+def sdtw_reference(qc, pc, gamma):
+    """Soft-DTW value and gradient w.r.t. pc by scalar loops; independent of
+    the package.  The gradient uses the backward recursion of Mensch & Blondel
+    (2018) over the padded forward table, one cell at a time."""
+    m, n = len(qc), len(pc)
+    d = [[0.0] * (n + 2) for _ in range(m + 2)]
+    for i in range(m):
+        for j in range(n):
+            d[i + 1][j + 1] = ((qc[i][0] - pc[j][0]) ** 2
+                               + (qc[i][1] - pc[j][1]) ** 2)
+    r = [[math.inf] * (n + 2) for _ in range(m + 2)]
+    r[0][0] = 0.0
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            prev = (r[i - 1][j - 1], r[i - 1][j], r[i][j - 1])
+            lo = min(prev)
+            total = sum(math.exp(-(v - lo) / gamma) for v in prev)
+            r[i][j] = d[i][j] + lo - gamma * math.log(total)
+    value = r[m][n]
+    for i in range(m + 2):
+        r[i][n + 1] = -math.inf
+    for j in range(n + 2):
+        r[m + 1][j] = -math.inf
+    r[m + 1][n + 1] = value
+    e = [[0.0] * (n + 2) for _ in range(m + 2)]
+    e[m + 1][n + 1] = 1.0
+    for i in range(m, 0, -1):
+        for j in range(n, 0, -1):
+            e[i][j] = sum(math.exp((r[i + di][j + dj] - r[i][j] - d[i + di][j + dj])
+                                   / gamma) * e[i + di][j + dj]
+                          for di, dj in ((1, 0), (0, 1), (1, 1)))
+    grad = [[sum(e[i + 1][j + 1] * 2.0 * (pc[j][k] - qc[i][k]) for i in range(m))
+             for k in range(2)] for j in range(n)]
+    return value, np.array(grad)
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 0.1, 1.0, 10.0])
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 9), (8, 1), (2, 3), (6, 6),
+                                 (13, 7), (40, 37)])
+def test_sdtw_and_grad_match_scalar_reference(m, n, gamma):
+    rng = np.random.Generator(np.random.PCG64(1000 * m + n))
+    q = traj_from_strokes([rng.uniform(0.0, 63.0, size=(m, 2)).tolist()])
+    p = traj_from_strokes([rng.uniform(0.0, 63.0, size=(n, 2)).tolist()])
+    value, grad = sdtw_reference(_coords(q).tolist(), _coords(p).tolist(), gamma)
+    assert sdtw(q, p, gamma) == pytest.approx(value, rel=1e-9)
+    got = sdtw_grad(q, p, gamma)
+    assert got.shape == (n, 2)
+    assert np.abs(got - grad).max() <= 1e-9 * np.abs(grad).max()
+
+
 # --- L1 / weighted cross-entropy / total -------------------------------------
 
 def uniform_pred(gt):
