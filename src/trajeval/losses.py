@@ -19,17 +19,6 @@ _PROB_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class SoftParams:
-    """Smoothing temperature for the soft minimum."""
-
-    gamma: float = 1.0
-
-    def __post_init__(self):
-        if not (self.gamma > 0):
-            raise ValueError("gamma must be positive")
-
-
-@dataclass(frozen=True)
 class LossWeights:
     lambda1: float = 0.5
     lambda2: float = 1.0
@@ -61,72 +50,80 @@ class PredictedPoint:
         object.__setattr__(self, "state_probs", probs)
 
 
-def softmin(values, gamma: float) -> float:
-    """Stabilized -gamma * log(sum(exp(-a_i / gamma))); tends to min as gamma -> 0."""
-    vals = [float(v) for v in values]
-    if not vals:
-        raise ValueError("softmin of an empty collection")
+def softmin(values, gamma: float):
+    """Stabilized -gamma * log(sum(exp(-a_i / gamma))); tends to min as gamma -> 0.
+
+    values is a sequence of scalars, giving a float, or of same-shape arrays,
+    giving their elementwise soft-min.  A minimum of +-inf is returned as is.
+    """
     if not (gamma > 0):
         raise ValueError("gamma must be positive")
-    m = min(vals)
-    if math.isinf(m):
-        return m
-    return m - gamma * math.log(math.fsum(math.exp(-(v - m) / gamma) for v in vals))
+    vals = np.asarray(list(values), dtype=float)
+    if not len(vals):
+        raise ValueError("softmin of an empty collection")
+    lo = vals.min(axis=0)
+    with np.errstate(invalid="ignore"):  # inf - inf where the minimum is infinite
+        out = np.where(np.isinf(lo), lo,
+                       lo - gamma * np.log(np.exp(-(vals - lo) / gamma).sum(axis=0)))
+    return float(out) if out.ndim == 0 else out
 
 
-def _sq_dist_matrix(q: Trajectory, p: Trajectory) -> np.ndarray:
+def _soft_dp(q: Trajectory, p: Trajectory, gamma: float):
+    """Forward soft-DTW pass: (qc, pc, d, r, diagonals).
+
+    d holds squared distances and r the soft-DP table, both (m+2, n+2) with
+    q's point i and p's point j at cell (i, j), 1-based; r[m, n] is the value.
+    Anti-diagonal i + j = s is the strided slice a:b:n+1 of the flattened
+    tables, one (a, b) per entry of diagonals in fill order; a cell's diagonal,
+    up and left predecessors lie n+3, n+2 and 1 flat cells before it.
+    """
+    if not (gamma > 0):
+        raise ValueError("gamma must be positive")
     qc, pc = _coords(q), _coords(p)
-    return ((qc[:, None, :] - pc[None, :, :]) ** 2).sum(axis=2)
-
-
-def _forward_table(dist: np.ndarray, gamma: float) -> np.ndarray:
-    m, n = dist.shape
-    table = np.full((m + 1, n + 1), math.inf)
-    table[0, 0] = 0.0
-    exp, log = math.exp, math.log
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            r1, r2, r3 = table[i - 1, j - 1], table[i - 1, j], table[i, j - 1]
-            lo = min(r1, r2, r3)
-            total = (exp(-(r1 - lo) / gamma) + exp(-(r2 - lo) / gamma)
-                     + exp(-(r3 - lo) / gamma))
-            table[i, j] = dist[i - 1, j - 1] + lo - gamma * log(total)
-    return table
+    m, n = len(qc), len(pc)
+    d = np.zeros((m + 2, n + 2))
+    d[1:m + 1, 1:n + 1] = ((qc[:, None, :] - pc[None, :, :]) ** 2).sum(axis=2)
+    r = np.full((m + 2, n + 2), math.inf)
+    r[0, 0] = 0.0
+    fd, fr, w = d.ravel(), r.ravel(), n + 2
+    diagonals = []
+    for s in range(2, m + n + 1):
+        i0, i1 = max(1, s - n), min(m, s - 1)
+        a, b = i0 * w + s - i0, i1 * w + s - i1 + 1
+        fr[a:b:n + 1] = fd[a:b:n + 1] + softmin(
+            (fr[a - w - 1:b - w - 1:n + 1], fr[a - w:b - w:n + 1],
+             fr[a - 1:b - 1:n + 1]), gamma)
+        diagonals.append((a, b))
+    return qc, pc, d, r, diagonals
 
 
 def sdtw(q: Trajectory, p: Trajectory, gamma: float = 1.0) -> float:
     """Soft-DTW value with squared Euclidean inner distances."""
-    if not (gamma > 0):
-        raise ValueError("gamma must be positive")
-    dist = _sq_dist_matrix(q, p)
-    return float(_forward_table(dist, gamma)[-1, -1])
+    r = _soft_dp(q, p, gamma)[3]
+    return float(r[-2, -2])
 
 
 def sdtw_grad(q: Trajectory, p: Trajectory, gamma: float = 1.0) -> np.ndarray:
     """Exact gradient of sdtw w.r.t. the (x, y) of every predicted point of p.
 
-    Computed by the standard backward recursion over the soft-DP table;
-    returns an (N, 2) array matching p's drawn points.
+    Computed by the standard backward recursion over the soft-DP table, one
+    anti-diagonal at a time in reverse; returns an (N, 2) array matching p's
+    drawn points.
     """
-    if not (gamma > 0):
-        raise ValueError("gamma must be positive")
-    qc, pc = _coords(q), _coords(p)
-    dist = ((qc[:, None, :] - pc[None, :, :]) ** 2).sum(axis=2)
-    m, n = dist.shape
-    r = np.full((m + 2, n + 2), -math.inf)
-    r[:m + 1, :n + 1] = _forward_table(dist, gamma)
+    qc, pc, d, r, diagonals = _soft_dp(q, p, gamma)
+    m, n = len(qc), len(pc)
+    r[m + 1, :] = -math.inf
+    r[:, n + 1] = -math.inf
     r[m + 1, n + 1] = r[m, n]
-    d_pad = np.zeros((m + 2, n + 2))
-    d_pad[1:m + 1, 1:n + 1] = dist
-    e = np.zeros((m + 2, n + 2))
+    e = np.zeros_like(r)
     e[m + 1, n + 1] = 1.0
-    exp = math.exp
-    for i in range(m, 0, -1):
-        for j in range(n, 0, -1):
-            a = exp((r[i + 1, j] - r[i, j] - d_pad[i + 1, j]) / gamma)
-            b = exp((r[i, j + 1] - r[i, j] - d_pad[i, j + 1]) / gamma)
-            c = exp((r[i + 1, j + 1] - r[i, j] - d_pad[i + 1, j + 1]) / gamma)
-            e[i, j] = a * e[i + 1, j] + b * e[i, j + 1] + c * e[i + 1, j + 1]
+    fd, fr, fe, w = d.ravel(), r.ravel(), e.ravel(), n + 2
+    for a, b in reversed(diagonals):
+        # successors below, right and diagonal: n+2, 1 and n+3 flat cells on
+        fe[a:b:n + 1] = sum(
+            np.exp((fr[a + o:b + o:n + 1] - fr[a:b:n + 1] - fd[a + o:b + o:n + 1])
+                   / gamma) * fe[a + o:b + o:n + 1]
+            for o in (w, 1, w + 1))
     weights = e[1:m + 1, 1:n + 1]
     # d/dp_j of sum_i w_ij * |q_i - p_j|^2  =  2 * (sum_i w_ij) p_j - 2 * sum_i w_ij q_i
     return 2.0 * (weights.sum(axis=0)[:, None] * pc - weights.T @ qc)

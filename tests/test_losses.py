@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from trajeval import (LossWeights, PredictedPoint, SoftParams, PenState,
-                      TrajPoint, Trajectory, l1_loss, sdtw, sdtw_grad, softmin,
-                      total_loss, wce_loss)
+from trajeval import (LossWeights, PredictedPoint, PenState, TrajPoint,
+                      Trajectory, l1_loss, sdtw, sdtw_grad, softmin, total_loss,
+                      wce_loss)
 from trajeval.seq_metrics import _coords
 
 from conftest import random_traj, traj_from_strokes
@@ -65,8 +65,26 @@ def test_softmin_rejects_bad_inputs():
         softmin([], gamma=1.0)
     with pytest.raises(ValueError):
         softmin([1.0], gamma=0.0)
-    with pytest.raises(ValueError):
-        SoftParams(gamma=-1.0)
+
+
+def test_softmin_infinite_minimum_is_returned_as_is():
+    assert softmin([math.inf, math.inf], gamma=1.0) == math.inf
+    assert softmin([-math.inf, 2.0], gamma=1.0) == -math.inf
+    assert softmin([math.inf, 2.0], gamma=1.0) == pytest.approx(2.0)
+    assert isinstance(softmin([1.0, 2.0], gamma=1.0), float)
+
+
+def test_softmin_over_arrays_is_elementwise(rng):
+    cols = rng.normal(scale=5.0, size=(3, 7))
+    cols[0, 1] = cols[1, 1] = cols[2, 1] = math.inf
+    cols[1, 2] = math.inf
+    cols[2, 3] = -math.inf
+    cols[:, 4] = -math.inf
+    for gamma in (1e-3, 0.5, 10.0):
+        got = softmin((cols[0], cols[1], cols[2]), gamma)
+        assert got.shape == (7,)
+        want = [softmin(cols[:, k].tolist(), gamma) for k in range(7)]
+        assert got.tolist() == pytest.approx(want, rel=1e-14)
 
 
 # --- SDTW value --------------------------------------------------------------
