@@ -109,8 +109,7 @@ def score_pair(gt, pred, metrics, k_max: int = 10, side: int | None = None,
                     raise ValueError("sequence metrics need a trajectory ground truth")
                 if dtw_result is None:
                     dtw_result = dtw(gt, pred)
-                values[name] = (dtw_result.cost if name == "dtw"
-                                else dtw_result.cost / len(dtw_result.path))
+                values[name] = dtw_result.cost if name == "dtw" else dtw_result.ldtw
             elif name == "rmse":
                 if gt is None:
                     raise ValueError("RMSE needs a trajectory ground truth")

@@ -40,6 +40,11 @@ class DtwResult:
     cost: float
     path: AlignmentPath
 
+    @property
+    def ldtw(self) -> float:
+        """The cost divided by the alignment length T: the LDTW score."""
+        return self.cost / len(self.path)
+
 
 def _coords(traj: Trajectory) -> np.ndarray:
     xy = traj.drawn_xy()
@@ -96,8 +101,7 @@ def dtw(q: Trajectory, p: Trajectory) -> DtwResult:
 
 def ldtw(q: Trajectory, p: Trajectory) -> float:
     """DTW cost divided by the optimal (tie-broken) alignment length T."""
-    result = dtw(q, p)
-    return result.cost / len(result.path)
+    return dtw(q, p).ldtw
 
 
 def rmse(q: Trajectory, p: Trajectory) -> float:

@@ -111,6 +111,7 @@ def test_ldtw_is_cost_over_path_length(rng):
     q, p = random_traj(rng), random_traj(rng)
     result = dtw(q, p)
     assert ldtw(q, p) == pytest.approx(result.cost / len(result.path))
+    assert result.ldtw == ldtw(q, p)
 
 
 def test_ldtw_removes_length_bias():
