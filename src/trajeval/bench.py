@@ -265,6 +265,8 @@ def make_synthetic_corpus(n: int, seed: int = 0, side: int = 64,
     """
     if n < 1:
         raise ValueError("corpus size must be at least 1")
+    if side < 9:  # strokes start at least 4 px inside every edge
+        raise ValueError(f"side must be at least 9 for synthetic glyphs, got {side}")
     corpus = []
     for i in range(n):
         rng = np.random.Generator(np.random.PCG64(

@@ -157,8 +157,11 @@ def _load_corpus(args) -> list[Trajectory]:
     if args.synthetic is not None:
         if args.synthetic < 1:
             raise SystemExit("error: --synthetic needs a positive count")
-        return bench.make_synthetic_corpus(args.synthetic, seed=args.seed,
-                                           side=args.canvas)
+        try:
+            return bench.make_synthetic_corpus(args.synthetic, seed=args.seed,
+                                               side=args.canvas)
+        except ValueError as exc:
+            raise SystemExit(f"error: {exc}") from None
     corpus_dir = Path(args.corpus)
     files = sorted(corpus_dir.glob("*.json"))
     corpus = []
@@ -230,9 +233,23 @@ def _write_out(text: str, out) -> None:
             fh.write(text)
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer no smaller than low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def _add_common(parser, with_seed=True):
-    parser.add_argument("--canvas", type=int, default=64, help="canvas side in pixels")
-    parser.add_argument("--kmax", type=int, default=10,
+    parser.add_argument("--canvas", type=_int_at_least(2), default=64,
+                        help="canvas side in pixels")
+    parser.add_argument("--kmax", type=_int_at_least(0), default=10,
                         help="dilation sweep bound for AIoU")
     parser.add_argument("--out", default="-", help="output path, '-' for stdout")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -285,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rasterize", help="render a trajectory to a PGM mask")
     p.add_argument("input", help="trajectory JSON file")
     p.add_argument("out", help="output PGM path")
-    p.add_argument("--side", type=int, default=None)
-    p.add_argument("--dilate", type=int, default=0)
+    p.add_argument("--side", type=_int_at_least(1), default=None)
+    p.add_argument("--dilate", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_rasterize)
 
     p = sub.add_parser("convert", help="convert between trajectory file forms")

@@ -114,6 +114,8 @@ def test_synthetic_corpus_prefix_stability():
 def test_synthetic_corpus_rejects_empty():
     with pytest.raises(ValueError):
         make_synthetic_corpus(0)
+    with pytest.raises(ValueError, match="side"):
+        make_synthetic_corpus(1, side=8)
 
 
 # --- sensitivity -------------------------------------------------------------

@@ -210,6 +210,31 @@ def test_bench_commands_demand_one_corpus_source(capsys):
               "--error", "point-drift"])
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["sensitivity", "--synthetic", "2", "--error", "point-drift", "--kmax", "-1"],
+     "argument --kmax: must be at least 0, got -1"),
+    (["evaluate", "gt", "pred", "--canvas", "1"],
+     "argument --canvas: must be at least 2, got 1"),
+    (["invariance", "--synthetic", "2", "--transform", "sample-rate",
+      "--canvas", "6"], "error: side must be at least 9"),
+    (["rasterize", "GLYPH", "out.pgm", "--side", "0"],
+     "argument --side: must be at least 1, got 0"),
+    (["rasterize", "GLYPH", "out.pgm", "--dilate", "-1"],
+     "argument --dilate: must be at least 0, got -1"),
+    (["rasterize", "GLYPH", "out.pgm", "--dilate", "two"],
+     "argument --dilate: invalid integer 'two'"),
+])
+def test_out_of_range_numeric_flags_fail_cleanly(argv, message, tmp_path, rng,
+                                                 capsys):
+    glyph = tmp_path / "g.json"
+    save_trajectory(random_traj(rng), glyph)
+    with pytest.raises(SystemExit) as exc:
+        main([str(glyph) if a == "GLYPH" else a for a in argv])
+    # argparse exits 2 after printing; a SystemExit message is printed on exit
+    err = capsys.readouterr().err if exc.value.code == 2 else exc.value.code
+    assert message in err
+
+
 # --- rasterize / convert -----------------------------------------------------
 
 def test_rasterize_writes_matching_pgm(tmp_path, rng):
