@@ -155,8 +155,6 @@ def cmd_evaluate(args) -> int:
 
 def _load_corpus(args) -> list[Trajectory]:
     if args.synthetic is not None:
-        if args.synthetic < 1:
-            raise SystemExit("error: --synthetic needs a positive count")
         try:
             return bench.make_synthetic_corpus(args.synthetic, seed=args.seed,
                                                side=args.canvas)
@@ -282,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sensitivity", help="error-sensitivity curves")
     p.add_argument("--corpus", help="directory of trajectory JSON files")
-    p.add_argument("--synthetic", type=int, default=None,
+    p.add_argument("--synthetic", type=_int_at_least(1), default=None,
                    help="generate N synthetic glyphs instead of reading a corpus")
     p.add_argument("--error", choices=bench.SENSITIVITY_KINDS, required=True)
     p.add_argument("--grid", help="comma list of magnitudes (default per error kind)")
@@ -292,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariance", help="stroke-width / sample-rate invariance curves")
     p.add_argument("--corpus")
-    p.add_argument("--synthetic", type=int, default=None)
+    p.add_argument("--synthetic", type=_int_at_least(1), default=None)
     p.add_argument("--transform", choices=bench.INVARIANCE_TRANSFORMS, required=True)
     p.add_argument("--grid")
     p.add_argument("--metrics", default=None)

@@ -215,6 +215,8 @@ def test_bench_commands_demand_one_corpus_source(capsys):
      "argument --kmax: must be at least 0, got -1"),
     (["evaluate", "gt", "pred", "--canvas", "1"],
      "argument --canvas: must be at least 2, got 1"),
+    (["invariance", "--synthetic", "0", "--transform", "sample-rate"],
+     "argument --synthetic: must be at least 1, got 0"),
     (["invariance", "--synthetic", "2", "--transform", "sample-rate",
       "--canvas", "6"], "error: side must be at least 9"),
     (["rasterize", "GLYPH", "out.pgm", "--side", "0"],
