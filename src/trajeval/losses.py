@@ -89,7 +89,8 @@ def _soft_dp(q: Trajectory, p: Trajectory, gamma: float):
     diagonals = []
     for s in range(2, m + n + 1):
         i0, i1 = max(1, s - n), min(m, s - 1)
-        a, b = i0 * w + s - i0, i1 * w + s - i1 + 1
+        # flat indices of cells (i0, s - i0) and one past (i1, s - i1)
+        a, b = i0 * (n + 1) + s, i1 * (n + 1) + s + 1
         fr[a:b:n + 1] = fd[a:b:n + 1] + softmin(
             (fr[a - w - 1:b - w - 1:n + 1], fr[a - w:b - w:n + 1],
              fr[a - 1:b - 1:n + 1]), gamma)
