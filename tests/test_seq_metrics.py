@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from trajeval import AlignmentPath, dtw, ldtw, rmse
+from trajeval import AlignmentPath, Trajectory, dtw, ldtw, rmse
+from trajeval.bench import (DEFAULT_GRIDS, SENSITIVITY_KINDS, derive_seed,
+                            make_synthetic_corpus)
+from trajeval.error_sim import change_sample_rate, perturb
 from trajeval.seq_metrics import _coords
+from trajeval.traj_core import DOWN, UP
 
 from conftest import random_traj, traj_from_strokes
 
@@ -146,3 +150,106 @@ def test_rmse_upper_bounds_mean_dtw_step(rng):
     qc, pc = _coords(q), _coords(p)
     indexwise = sum(math.hypot(*(a - b)) for a, b in zip(qc, pc))
     assert dtw(q, p).cost <= indexwise + 1e-9
+
+
+# --- row-loop reference ------------------------------------------------------
+
+def dtw_reference(qc, pc):
+    """Full-table row-loop DTW and its backtrack: (cost, 1-based path pairs).
+
+    Ties in the backtrack prefer the diagonal step, then the q-advance, then
+    the p-advance.
+    """
+    dist = np.sqrt(((qc[:, None, :] - pc[None, :, :]) ** 2).sum(axis=2))
+    m, n = dist.shape
+    d = dist.tolist()
+    acc = [[0.0] * n for _ in range(m)]
+    acc[0][0] = d[0][0]
+    for j in range(1, n):
+        acc[0][j] = acc[0][j - 1] + d[0][j]
+    for i in range(1, m):
+        row, prev, drow = acc[i], acc[i - 1], d[i]
+        row[0] = prev[0] + drow[0]
+        for j in range(1, n):
+            best = prev[j - 1]
+            if prev[j] < best:
+                best = prev[j]
+            if row[j - 1] < best:
+                best = row[j - 1]
+            row[j] = drow[j] + best
+    pairs = [(m, n)]
+    i, j = m - 1, n - 1
+    while i > 0 or j > 0:
+        if i == 0:
+            j -= 1
+        elif j == 0:
+            i -= 1
+        else:
+            diag, up, left = acc[i - 1][j - 1], acc[i - 1][j], acc[i][j - 1]
+            best = min(diag, up, left)
+            if diag == best:
+                i -= 1
+                j -= 1
+            elif up == best:
+                i -= 1
+            else:
+                j -= 1
+        pairs.append((i + 1, j + 1))
+    pairs.reverse()
+    return float(acc[-1][-1]), tuple(pairs)
+
+
+def _polyline(xy):
+    """One-stroke trajectory over the given (k, 2) coordinates, no EOS."""
+    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+    return Trajectory.from_arrays(xy, [DOWN] * (len(xy) - 1) + [UP])
+
+
+def _tie_heavy_pairs():
+    rng = np.random.Generator(np.random.PCG64(2022))
+    # integer coordinates on a 4x4 grid: many equal distances and path costs
+    for _ in range(260):
+        m, n = (int(v) for v in rng.integers(1, 13, size=2))
+        yield (rng.integers(0, 4, size=(m, 2)).astype(float),
+               rng.integers(0, 4, size=(n, 2)).astype(float))
+    # predictions that reuse the ground truth's points, repeated or skipped
+    for _ in range(120):
+        qc = rng.uniform(0.0, 63.0, size=(int(rng.integers(1, 30)), 2))
+        idx = np.sort(rng.integers(0, len(qc), size=int(rng.integers(1, 40))))
+        yield qc, qc[idx]
+    # identical trajectories
+    for k in (1, 2, 5, 17, 60):
+        qc = rng.integers(0, 4, size=(k, 2)).astype(float)
+        yield qc, qc.copy()
+    # degenerate shapes 1x1, 1xn and mx1
+    for k in (1, 2, 3, 9, 40):
+        a = rng.integers(0, 4, size=(1, 2)).astype(float)
+        b = rng.integers(0, 4, size=(k, 2)).astype(float)
+        yield a, b
+        yield b, a
+    # sensitivity and sample-rate pairs at the benchmark's two lengths
+    for points, steps in ((7, (5.0, 11.0)), (34, (1.2, 2.5))):
+        corpus = make_synthetic_corpus(3, seed=7, stroke_range=(7, 7),
+                                       points_range=(points, points),
+                                       step_range=steps)
+        for g, gt in enumerate(corpus):
+            for kind in SENSITIVITY_KINDS:
+                for magnitude in DEFAULT_GRIDS[kind]:
+                    try:
+                        pred = perturb(gt, kind, magnitude, derive_seed(5, g))
+                    except ValueError:
+                        continue
+                    yield _coords(gt), _coords(pred)
+            for factor in DEFAULT_GRIDS["sample-rate"]:
+                yield _coords(gt), _coords(change_sample_rate(gt, factor))
+
+
+def test_dtw_matches_row_loop_reference():
+    count = 0
+    for qc, pc in _tie_heavy_pairs():
+        result = dtw(_polyline(qc), _polyline(pc))
+        cost, pairs = dtw_reference(qc, pc)
+        assert result.cost == cost
+        assert result.path.pairs == pairs
+        count += 1
+    assert count > 550
