@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .traj_core import Trajectory
-from .seq_metrics import _coords
+from .seq_metrics import _coords, _diagonals, _sq_dist_table
 
 _PROB_FLOOR = 1e-12
 
@@ -73,28 +73,22 @@ def _soft_dp(q: Trajectory, p: Trajectory, gamma: float):
 
     d holds squared distances and r the soft-DP table, both (m+2, n+2) with
     q's point i and p's point j at cell (i, j), 1-based; r[m, n] is the value.
-    Anti-diagonal i + j = s is the strided slice a:b:n+1 of the flattened
-    tables, one (a, b) per entry of diagonals in fill order; a cell's diagonal,
-    up and left predecessors lie n+3, n+2 and 1 flat cells before it.
+    diagonals holds the flat bounds (a, b) of each anti-diagonal in fill
+    order, as `seq_metrics._diagonals` gives them for hard DTW.
     """
     if not (gamma > 0):
         raise ValueError("gamma must be positive")
     qc, pc = _coords(q), _coords(p)
     m, n = len(qc), len(pc)
-    d = np.zeros((m + 2, n + 2))
-    d[1:m + 1, 1:n + 1] = ((qc[:, None, :] - pc[None, :, :]) ** 2).sum(axis=2)
+    d = _sq_dist_table(qc, pc)
     r = np.full((m + 2, n + 2), math.inf)
     r[0, 0] = 0.0
     fd, fr, w = d.ravel(), r.ravel(), n + 2
-    diagonals = []
-    for s in range(2, m + n + 1):
-        i0, i1 = max(1, s - n), min(m, s - 1)
-        # flat indices of cells (i0, s - i0) and one past (i1, s - i1)
-        a, b = i0 * (n + 1) + s, i1 * (n + 1) + s + 1
+    diagonals = _diagonals(m, n)
+    for a, b in diagonals:
         fr[a:b:n + 1] = fd[a:b:n + 1] + softmin(
             (fr[a - w - 1:b - w - 1:n + 1], fr[a - w:b - w:n + 1],
              fr[a - 1:b - 1:n + 1]), gamma)
-        diagonals.append((a, b))
     return qc, pc, d, r, diagonals
 
 

@@ -53,39 +53,69 @@ def _coords(traj: Trajectory) -> np.ndarray:
     return xy
 
 
+
+
+
+def _sq_dist_table(qc: np.ndarray, pc: np.ndarray) -> np.ndarray:
+    """Squared distances |q_i - p_j|^2 at cell (i, j), 1-based, of a zero-padded
+    (m+2, n+2) table: the layout that `_diagonals` walks."""
+    m, n = len(qc), len(pc)
+    dx = qc[:, 0, None] - pc[None, :, 0]
+    dy = qc[:, 1, None] - pc[None, :, 1]
+    dx *= dx
+    dy *= dy
+    d = np.zeros((m + 2, n + 2))
+    np.add(dx, dy, out=d[1:m + 1, 1:n + 1])
+    return d
+
+
+def _diagonals(m: int, n: int) -> list[tuple[int, int]]:
+    """Flat bounds (a, b) of each anti-diagonal i + j = s, s = 2 .. m+n, of a
+    flattened (m+2, n+2) table, in fill order.
+
+    The diagonal's cells are the strided slice a:b:n+1; a cell's diagonal, up
+    and left predecessors lie n+3, n+2 and 1 flat cells before it.
+    """
+    bounds = []
+    for s in range(2, m + n + 1):
+        i0, i1 = max(1, s - n), min(m, s - 1)
+        # flat indices of cells (i0, s - i0) and one past (i1, s - i1)
+        bounds.append((i0 * (n + 1) + s, i1 * (n + 1) + s + 1))
+    return bounds
+
+
 def dtw(q: Trajectory, p: Trajectory) -> DtwResult:
     """Globally optimal alignment cost and one achieving path.
 
-    Ties during backtracking prefer the diagonal step, then the q-advance,
-    then the p-advance, which pins the path length T (and hence LDTW).
+    The accumulated-cost table is filled one anti-diagonal at a time; min is
+    exact and each cell adds the same two doubles as a row-by-row fill, so the
+    cost and the path do not depend on the fill order.  Ties during
+    backtracking prefer the diagonal step, then the q-advance, then the
+    p-advance, which pins the path length T (and hence LDTW).
     """
     qc, pc = _coords(q), _coords(p)
-    dist = np.sqrt(((qc[:, None, :] - pc[None, :, :]) ** 2).sum(axis=2))
-    m, n = dist.shape
-    d = dist.tolist()
-    acc = [[0.0] * n for _ in range(m)]
-    acc[0][0] = d[0][0]
-    for j in range(1, n):
-        acc[0][j] = acc[0][j - 1] + d[0][j]
-    for i in range(1, m):
-        row, prev, drow = acc[i], acc[i - 1], d[i]
-        row[0] = prev[0] + drow[0]
-        for j in range(1, n):
-            best = prev[j - 1]
-            if prev[j] < best:
-                best = prev[j]
-            if row[j - 1] < best:
-                best = row[j - 1]
-            row[j] = drow[j] + best
+    m, n = len(qc), len(pc)
+    d = _sq_dist_table(qc, pc)
+    np.sqrt(d, out=d)
+    r = np.full((m + 2, n + 2), math.inf)
+    r[0, 0] = 0.0
+    fd, fr, w = d.ravel(), r.ravel(), n + 2
+    scratch = np.empty(min(m, n))
+    for a, b in _diagonals(m, n):
+        best = scratch[:(b - a + n) // (n + 1)]  # one entry per cell of the diagonal
+        np.minimum(fr[a - w:b - w:n + 1], fr[a - 1:b - 1:n + 1], out=best)
+        np.minimum(best, fr[a - w - 1:b - w - 1:n + 1], out=best)
+        np.add(best, fd[a:b:n + 1], out=fr[a:b:n + 1])
     pairs = [(m, n)]
-    i, j = m - 1, n - 1
-    while i > 0 or j > 0:
-        if i == 0:
+    i, j = m, n
+    while i > 1 or j > 1:
+        if i == 1:
             j -= 1
-        elif j == 0:
+        elif j == 1:
             i -= 1
         else:
-            diag, up, left = acc[i - 1][j - 1], acc[i - 1][j], acc[i][j - 1]
+            k = i * w + j
+            diag, up, left = fr.item(k - w - 1), fr.item(k - w), fr.item(k - 1)
             best = min(diag, up, left)
             if diag == best:
                 i -= 1
@@ -94,9 +124,9 @@ def dtw(q: Trajectory, p: Trajectory) -> DtwResult:
                 i -= 1
             else:
                 j -= 1
-        pairs.append((i + 1, j + 1))
+        pairs.append((i, j))
     pairs.reverse()
-    return DtwResult(cost=float(acc[-1][-1]), path=AlignmentPath(tuple(pairs)))
+    return DtwResult(cost=r.item(m, n), path=AlignmentPath(tuple(pairs)))
 
 
 def ldtw(q: Trajectory, p: Trajectory) -> float:

@@ -1,6 +1,7 @@
 """DTW / LDTW / RMSE tests with an exhaustive alignment-path oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,3 +254,17 @@ def test_dtw_matches_row_loop_reference():
         assert result.path.pairs == pairs
         count += 1
     assert count > 550
+
+
+def test_dtw_peak_memory_per_cell():
+    """One long alignment allocates a few float64 tables, not boxed floats."""
+    rng = np.random.Generator(np.random.PCG64(600))
+    q = _polyline(rng.uniform(0.0, 63.0, size=(600, 2)))
+    p = _polyline(rng.uniform(0.0, 63.0, size=(500, 2)))
+    tracemalloc.start()
+    try:
+        dtw(q, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (600 * 500) < 56
