@@ -195,6 +195,11 @@ def invariance_run(corpus, transform: str, grid=None, metrics=None, seed: int = 
             f"unknown transform {transform!r}; expected one of {INVARIANCE_TRANSFORMS}")
     grid = tuple(grid if grid is not None else DEFAULT_GRIDS[transform])
     _check_run_inputs(corpus, grid)
+    for value in grid:
+        if transform == "sample-rate" and not value > 0:
+            raise ValueError(f"sample-rate factor must be positive, got {value}")
+        if transform == "stroke-width" and not value >= 0:
+            raise ValueError(f"stroke-width dilation must be non-negative, got {value}")
     if metrics is None:
         metrics = GLYPH_METRICS if transform == "stroke-width" else ("dtw", "ldtw")
     if base_drift is None:
@@ -265,6 +270,8 @@ def make_synthetic_corpus(n: int, seed: int = 0, side: int = 64,
     """
     if n < 1:
         raise ValueError("corpus size must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative for synthetic glyphs, got {seed}")
     if side < 9:  # strokes start at least 4 px inside every edge
         raise ValueError(f"side must be at least 9 for synthetic glyphs, got {side}")
     corpus = []

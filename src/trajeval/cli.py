@@ -183,8 +183,11 @@ def cmd_sensitivity(args) -> int:
     corpus = _load_corpus(args)
     grid = _parse_grid(args.grid) if args.grid else None
     metrics = _parse_metrics(args.metrics)
-    reports = bench.sensitivity_run(corpus, args.error, grid=grid, metrics=metrics,
-                                    seed=args.seed, k_max=args.kmax)
+    try:
+        reports = bench.sensitivity_run(corpus, args.error, grid=grid, metrics=metrics,
+                                        seed=args.seed, k_max=args.kmax)
+    except ValueError as exc:  # a grid the run rejects up front
+        raise SystemExit(f"error: {exc}") from None
     _emit_reports(reports, args)
     return 0
 
@@ -193,9 +196,12 @@ def cmd_invariance(args) -> int:
     corpus = _load_corpus(args)
     grid = _parse_grid(args.grid) if args.grid else None
     metrics = _parse_metrics(args.metrics) if args.metrics else None
-    reports = bench.invariance_run(corpus, args.transform, grid=grid,
-                                   metrics=metrics, seed=args.seed,
-                                   k_max=args.kmax)
+    try:
+        reports = bench.invariance_run(corpus, args.transform, grid=grid,
+                                       metrics=metrics, seed=args.seed,
+                                       k_max=args.kmax)
+    except ValueError as exc:  # a grid the run rejects up front
+        raise SystemExit(f"error: {exc}") from None
     _emit_reports(reports, args)
     return 0
 

@@ -116,6 +116,8 @@ def test_synthetic_corpus_rejects_empty():
         make_synthetic_corpus(0)
     with pytest.raises(ValueError, match="side"):
         make_synthetic_corpus(1, side=8)
+    with pytest.raises(ValueError, match="seed"):
+        make_synthetic_corpus(1, seed=-1)
 
 
 # --- sensitivity -------------------------------------------------------------

@@ -237,6 +237,26 @@ def test_out_of_range_numeric_flags_fail_cleanly(argv, message, tmp_path, rng,
     assert message in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["invariance", "--transform", "sample-rate", "--grid=-1,2"],
+     "error: sample-rate factor must be positive, got -1.0"),
+    (["invariance", "--transform", "sample-rate", "--grid=0,2"],
+     "error: sample-rate factor must be positive, got 0.0"),
+    (["invariance", "--transform", "stroke-width", "--grid=-1,2"],
+     "error: stroke-width dilation must be non-negative, got -1.0"),
+    (["invariance", "--transform", "sample-rate", "--grid=2,1"],
+     "error: magnitude grid must be ascending"),
+    (["sensitivity", "--error", "point-drift", "--grid=3,1"],
+     "error: magnitude grid must be ascending"),
+    (["sensitivity", "--error", "point-drift", "--seed", "-1"],
+     "error: seed must be non-negative for synthetic glyphs, got -1"),
+])
+def test_bench_commands_reject_bad_grid_or_seed(argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--synthetic", "2"])
+    assert exc.value.code == message
+
+
 # --- rasterize / convert -----------------------------------------------------
 
 def test_rasterize_writes_matching_pgm(tmp_path, rng):
