@@ -186,7 +186,7 @@ def cmd_sensitivity(args) -> int:
     try:
         reports = bench.sensitivity_run(corpus, args.error, grid=grid, metrics=metrics,
                                         seed=args.seed, k_max=args.kmax)
-    except ValueError as exc:  # a grid the run rejects up front
+    except ValueError as exc:  # input the run rejects before any work
         raise SystemExit(f"error: {exc}") from None
     _emit_reports(reports, args)
     return 0
@@ -200,7 +200,7 @@ def cmd_invariance(args) -> int:
         reports = bench.invariance_run(corpus, args.transform, grid=grid,
                                        metrics=metrics, seed=args.seed,
                                        k_max=args.kmax)
-    except ValueError as exc:  # a grid the run rejects up front
+    except ValueError as exc:  # input the run rejects before any work
         raise SystemExit(f"error: {exc}") from None
     _emit_reports(reports, args)
     return 0

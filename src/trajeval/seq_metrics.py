@@ -53,9 +53,6 @@ def _coords(traj: Trajectory) -> np.ndarray:
     return xy
 
 
-
-
-
 def _sq_dist_table(qc: np.ndarray, pc: np.ndarray) -> np.ndarray:
     """Squared distances |q_i - p_j|^2 at cell (i, j), 1-based, of a zero-padded
     (m+2, n+2) table: the layout that `_diagonals` walks."""
@@ -102,10 +99,10 @@ def dtw(q: Trajectory, p: Trajectory) -> DtwResult:
     fd, fr, w = d.ravel(), r.ravel(), n + 2
     scratch = np.empty(min(m, n))
     for a, b in _diagonals(m, n):
-        best = scratch[:(b - a + n) // (n + 1)]  # one entry per cell of the diagonal
-        np.minimum(fr[a - w:b - w:n + 1], fr[a - 1:b - 1:n + 1], out=best)
-        np.minimum(best, fr[a - w - 1:b - w - 1:n + 1], out=best)
-        np.add(best, fd[a:b:n + 1], out=fr[a:b:n + 1])
+        pred = scratch[:(b - a + n) // (n + 1)]  # one entry per cell of the diagonal
+        np.minimum(fr[a - w:b - w:n + 1], fr[a - 1:b - 1:n + 1], out=pred)
+        np.minimum(pred, fr[a - w - 1:b - w - 1:n + 1], out=pred)
+        np.add(pred, fd[a:b:n + 1], out=fr[a:b:n + 1])
     pairs = [(m, n)]
     i, j = m, n
     while i > 1 or j > 1:
