@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from trajeval import (PenState, TrajPoint, Trajectory, dedupe_points,
                       downsample_half, load_trajectory, normalize_to_canvas,
                       resample, save_trajectory, stroke_bounds, strokes_of)
-from trajeval.traj_core import (pixel_of, trajectory_from_obj,
+from trajeval.traj_core import (_canvas_side_of, pixel_of, trajectory_from_obj,
                                 trajectory_to_points_obj,
                                 trajectory_to_strokes_obj)
 
@@ -368,6 +368,105 @@ def test_parser_fuzz_raises_only_value_error(obj):
         trajectory_from_obj(obj)
     except ValueError:
         pass
+
+
+def trajectory_from_obj_reference(obj) -> Trajectory:
+    """Point-by-point parser: one `TrajPoint` per record, then `Trajectory`."""
+    if not isinstance(obj, dict):
+        raise ValueError("trajectory file must contain a JSON object")
+    side = _canvas_side_of(obj)
+    if "points" in obj:
+        if not isinstance(obj["points"], list):
+            raise ValueError("'points' must be a list of point records")
+        points = []
+        for i, rec in enumerate(obj["points"]):
+            try:
+                state = PenState.from_one_hot(rec["s"])
+                points.append(TrajPoint(float(rec["x"]), float(rec["y"]), state))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"invalid point at index {i}: {exc}") from exc
+        return Trajectory(tuple(points), canvas_side=side)
+    if "strokes" in obj:
+        strokes = obj["strokes"]
+        if not isinstance(strokes, list) or not strokes:
+            raise ValueError("strokes form must contain a list of at least one stroke")
+        points = []
+        for si, stroke in enumerate(strokes):
+            if not isinstance(stroke, list) or not stroke:
+                raise ValueError(f"stroke {si} must be a non-empty list of points")
+            for j, xy in enumerate(stroke):
+                if not isinstance(xy, (list, tuple)) or len(xy) != 2:
+                    raise ValueError(f"stroke {si} point {j} must be an [x, y] pair")
+                state = PenState.UP if j == len(stroke) - 1 else PenState.DOWN
+                try:
+                    points.append(TrajPoint(float(xy[0]), float(xy[1]), state))
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ValueError(f"invalid stroke {si} point {j}: {exc}") from exc
+        last = points[-1]
+        points.append(TrajPoint(last.x, last.y, PenState.EOS))
+        return Trajectory(tuple(points), canvas_side=side)
+    raise ValueError("trajectory object needs a 'points' or 'strokes' key")
+
+
+@st.composite
+def _mostly_valid(draw):
+    """The points or strokes object of a random trajectory, with at most one
+    field (a coordinate, a state entry, a state vector or a canvas entry)
+    replaced by a scalar."""
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2 ** 32 - 1))))
+    traj = random_traj(rng, n_strokes=(1, 4), n_points=(1, 6), eos=draw(st.booleans()))
+    if draw(st.booleans()):
+        obj = trajectory_to_points_obj(traj)
+        fields = [(rec, key) for rec in obj["points"] for key in ("x", "y", "s")]
+        fields += [(rec["s"], k) for rec in obj["points"] for k in range(3)]
+    else:
+        obj = trajectory_to_strokes_obj(traj)
+        fields = [(xy, k) for stroke in obj["strokes"] for xy in stroke for k in range(2)]
+    fields += [(obj["canvas"], 0), (obj["canvas"], 1)]
+    if draw(st.booleans()):
+        container, key = draw(st.sampled_from(fields))
+        container[key] = draw(_scalars)
+    return obj
+
+
+def _parse_outcome(parse, obj):
+    try:
+        traj = parse(obj)
+    except Exception as exc:  # noqa: BLE001 - the outcome includes the error type
+        return type(exc).__name__, str(exc)
+    return traj.xy.tobytes(), traj.state.tobytes(), traj.canvas_side
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_json_like | _trajectory_like | _mostly_valid())
+def test_parser_matches_reference(obj):
+    assert _parse_outcome(trajectory_from_obj, obj) == \
+        _parse_outcome(trajectory_from_obj_reference, obj)
+
+
+def _rec(x=0.0, y=0.0, s=(1, 0, 0)):
+    return {"x": x, "y": y, "s": list(s)}
+
+
+@pytest.mark.parametrize("obj", [
+    {"points": [_rec("1.5", True), _rec(False, 2, (0.0, 1, 0))]},
+    {"points": [_rec(s=(0, 1, 0)), _rec(s=(0, 0, 1))], "canvas": [True, 3.9]},
+    {"points": [_rec(math.nan, 1.0), _rec(s=(2, 0, 0))]},
+    {"points": [_rec(1.0, "-inf")]},
+    {"points": [_rec(s=(1, 1, 0)), _rec(math.inf, 0.0)]},
+    {"points": [_rec(), {"x": 1, "s": [1, 0, 0]}, _rec(math.nan)]},
+    {"points": [_rec(s=(0, 0, 1)), _rec()]},
+    {"points": [_rec(s=(0, 0, 1)), _rec(math.nan)]},
+    {"points": [_rec()], "canvas": [0, 0]},
+    {"points": []},
+    {"strokes": [[[0, 0], ["2", True]], [[math.inf, 1], [None, 1]]]},
+    {"strokes": [[[0, 0], [1, "nan"]]]},
+    {"strokes": [[[0, 0]], [[1, 1], (2, 2)]], "canvas": [-4, -5]},
+    {"strokes": [[[0, 0]], [], [[1, 1, 1]]]},
+])
+def test_parser_matches_reference_on_edge_cases(obj):
+    assert _parse_outcome(trajectory_from_obj, obj) == \
+        _parse_outcome(trajectory_from_obj_reference, obj)
 
 
 def test_load_rejects_deeply_nested_json(tmp_path):
