@@ -5,9 +5,10 @@ stored as two read-only columns: `xy` (float64, shape (n, 2)) and `state`
 (int8, shape (n,), holding `PenState` values).  A pen-down point draws a
 segment to its successor, a pen-up point closes its stroke, and an optional
 final end-of-sequence marker carries no ink.  Stroke boundaries are derived
-from `state` (`stroke_bounds`), never stored.  `TrajPoint` is a per-point
-view for file I/O and tests.  All types are immutable values and all
-operations are pure functions.
+from `state` (`stroke_bounds`), never stored.  The file reader and writer
+go straight between JSON and the columns.  `TrajPoint` is a per-point view,
+built on each use of `.points`, for tests and benchmarks.  All types are
+immutable values and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -28,23 +29,29 @@ class PenState(Enum):
     EOS = 2   # end of sequence; at most one, always last
 
     def one_hot(self) -> tuple[int, int, int]:
-        return tuple(1 if i == self.value else 0 for i in range(3))
+        return _ONE_HOT[self.value]
 
     @classmethod
     def from_one_hot(cls, s) -> "PenState":
         vec = list(s)
         if len(vec) != 3 or sorted(vec) != [0, 0, 1]:
             raise ValueError(f"state vector must be one-hot over 3 classes, got {s!r}")
-        return cls(vec.index(1))
+        return _STATES[vec.index(1)]
 
 
 _STATES = tuple(PenState)  # indexed by value
+_ONE_HOT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # indexed by value
 DOWN, UP, EOS = (s.value for s in _STATES)
 
 
 def pixel_of(x: float, y: float) -> tuple[int, int]:
     """Round half-up to the containing pixel."""
     return (math.floor(x + 0.5), math.floor(y + 0.5))
+
+
+def _check_finite(x, y) -> None:
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"non-finite coordinates ({x}, {y})")
 
 
 @dataclass(frozen=True)
@@ -54,18 +61,18 @@ class TrajPoint:
     state: PenState
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
+        _check_finite(self.x, self.y)
 
 
 class Trajectory:
     """Columns `xy` and `state` plus `canvas_side`; see the module docstring.
 
-    `Trajectory(points, canvas_side)` builds from `TrajPoint`s;
-    `Trajectory.from_arrays(xy, state, canvas_side)` copies two columns.
+    `Trajectory.from_arrays(xy, state, canvas_side)` copies two columns;
+    `Trajectory(points, canvas_side)` builds from `TrajPoint`s and, like the
+    `.points`/`.drawn_points()` view, is kept for tests and benchmarks.
     """
 
-    __slots__ = ("xy", "state", "canvas_side", "_points")
+    __slots__ = ("xy", "state", "canvas_side")
 
     def __init__(self, points, canvas_side: int = 64):
         points = tuple(points)
@@ -90,8 +97,7 @@ class Trajectory:
         if not ((state == DOWN) | (state == UP) | (state == EOS)).all():
             raise ValueError("pen states must be 0 (down), 1 (up) or 2 (end of sequence)")
         if not np.isfinite(xy).all():
-            x, y = xy[~np.isfinite(xy).all(axis=1)][0].tolist()
-            raise ValueError(f"non-finite coordinates ({x}, {y})")
+            _check_finite(*xy[~np.isfinite(xy).all(axis=1)][0].tolist())
         eos = np.flatnonzero(state == EOS)
         if len(eos) > 1:
             raise ValueError("at most one end-of-sequence point is allowed")
@@ -100,8 +106,7 @@ class Trajectory:
         xy.flags.writeable = False
         state = state.astype(np.int8)
         state.flags.writeable = False
-        for name, value in (("xy", xy), ("state", state),
-                            ("canvas_side", canvas_side), ("_points", None)):
+        for name, value in (("xy", xy), ("state", state), ("canvas_side", canvas_side)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -120,12 +125,9 @@ class Trajectory:
 
     @property
     def points(self) -> tuple[TrajPoint, ...]:
-        """The rows as `TrajPoint`s, built on first use."""
-        if self._points is None:
-            object.__setattr__(self, "_points", tuple(
-                TrajPoint(x, y, _STATES[s])
-                for (x, y), s in zip(self.xy.tolist(), self.state.tolist())))
-        return self._points
+        """The rows as `TrajPoint`s, built on each use."""
+        return tuple(TrajPoint(x, y, _STATES[s])
+                     for (x, y), s in zip(self.xy.tolist(), self.state.tolist()))
 
     def drawn_points(self) -> tuple[TrajPoint, ...]:
         """Points that carry ink (everything but the EOS marker)."""
@@ -243,7 +245,7 @@ def resample(traj: Trajectory, factor: float) -> Trajectory:
 def trajectory_to_points_obj(traj: Trajectory) -> dict:
     return {
         "canvas": [traj.canvas_side, traj.canvas_side],
-        "points": [{"x": x, "y": y, "s": list(_STATES[s].one_hot())}
+        "points": [{"x": x, "y": y, "s": list(_ONE_HOT[s])}
                    for (x, y), s in zip(traj.xy.tolist(), traj.state.tolist())],
     }
 
@@ -270,37 +272,41 @@ def trajectory_from_obj(obj) -> Trajectory:
     if not isinstance(obj, dict):
         raise ValueError("trajectory file must contain a JSON object")
     side = _canvas_side_of(obj)
+    xy, state = [], []
     if "points" in obj:
         if not isinstance(obj["points"], list):
             raise ValueError("'points' must be a list of point records")
-        points = []
         for i, rec in enumerate(obj["points"]):
             try:
-                state = PenState.from_one_hot(rec["s"])
-                points.append(TrajPoint(float(rec["x"]), float(rec["y"]), state))
+                s = PenState.from_one_hot(rec["s"]).value
+                x, y = float(rec["x"]), float(rec["y"])
+                _check_finite(x, y)
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"invalid point at index {i}: {exc}") from exc
-        return Trajectory(tuple(points), canvas_side=side)
-    if "strokes" in obj:
+            xy.append((x, y))
+            state.append(s)
+    elif "strokes" in obj:
         strokes = obj["strokes"]
         if not isinstance(strokes, list) or not strokes:
             raise ValueError("strokes form must contain a list of at least one stroke")
-        points = []
         for si, stroke in enumerate(strokes):
             if not isinstance(stroke, list) or not stroke:
                 raise ValueError(f"stroke {si} must be a non-empty list of points")
-            for j, xy in enumerate(stroke):
-                if not isinstance(xy, (list, tuple)) or len(xy) != 2:
+            for j, p in enumerate(stroke):
+                if not isinstance(p, (list, tuple)) or len(p) != 2:
                     raise ValueError(f"stroke {si} point {j} must be an [x, y] pair")
-                state = PenState.UP if j == len(stroke) - 1 else PenState.DOWN
                 try:
-                    points.append(TrajPoint(float(xy[0]), float(xy[1]), state))
+                    x, y = float(p[0]), float(p[1])
+                    _check_finite(x, y)
                 except (TypeError, ValueError, OverflowError) as exc:
                     raise ValueError(f"invalid stroke {si} point {j}: {exc}") from exc
-        last = points[-1]
-        points.append(TrajPoint(last.x, last.y, PenState.EOS))
-        return Trajectory(tuple(points), canvas_side=side)
-    raise ValueError("trajectory object needs a 'points' or 'strokes' key")
+                xy.append((x, y))
+            state += [DOWN] * (len(stroke) - 1) + [UP]
+        xy.append(xy[-1])
+        state.append(EOS)
+    else:
+        raise ValueError("trajectory object needs a 'points' or 'strokes' key")
+    return Trajectory.from_arrays(xy, state, side)
 
 
 def load_trajectory(path) -> Trajectory:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trajeval import traj_core
 from trajeval import (PenState, TrajPoint, Trajectory, dedupe_points,
                       downsample_half, load_trajectory, normalize_to_canvas,
                       resample, save_trajectory, stroke_bounds, strokes_of)
@@ -467,6 +468,24 @@ def _rec(x=0.0, y=0.0, s=(1, 0, 0)):
 def test_parser_matches_reference_on_edge_cases(obj):
     assert _parse_outcome(trajectory_from_obj, obj) == \
         _parse_outcome(trajectory_from_obj_reference, obj)
+
+
+def test_file_io_builds_no_points(tmp_path, monkeypatch):
+    def no_points(*args, **kwargs):
+        raise AssertionError("file I/O built a TrajPoint")
+    monkeypatch.setattr(traj_core, "TrajPoint", no_points)
+    canvas = {"canvas": [32, 32]}
+    (tmp_path / "p.json").write_text(json.dumps({**canvas, "points": [
+        {"x": 1, "y": 2, "s": [1, 0, 0]}, {"x": 3.5, "y": 4, "s": [0, 1, 0]}]}))
+    (tmp_path / "s.json").write_text(json.dumps({**canvas, "strokes": [[[1, 2], [3.5, 4]]]}))
+    for name, state in (("p", [0, 1]), ("s", [0, 1, 2])):
+        traj = load_trajectory(tmp_path / f"{name}.json")
+        assert traj.xy.tolist() == [[1.0, 2.0], [3.5, 4.0], [3.5, 4.0]][:len(state)]
+        assert traj.state.tolist() == state and traj.canvas_side == 32
+    save_trajectory(traj, tmp_path / "out.json")
+    assert json.loads((tmp_path / "out.json").read_text()) == {**canvas, "points": [
+        {"x": 1.0, "y": 2.0, "s": [1, 0, 0]}, {"x": 3.5, "y": 4.0, "s": [0, 1, 0]},
+        {"x": 3.5, "y": 4.0, "s": [0, 0, 1]}]}
 
 
 def test_load_rejects_deeply_nested_json(tmp_path):
