@@ -152,11 +152,21 @@ def _check_run_inputs(corpus, grid):
 
 def sensitivity_run(corpus, kind: str, grid=None, metrics=("aiou", "ldtw"),
                     seed: int = 0, k_max: int = 10) -> list[CurveReport]:
-    """Error-sensitivity curves: mean metric value per error magnitude."""
+    """Error-sensitivity curves: mean metric value per error magnitude.
+
+    A magnitude no glyph can take (a drift <= 0, a stroke count < 1) is
+    rejected up front; one a glyph cannot take (deleting all its strokes)
+    is counted as a skipped sample.
+    """
     if kind not in SENSITIVITY_KINDS:
         raise ValueError(f"unknown error kind {kind!r}; expected one of {SENSITIVITY_KINDS}")
     grid = tuple(grid if grid is not None else DEFAULT_GRIDS[kind])
     _check_run_inputs(corpus, grid)
+    for value in grid:
+        if kind in ("point-drift", "stroke-drift") and not value > 0:
+            raise ValueError(f"{kind} distance must be positive, got {value}")
+        if kind in ("stroke-insert", "stroke-delete") and not 1 <= value < math.inf:
+            raise ValueError(f"{kind} count must be finite and at least 1, got {value}")
     glyph = any(name in GLYPH_METRICS for name in metrics)
     per_sample = []
     for i, traj in enumerate(corpus):

@@ -77,14 +77,15 @@ def _collect_pairs(gt_path: Path, pred_path: Path):
     """(name, gt_file, pred_file) triples; directory mode pairs by basename."""
     if gt_path.is_file():
         return [(gt_path.stem, gt_path, pred_path)]
-    pairs = []
-    gt_files = sorted(p for p in gt_path.iterdir()
-                      if p.suffix in (".json", ".pgm"))
+    try:
+        gt_files = sorted(p for p in gt_path.iterdir()
+                          if p.suffix in (".json", ".pgm"))
+    except OSError as exc:
+        raise SystemExit(f"error: {exc}") from None
     if not gt_files:
         raise SystemExit(f"error: no trajectory or PGM files in {gt_path}")
-    for gt_file in gt_files:
-        pairs.append((gt_file.stem, gt_file, pred_path / (gt_file.stem + ".json")))
-    return pairs
+    return [(gt_file.stem, gt_file, pred_path / (gt_file.stem + ".json"))
+            for gt_file in gt_files]
 
 
 def _evaluate_pair(gt_file: Path, pred_file: Path, metrics, args) -> dict:

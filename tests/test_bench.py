@@ -152,6 +152,18 @@ def test_sensitivity_validates_inputs(corpus):
         sensitivity_run(corpus, "point-drift", grid=(3, 1))
 
 
+@pytest.mark.parametrize("kind, grid, message", [
+    ("point-drift", (-1, 2), "point-drift distance must be positive, got -1"),
+    ("stroke-drift", (0.0, 1.0), "stroke-drift distance must be positive, got 0.0"),
+    ("stroke-insert", (0.5, 1), "stroke-insert count must be finite and at least 1, got 0.5"),
+    ("stroke-delete", (0, 1), "stroke-delete count must be finite and at least 1, got 0"),
+])
+def test_sensitivity_rejects_magnitudes_no_glyph_can_take(corpus, kind, grid, message):
+    with pytest.raises(ValueError) as exc:
+        sensitivity_run(corpus, kind, grid=grid)
+    assert str(exc.value) == message
+
+
 # --- invariance --------------------------------------------------------------
 
 def test_invariance_width_mode_defaults_to_glyph_metrics(corpus):

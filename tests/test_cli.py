@@ -100,6 +100,13 @@ def test_evaluate_exits_nonzero_when_all_pairs_fail(tmp_path, rng, capsys):
     assert code == 1
 
 
+def test_evaluate_reports_missing_ground_truth_path(tmp_path):
+    missing = tmp_path / "no_such_dir"
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", str(missing), str(tmp_path)])
+    assert exc.value.code.startswith("error: ") and str(missing) in exc.value.code
+
+
 def test_evaluate_pgm_ground_truth_gives_glyph_metrics_only(tmp_path, rng, capsys):
     traj = random_traj(rng)
     write_pgm(widen_strokes(traj, 1), tmp_path / "g.pgm")
@@ -250,6 +257,10 @@ def test_out_of_range_numeric_flags_fail_cleanly(argv, message, tmp_path, rng,
      "error: magnitude grid must be ascending"),
     (["sensitivity", "--error", "point-drift", "--seed", "-1"],
      "error: seed must be non-negative for synthetic glyphs, got -1"),
+    (["sensitivity", "--error", "point-drift", "--grid=-1,2", "--metrics", "ldtw"],
+     "error: point-drift distance must be positive, got -1.0"),
+    (["sensitivity", "--error", "stroke-insert", "--grid=0,1"],
+     "error: stroke-insert count must be finite and at least 1, got 0.0"),
 ])
 def test_bench_commands_reject_bad_grid_or_seed(argv, message):
     with pytest.raises(SystemExit) as exc:
