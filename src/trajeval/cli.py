@@ -77,6 +77,7 @@ def _collect_pairs(gt_path: Path, pred_path: Path):
     """(name, gt_file, pred_file) triples; directory mode pairs by basename."""
     if gt_path.is_file():
         return [(gt_path.stem, gt_path, pred_path)]
+    pairs = []
     try:
         gt_files = sorted(p for p in gt_path.iterdir()
                           if p.suffix in (".json", ".pgm"))
@@ -84,8 +85,9 @@ def _collect_pairs(gt_path: Path, pred_path: Path):
         raise SystemExit(f"error: {exc}") from None
     if not gt_files:
         raise SystemExit(f"error: no trajectory or PGM files in {gt_path}")
-    return [(gt_file.stem, gt_file, pred_path / (gt_file.stem + ".json"))
-            for gt_file in gt_files]
+    for gt_file in gt_files:
+        pairs.append((gt_file.stem, gt_file, pred_path / (gt_file.stem + ".json")))
+    return pairs
 
 
 def _evaluate_pair(gt_file: Path, pred_file: Path, metrics, args) -> dict:
