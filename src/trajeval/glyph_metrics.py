@@ -3,11 +3,21 @@
 The adaptive variant repeatedly widens the width-1 predicted mask with a
 3x3 dilation and keeps the best IoU against the ground-truth mask, which
 removes the bias introduced by variable stroke widths in real images.
+
+The sweep stops at the first k where |g| / |g ∪ W_k| is at most the best IoU
+so far (W_k is the k-times-dilated prediction).  W_k only grows with k, so
+every later IoU is at most that bound, and correctly rounded division keeps
+the order in floating point; a later tie cannot change the smallest-argmax
+`best_k`.  The stop is exact.  `AiouResult.curve` still holds the whole
+k = 0..k_max sweep: it is finished from the last W_k when first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .raster import BinaryMask, dilate3x3
 
@@ -17,33 +27,54 @@ def iou(g: BinaryMask, p: BinaryMask) -> float:
     if g.bits.shape != p.bits.shape:
         raise ValueError(
             f"mask dimensions differ: {g.width}x{g.height} vs {p.width}x{p.height}")
-    inter = int((g.bits & p.bits).sum())
-    union = int((g.bits | p.bits).sum())
+    inter = np.count_nonzero(g.bits & p.bits)
+    union = np.count_nonzero(g.bits | p.bits)
     if union == 0:
         raise ValueError("undefined IoU: both masks are empty")
     return inter / union
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AiouResult:
     score: float
     best_k: int
-    curve: tuple[float, ...]
+    # the sweep as far as aiou ran it, and what finishing it needs
+    _swept: tuple[float, ...] = field(repr=False)
+    _g: BinaryMask = field(repr=False)
+    _last: BinaryMask = field(repr=False)
+    _k_max: int = field(repr=False)
+
+    @cached_property
+    def curve(self) -> tuple[float, ...]:
+        """IoU at every k in 0..k_max; the part after the stop is computed
+        here, on first read, from the last dilated mask."""
+        curve, widened = list(self._swept), self._last
+        for _ in range(len(curve), self._k_max + 1):
+            widened = dilate3x3(widened, 1)
+            curve.append(iou(self._g, widened))
+        return tuple(curve)
 
 
 def aiou(g: BinaryMask, p: BinaryMask, k_max: int = 10) -> AiouResult:
     """Best IoU over k in [0, k_max] dilations of the prediction mask.
 
-    best_k is the smallest k attaining the maximum; the full curve is kept so
-    callers can inspect the sweep.
+    best_k is the smallest k attaining the maximum.  The sweep stops once
+    |g| / |g ∪ W_k| is at most the best IoU so far, or at k = 0 for an empty
+    prediction (which no dilation changes); no later k could then win, so
+    score and best_k equal the full sweep's.  `curve` is the full sweep,
+    finished on first read.
     """
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
-    curve = []
+    g_count = np.count_nonzero(g.bits)
+    empty_p = not p.bits.any()
+    curve, best = [], 0.0
     widened = p
     for k in range(k_max + 1):
         if k > 0:
             widened = dilate3x3(widened, 1)
         curve.append(iou(g, widened))
-    score = max(curve)
-    return AiouResult(score=score, best_k=curve.index(score), curve=tuple(curve))
+        best = max(best, curve[-1])
+        if empty_p or g_count / np.count_nonzero(g.bits | widened.bits) <= best:
+            break
+    return AiouResult(best, curve.index(best), tuple(curve), g, widened, k_max)

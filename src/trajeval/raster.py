@@ -143,11 +143,15 @@ def binarize(img: GrayImage, polarity: str = "ink-is-dark") -> BinaryMask:
 
 
 def dilate3x3(mask: BinaryMask, k: int = 1) -> BinaryMask:
-    """k applications of dilation with the full 3x3 element, clipped at borders."""
+    """k applications of dilation with the full 3x3 element, clipped at borders.
+
+    k is capped at max(height, width): by then any non-empty mask fills the
+    canvas, so further applications change nothing.
+    """
     if k < 0:
         raise ValueError("dilation count must be non-negative")
     bits = mask.bits
-    for _ in range(k):
+    for _ in range(min(k, max(bits.shape))):
         # the 3x3 square is separable: row neighbours, then column neighbours
         rows = bits.copy()
         rows[1:] |= bits[:-1]

@@ -91,3 +91,25 @@ def test_aiou_equals_full_sweep_on_perturbed_glyphs(kind, magnitudes):
             p = rasterize(pred)
             for width in (0, 1, 3):
                 assert_matches_full_sweep(dilate3x3(rasterize(gt), width), p, 10)
+
+
+@pytest.mark.parametrize("g_kind,p_kind", [
+    ("random", "dot"), ("full", "dot"), ("random", "empty"), ("empty", "random"),
+    ("random", "random")])
+def test_aiou_stops_long_before_a_huge_k_max(g_kind, p_kind, monkeypatch):
+    rng = np.random.Generator(np.random.PCG64(3))
+    masks = {"random": rng.random((16, 16)) < 0.2, "full": np.ones((16, 16), bool),
+             "empty": np.zeros((16, 16), bool), "dot": np.zeros((16, 16), bool)}
+    masks["dot"][0, 0] = True
+    g, p = BinaryMask(masks[g_kind]), BinaryMask(masks[p_kind])
+    calls = []
+
+    def counting_dilate(mask, k=1):
+        calls.append(k)
+        return dilate3x3(mask, k)
+
+    monkeypatch.setattr("trajeval.glyph_metrics.dilate3x3", counting_dilate)
+    result = aiou(g, p, k_max=10_000)
+    assert len(calls) <= 17
+    assert len(result.curve) == 10_001
+    assert (result.score, result.best_k, result.curve) == full_sweep(g, p, 10_000)

@@ -229,6 +229,21 @@ def test_dilate_is_monotone(rng):
         prev = cur
 
 
+@pytest.mark.parametrize("shape,seed_pixel", [
+    ((7, 7), (0, 0)), ((5, 9), (4, 8)), ((9, 4), (0, 3)), ((6, 6), None)])
+def test_dilate_huge_k_equals_steps_past_saturation(shape, seed_pixel):
+    bits = np.zeros(shape, dtype=bool)
+    if seed_pixel is not None:
+        bits[seed_pixel] = True  # a corner pixel is the last to fill the canvas
+    side = max(shape)
+    huge = dilate3x3(BinaryMask(bits), 10**9)  # capped, so returns at once
+    step = BinaryMask(bits)
+    for k in range(1, side + 2):
+        step = dilate3x3(step, 1)
+        if k >= side - 1:
+            assert huge.same_bits(step), k
+
+
 # --- PGM I/O -----------------------------------------------------------------
 
 def test_pgm_round_trip(tmp_path, rng):
