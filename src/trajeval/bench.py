@@ -146,6 +146,9 @@ def _check_run_inputs(corpus, grid):
         raise ValueError("corpus must be non-empty")
     if not grid:
         raise ValueError("magnitude grid must be non-empty")
+    for value in grid:
+        if not math.isfinite(value):
+            raise ValueError(f"magnitude grid must be finite, got {value}")
     if list(grid) != sorted(grid):
         raise ValueError("magnitude grid must be ascending")
 

@@ -211,14 +211,11 @@ def cmd_invariance(args) -> int:
 
 def cmd_rasterize(args) -> int:
     try:
-        traj = load_trajectory(args.input)
-        mask = rasterize(traj, args.side)
+        mask = rasterize(load_trajectory(args.input), args.side)
+        write_mask_pgm(dilate3x3(mask, args.dilate), args.out)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.dilate:
-        mask = dilate3x3(mask, args.dilate)
-    write_mask_pgm(mask, args.out)
     return 0
 
 
@@ -235,9 +232,12 @@ def cmd_convert(args) -> int:
 def _write_out(text: str, out) -> None:
     if out in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 def _int_at_least(low: int):

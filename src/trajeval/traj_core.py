@@ -235,8 +235,8 @@ def resample(traj: Trajectory, factor: float) -> Trajectory:
     so a stroke of n points ends up with round(factor*(n-1))+1 points; factor
     < 1 decimates uniformly, always keeping stroke endpoints.
     """
-    if factor <= 0:
-        raise ValueError("resample factor must be positive")
+    if not 0 < factor < math.inf:
+        raise ValueError(f"resample factor must be positive and finite, got {factor}")
     return _per_stroke(traj, lambda pts: _resample_stroke(pts, factor))
 
 

@@ -261,11 +261,31 @@ def test_out_of_range_numeric_flags_fail_cleanly(argv, message, tmp_path, rng,
      "error: point-drift distance must be positive, got -1.0"),
     (["sensitivity", "--error", "stroke-insert", "--grid=0,1"],
      "error: stroke-insert count must be finite and at least 1, got 0.0"),
+    (["sensitivity", "--error", "point-drift", "--grid", "1,inf", "--format", "json"],
+     "error: magnitude grid must be finite, got inf"),
+    (["invariance", "--transform", "sample-rate", "--grid", "1,inf"],
+     "error: magnitude grid must be finite, got inf"),
+    (["invariance", "--transform", "stroke-width", "--grid", "0,inf"],
+     "error: magnitude grid must be finite, got inf"),
 ])
 def test_bench_commands_reject_bad_grid_or_seed(argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--synthetic", "2"])
     assert exc.value.code == message
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "GT", "PRED"],
+    ["sensitivity", "--synthetic", "2", "--error", "point-drift", "--grid", "1"],
+    ["invariance", "--synthetic", "2", "--transform", "sample-rate", "--grid", "1"],
+])
+def test_unwritable_out_path_is_an_error_line(argv, tmp_path, rng):
+    save_trajectory(random_traj(rng), tmp_path / "g.json")
+    out = tmp_path / "no" / "such" / "x.csv"
+    argv = [str(tmp_path / "g.json") if a in ("GT", "PRED") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == f"error: [Errno 2] No such file or directory: '{out}'"
 
 
 # --- rasterize / convert -----------------------------------------------------
@@ -292,6 +312,13 @@ def test_rasterize_reports_bad_input(tmp_path, capsys):
     (tmp_path / "bad.json").write_text("{not json")
     code = main(["rasterize", str(tmp_path / "bad.json"), str(tmp_path / "o.pgm")])
     assert code == 1
+
+
+def test_rasterize_reports_unwritable_out_path(tmp_path, rng, capsys):
+    save_trajectory(random_traj(rng), tmp_path / "t.json")
+    out = tmp_path / "no" / "such" / "t.pgm"
+    assert main(["rasterize", str(tmp_path / "t.json"), str(out), "--dilate", "1000000000"]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
 def test_convert_round_trip(tmp_path, rng):

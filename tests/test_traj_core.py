@@ -238,6 +238,12 @@ def test_resample_downsamples_keeping_endpoints():
     assert pts[0].x == 0 and pts[-1].x == 8
 
 
+@pytest.mark.parametrize("factor", [0.0, -1.0, math.inf, math.nan])
+def test_resample_rejects_a_non_positive_or_non_finite_factor(factor, rng):
+    with pytest.raises(ValueError, match=f"must be positive and finite, got {factor}"):
+        resample(random_traj(rng), factor)
+
+
 def test_resample_identity_factor_is_noop(rng):
     traj = random_traj(rng)
     out = resample(traj, 1.0)
