@@ -18,7 +18,7 @@ import numpy as np
 from .error_sim import (ERROR_KINDS, change_sample_rate, drift_points, perturb,
                         widen_strokes)
 from .glyph_metrics import aiou, iou
-from .raster import BinaryMask, binarize, rasterize
+from .raster import BinaryMask, DegenerateHistogramError, binarize, rasterize
 from .seq_metrics import dtw, rmse
 from .traj_core import DOWN, EOS, UP, Trajectory, normalize_to_canvas
 
@@ -141,7 +141,22 @@ def _aggregate(grid, metrics, per_sample: list, seed: int) -> list[CurveReport]:
     return reports
 
 
-def _check_run_inputs(corpus, grid):
+# (test, demand) rules per kind, checked in order on each grid value.  Counts
+# and dilations are cast to int when used, so a fractional one is rejected.
+_COUNT_RULES = ((lambda v: 1 <= v < math.inf, "count must be finite and at least 1"),
+                (lambda v: float(v).is_integer(), "count must be a whole number"))
+_MAGNITUDE_RULES = {
+    "point-drift": ((lambda v: v > 0, "distance must be positive"),),
+    "stroke-drift": ((lambda v: v > 0, "distance must be positive"),),
+    "stroke-insert": _COUNT_RULES,
+    "stroke-delete": _COUNT_RULES,
+    "stroke-width": ((lambda v: v >= 0, "dilation must be non-negative"),
+                     (lambda v: float(v).is_integer(), "dilation must be a whole number")),
+    "sample-rate": ((lambda v: v > 0, "factor must be positive"),),
+}
+
+
+def _check_run_inputs(corpus, kind, grid):
     if not corpus:
         raise ValueError("corpus must be non-empty")
     if not grid:
@@ -151,25 +166,24 @@ def _check_run_inputs(corpus, grid):
             raise ValueError(f"magnitude grid must be finite, got {value}")
     if list(grid) != sorted(grid):
         raise ValueError("magnitude grid must be ascending")
+    for value in grid:
+        for test, demand in _MAGNITUDE_RULES[kind]:
+            if not test(value):
+                raise ValueError(f"{kind} {demand}, got {value}")
 
 
 def sensitivity_run(corpus, kind: str, grid=None, metrics=("aiou", "ldtw"),
                     seed: int = 0, k_max: int = 10) -> list[CurveReport]:
     """Error-sensitivity curves: mean metric value per error magnitude.
 
-    A magnitude no glyph can take (a drift <= 0, a stroke count < 1) is
-    rejected up front; one a glyph cannot take (deleting all its strokes)
-    is counted as a skipped sample.
+    A magnitude no glyph can take (a drift <= 0, a stroke count < 1 or not a
+    whole number) is rejected up front; one a glyph cannot take (deleting
+    all its strokes) is counted as a skipped sample.
     """
     if kind not in SENSITIVITY_KINDS:
         raise ValueError(f"unknown error kind {kind!r}; expected one of {SENSITIVITY_KINDS}")
     grid = tuple(grid if grid is not None else DEFAULT_GRIDS[kind])
-    _check_run_inputs(corpus, grid)
-    for value in grid:
-        if kind in ("point-drift", "stroke-drift") and not value > 0:
-            raise ValueError(f"{kind} distance must be positive, got {value}")
-        if kind in ("stroke-insert", "stroke-delete") and not 1 <= value < math.inf:
-            raise ValueError(f"{kind} count must be finite and at least 1, got {value}")
+    _check_run_inputs(corpus, kind, grid)
     glyph = any(name in GLYPH_METRICS for name in metrics)
     per_sample = []
     for i, traj in enumerate(corpus):
@@ -201,18 +215,14 @@ def invariance_run(corpus, transform: str, grid=None, metrics=None, seed: int = 
     any misalignment couples the glyph scores to the width axis and masks the
     adaptation effect being measured.  Pass base_drift explicitly to override
     either default (0 keeps the prediction clean).  In stroke-width mode the
-    ground truth is the widened image, so sequence metrics are skipped.
+    ground truth is the widened image, so sequence metrics are skipped; a
+    sample whose widened glyph fills the canvas is skipped at that width.
     """
     if transform not in INVARIANCE_TRANSFORMS:
         raise ValueError(
             f"unknown transform {transform!r}; expected one of {INVARIANCE_TRANSFORMS}")
     grid = tuple(grid if grid is not None else DEFAULT_GRIDS[transform])
-    _check_run_inputs(corpus, grid)
-    for value in grid:
-        if transform == "sample-rate" and not value > 0:
-            raise ValueError(f"sample-rate factor must be positive, got {value}")
-        if transform == "stroke-width" and not value >= 0:
-            raise ValueError(f"stroke-width dilation must be non-negative, got {value}")
+    _check_run_inputs(corpus, transform, grid)
     if metrics is None:
         metrics = GLYPH_METRICS if transform == "stroke-width" else ("dtw", "ldtw")
     if base_drift is None:
@@ -222,8 +232,14 @@ def invariance_run(corpus, transform: str, grid=None, metrics=None, seed: int = 
         pred = drift_points(traj, base_drift, derive_seed(seed, i)) if base_drift > 0 else traj
         if transform == "stroke-width":
             pred_mask = rasterize(pred)
-            rows = [score_pair(binarize(widen_strokes(traj, int(k))), pred_mask,
-                               metrics, k_max)[0] for k in grid]
+            rows = []
+            for k in grid:
+                try:
+                    gt_mask = binarize(widen_strokes(traj, int(k)))
+                except DegenerateHistogramError:  # the widened glyph fills the canvas
+                    rows.append(dict.fromkeys(metrics))
+                    continue
+                rows.append(score_pair(gt_mask, pred_mask, metrics, k_max)[0])
         else:
             rows = [score_pair(traj, change_sample_rate(pred, float(factor)),
                                metrics, k_max)[0] for factor in grid]
@@ -233,8 +249,8 @@ def invariance_run(corpus, transform: str, grid=None, metrics=None, seed: int = 
 
 # --- report serialization ---------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return f"{v:.6f}"
+def _fmt(v) -> str:
+    return "" if v is None else f"{float(v):.6f}"
 
 
 def reports_to_csv(reports) -> str:
@@ -243,14 +259,14 @@ def reports_to_csv(reports) -> str:
     for rep in sorted(reports, key=lambda r: r.metric):
         for mi, magnitude in enumerate(rep.grid):
             lines.append(",".join([
-                rep.metric, _fmt(float(magnitude)), _fmt(rep.raw_mean[mi]),
+                rep.metric, _fmt(magnitude), _fmt(rep.raw_mean[mi]),
                 _fmt(rep.normalized[mi]), str(rep.samples_used[mi]),
                 str(rep.samples_skipped[mi])]))
     return "\n".join(lines) + "\n"
 
 
-def _json_number(v: float) -> float | None:
-    return None if math.isnan(v) else round(v, 6)
+def _json_number(v) -> float | None:
+    return None if v is None or math.isnan(v) else round(float(v), 6)
 
 
 def reports_to_json(reports) -> str:
@@ -260,7 +276,7 @@ def reports_to_json(reports) -> str:
         for mi, magnitude in enumerate(rep.grid):
             rows.append({
                 "metric": rep.metric,
-                "magnitude": round(float(magnitude), 6),
+                "magnitude": _json_number(magnitude),
                 # a magnitude with no usable samples has no mean: null, not NaN
                 "raw_mean": _json_number(rep.raw_mean[mi]),
                 "normalized": _json_number(rep.normalized[mi]),

@@ -1,9 +1,10 @@
 """Command-line front end: evaluation, benchmarking, rasterization, conversion.
 
 Directory-mode evaluation pairs files by basename (gt/x.json <-> pred/x.json)
-and scores each pair with `bench.score_pair`.  Everything runs serially in
-one process.  All numeric CSV fields use 6 fixed decimal digits, so a seeded
-run's output is byte-identical across runs.
+and scores each pair with `bench.score_pair`.  One handler, `cmd_curves`,
+serves `sensitivity` and `invariance` through the `bench` runner of the same
+name.  Everything runs serially in one process, and `bench._fmt` (CSV) and
+`bench._json_number` (JSON) write every number, so seeded output is stable.
 """
 
 from __future__ import annotations
@@ -20,11 +21,6 @@ from .raster import (dilate3x3, rasterize, read_pgm, binarize, write_mask_pgm)
 from .traj_core import (Trajectory, dedupe_points, downsample_half, load_trajectory,
                         normalize_to_canvas, resample, save_trajectory, stroke_bounds)
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    return f"{float(v):.6f}"
-
 
 def _parse_metrics(spec: str) -> tuple[str, ...]:
     names = tuple(s.strip() for s in spec.split(",") if s.strip())
@@ -34,6 +30,9 @@ def _parse_metrics(spec: str) -> tuple[str, ...]:
                 f"error: unknown metric {name!r}; choose from {','.join(bench.METRICS)}")
     if not names:
         raise SystemExit("error: empty metric selection")
+    for name in names:
+        if names.count(name) > 1:
+            raise SystemExit(f"error: metric {name!r} given twice")
     return names
 
 
@@ -132,21 +131,19 @@ def cmd_evaluate(args) -> int:
     if args.format == "csv":
         lines = ["sample," + ",".join(metrics) + ",error"]
         for name, row in rows:
-            cells = [name] + [_fmt(row[m]) for m in metrics]
+            cells = [name] + [bench._fmt(row[m]) for m in metrics]
             cells.append(str(row["error"]).replace(",", ";"))
             lines.append(",".join(cells))
         for agg in ("mean", "median"):
-            cells = [agg] + [_fmt(aggregates[m][agg]) for m in metrics] + [""]
+            cells = [agg] + [bench._fmt(aggregates[m][agg]) for m in metrics] + [""]
             lines.append(",".join(cells))
         text = "\n".join(lines) + "\n"
     else:
         payload = {
-            "rows": [{"sample": name,
-                      **{m: (None if row[m] is None else round(float(row[m]), 6))
-                         for m in metrics},
+            "rows": [{"sample": name, **{m: bench._json_number(row[m]) for m in metrics},
                       "error": row["error"]} for name, row in rows],
-            "aggregates": {m: {k: (None if v is None else round(float(v), 6))
-                               for k, v in aggregates[m].items()} for m in metrics},
+            "aggregates": {m: {k: bench._json_number(v) for k, v in aggregates[m].items()}
+                           for m in metrics},
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -157,6 +154,8 @@ def cmd_evaluate(args) -> int:
 
 
 def _load_corpus(args) -> list[Trajectory]:
+    if (args.corpus is None) == (args.synthetic is None):
+        raise SystemExit("error: give exactly one of --corpus or --synthetic")
     if args.synthetic is not None:
         try:
             return bench.make_synthetic_corpus(args.synthetic, seed=args.seed,
@@ -176,36 +175,17 @@ def _load_corpus(args) -> list[Trajectory]:
     return corpus
 
 
-def _emit_reports(reports, args) -> None:
-    text = (bench.reports_to_csv(reports) if args.format == "csv"
-            else bench.reports_to_json(reports))
-    _write_out(text, args.out)
-
-
-def cmd_sensitivity(args) -> int:
+def cmd_curves(args) -> int:
     corpus = _load_corpus(args)
     grid = _parse_grid(args.grid) if args.grid else None
-    metrics = _parse_metrics(args.metrics)
+    metrics = _parse_metrics(args.metrics) if args.metrics is not None else None
     try:
-        reports = bench.sensitivity_run(corpus, args.error, grid=grid, metrics=metrics,
-                                        seed=args.seed, k_max=args.kmax)
+        reports = getattr(bench, f"{args.command}_run")(
+            corpus, args.kind, grid=grid, metrics=metrics, seed=args.seed, k_max=args.kmax)
     except ValueError as exc:  # input the run rejects before any work
         raise SystemExit(f"error: {exc}") from None
-    _emit_reports(reports, args)
-    return 0
-
-
-def cmd_invariance(args) -> int:
-    corpus = _load_corpus(args)
-    grid = _parse_grid(args.grid) if args.grid else None
-    metrics = _parse_metrics(args.metrics) if args.metrics else None
-    try:
-        reports = bench.invariance_run(corpus, args.transform, grid=grid,
-                                       metrics=metrics, seed=args.seed,
-                                       k_max=args.kmax)
-    except ValueError as exc:  # input the run rejects before any work
-        raise SystemExit(f"error: {exc}") from None
-    _emit_reports(reports, args)
+    _write_out(bench.reports_to_csv(reports) if args.format == "csv"
+               else bench.reports_to_json(reports), args.out)
     return 0
 
 
@@ -287,24 +267,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, with_seed=False)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sensitivity", help="error-sensitivity curves")
-    p.add_argument("--corpus", help="directory of trajectory JSON files")
-    p.add_argument("--synthetic", type=_int_at_least(1), default=None,
-                   help="generate N synthetic glyphs instead of reading a corpus")
-    p.add_argument("--error", choices=bench.SENSITIVITY_KINDS, required=True)
-    p.add_argument("--grid", help="comma list of magnitudes (default per error kind)")
-    p.add_argument("--metrics", default="aiou,ldtw")
-    _add_common(p)
-    p.set_defaults(func=cmd_sensitivity)
-
-    p = sub.add_parser("invariance", help="stroke-width / sample-rate invariance curves")
-    p.add_argument("--corpus")
-    p.add_argument("--synthetic", type=_int_at_least(1), default=None)
-    p.add_argument("--transform", choices=bench.INVARIANCE_TRANSFORMS, required=True)
-    p.add_argument("--grid")
-    p.add_argument("--metrics", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_invariance)
+    for command, help_text, kind_flag, kinds, metrics in (
+            ("sensitivity", "error-sensitivity curves", "--error",
+             bench.SENSITIVITY_KINDS, "aiou,ldtw"),
+            ("invariance", "stroke-width / sample-rate invariance curves",
+             "--transform", bench.INVARIANCE_TRANSFORMS, None)):
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--corpus", help="directory of trajectory JSON files")
+        p.add_argument("--synthetic", type=_int_at_least(1), default=None,
+                       help="generate N synthetic glyphs instead of reading a corpus")
+        p.add_argument(kind_flag, dest="kind", choices=kinds, required=True)
+        p.add_argument("--grid", help="comma list of magnitudes "
+                                      f"(default per {kind_flag[2:]} kind)")
+        p.add_argument("--metrics", default=metrics)
+        _add_common(p)
+        p.set_defaults(func=cmd_curves)
 
     p = sub.add_parser("rasterize", help="render a trajectory to a PGM mask")
     p.add_argument("input", help="trajectory JSON file")
@@ -324,9 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command in ("sensitivity", "invariance"):
-        if (args.corpus is None) == (args.synthetic is None):
-            raise SystemExit("error: give exactly one of --corpus or --synthetic")
     return args.func(args)
 
 

@@ -157,6 +157,8 @@ def test_sensitivity_validates_inputs(corpus):
     ("stroke-drift", (0.0, 1.0), "stroke-drift distance must be positive, got 0.0"),
     ("stroke-insert", (0.5, 1), "stroke-insert count must be finite and at least 1, got 0.5"),
     ("stroke-delete", (0, 1), "stroke-delete count must be finite and at least 1, got 0"),
+    ("stroke-insert", (1, 1.5, 2), "stroke-insert count must be a whole number, got 1.5"),
+    ("stroke-delete", (1.0, 2.5), "stroke-delete count must be a whole number, got 2.5"),
 ])
 def test_sensitivity_rejects_magnitudes_no_glyph_can_take(corpus, kind, grid, message):
     with pytest.raises(ValueError) as exc:
@@ -187,6 +189,23 @@ def test_invariance_base_drift_override(corpus):
     # identical trajectories at factor 1: zero alignment cost
     f1 = by["dtw"].grid.index(1.0)
     assert by["dtw"].raw_mean[f1] == pytest.approx(0.0)
+
+
+def test_invariance_skips_a_width_that_fills_the_canvas(corpus, monkeypatch):
+    # a 63-step dilation of any pixel covers the 64-px canvas: nothing to binarize
+    by_width = {r.metric: r for r in invariance_run(corpus, "stroke-width", grid=(0, 63))}
+    alone = {r.metric: r for r in invariance_run(corpus, "stroke-width", grid=(0,))}
+    for name, rep in by_width.items():
+        assert rep.raw_mean[0] == alone[name].raw_mean[0]
+        assert rep.samples_used == (len(corpus), 0)
+        assert rep.samples_skipped == (0, len(corpus))
+        assert math.isnan(rep.raw_mean[1])
+    # any other binarize failure is a fault, not a skipped sample
+    def fail(image):
+        raise ValueError("not a degenerate histogram")
+    monkeypatch.setattr(bench, "binarize", fail)
+    with pytest.raises(ValueError, match="not a degenerate histogram"):
+        invariance_run(corpus, "stroke-width", grid=(0,))
 
 
 def test_invariance_rejects_unknown_transform(corpus):

@@ -209,12 +209,45 @@ def test_invariance_runs_both_transforms(capsys):
         assert len(csv_rows(out)) > 0
 
 
+def test_invariance_skips_a_width_that_fills_the_canvas(capsys):
+    code, out = run_cli(["invariance", "--synthetic", "2", "--transform",
+                         "stroke-width", "--grid", "0,30"], capsys)
+    assert code == 0
+    _, alone = run_cli(["invariance", "--synthetic", "2", "--transform",
+                        "stroke-width", "--grid", "0"], capsys)
+    rows = csv_rows(out)
+    assert [r for r in rows if r["magnitude"] == "0.000000"] == csv_rows(alone)
+    for row in (r for r in rows if r["magnitude"] == "30.000000"):
+        assert (row["raw_mean"], row["normalized"]) == ("nan", "nan")
+        assert (row["samples_used"], row["samples_skipped"]) == ("0", "2")
+
+
 def test_bench_commands_demand_one_corpus_source(capsys):
-    with pytest.raises(SystemExit):
-        main(["sensitivity", "--error", "point-drift"])
-    with pytest.raises(SystemExit):
-        main(["sensitivity", "--synthetic", "4", "--corpus", "x",
-              "--error", "point-drift"])
+    for argv in (["sensitivity", "--error", "point-drift"],
+                 ["sensitivity", "--synthetic", "4", "--corpus", "x",
+                  "--error", "point-drift"],
+                 ["invariance", "--transform", "sample-rate"],
+                 ["invariance", "--synthetic", "4", "--corpus", "x",
+                  "--transform", "sample-rate"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == "error: give exactly one of --corpus or --synthetic"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["evaluate", "gt", "pred", "--metrics", "aiou,ldtw,aiou"],
+     "error: metric 'aiou' given twice"),
+    (["sensitivity", "--synthetic", "2", "--error", "point-drift", "--metrics", "aiou,aiou"],
+     "error: metric 'aiou' given twice"),
+    (["invariance", "--synthetic", "2", "--transform", "sample-rate", "--metrics", "dtw,dtw"],
+     "error: metric 'dtw' given twice"),
+    (["invariance", "--synthetic", "2", "--transform", "sample-rate", "--metrics", ""],
+     "error: empty metric selection"),
+])
+def test_metric_selection_rejects_repeats_and_empties(argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == message
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -267,6 +300,10 @@ def test_out_of_range_numeric_flags_fail_cleanly(argv, message, tmp_path, rng,
      "error: magnitude grid must be finite, got inf"),
     (["invariance", "--transform", "stroke-width", "--grid", "0,inf"],
      "error: magnitude grid must be finite, got inf"),
+    (["sensitivity", "--error", "stroke-insert", "--grid", "1,1.5,2", "--metrics", "ldtw"],
+     "error: stroke-insert count must be a whole number, got 1.5"),
+    (["invariance", "--transform", "stroke-width", "--grid", "0,0.5,1"],
+     "error: stroke-width dilation must be a whole number, got 0.5"),
 ])
 def test_bench_commands_reject_bad_grid_or_seed(argv, message):
     with pytest.raises(SystemExit) as exc:
