@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .error_sim import (ERROR_KINDS, change_sample_rate, drift_points, perturb,
-                        widen_strokes)
+from .error_sim import (ERROR_KINDS, _check_magnitude, change_sample_rate, drift_points,
+                        perturb, widen_strokes)
 from .glyph_metrics import aiou, iou
 from .raster import BinaryMask, DegenerateHistogramError, binarize, rasterize
 from .seq_metrics import dtw, rmse
@@ -141,21 +141,6 @@ def _aggregate(grid, metrics, per_sample: list, seed: int) -> list[CurveReport]:
     return reports
 
 
-# (test, demand) rules per kind, checked in order on each grid value.  Counts
-# and dilations are cast to int when used, so a fractional one is rejected.
-_COUNT_RULES = ((lambda v: 1 <= v < math.inf, "count must be finite and at least 1"),
-                (lambda v: float(v).is_integer(), "count must be a whole number"))
-_MAGNITUDE_RULES = {
-    "point-drift": ((lambda v: v > 0, "distance must be positive"),),
-    "stroke-drift": ((lambda v: v > 0, "distance must be positive"),),
-    "stroke-insert": _COUNT_RULES,
-    "stroke-delete": _COUNT_RULES,
-    "stroke-width": ((lambda v: v >= 0, "dilation must be non-negative"),
-                     (lambda v: float(v).is_integer(), "dilation must be a whole number")),
-    "sample-rate": ((lambda v: v > 0, "factor must be positive"),),
-}
-
-
 def _check_run_inputs(corpus, kind, grid):
     if not corpus:
         raise ValueError("corpus must be non-empty")
@@ -167,9 +152,7 @@ def _check_run_inputs(corpus, kind, grid):
     if list(grid) != sorted(grid):
         raise ValueError("magnitude grid must be ascending")
     for value in grid:
-        for test, demand in _MAGNITUDE_RULES[kind]:
-            if not test(value):
-                raise ValueError(f"{kind} {demand}, got {value}")
+        _check_magnitude(kind, value)
 
 
 def sensitivity_run(corpus, kind: str, grid=None, metrics=("aiou", "ldtw"),
@@ -235,13 +218,13 @@ def invariance_run(corpus, transform: str, grid=None, metrics=None, seed: int = 
             rows = []
             for k in grid:
                 try:
-                    gt_mask = binarize(widen_strokes(traj, int(k)))
+                    gt_mask = binarize(widen_strokes(traj, k))
                 except DegenerateHistogramError:  # the widened glyph fills the canvas
                     rows.append(dict.fromkeys(metrics))
                     continue
                 rows.append(score_pair(gt_mask, pred_mask, metrics, k_max)[0])
         else:
-            rows = [score_pair(traj, change_sample_rate(pred, float(factor)),
+            rows = [score_pair(traj, change_sample_rate(pred, factor),
                                metrics, k_max)[0] for factor in grid]
         per_sample.append(rows)
     return _aggregate(grid, metrics, per_sample, seed)

@@ -5,6 +5,8 @@ and scores each pair with `bench.score_pair`.  One handler, `cmd_curves`,
 serves `sensitivity` and `invariance` through the `bench` runner of the same
 name.  Everything runs serially in one process, and `bench._fmt` (CSV) and
 `bench._json_number` (JSON) write every number, so seeded output is stable.
+Handlers reject bad input by raising OSError or ValueError; only `main` turns
+one into an error line on stderr and exit status 1.
 """
 
 from __future__ import annotations
@@ -26,13 +28,12 @@ def _parse_metrics(spec: str) -> tuple[str, ...]:
     names = tuple(s.strip() for s in spec.split(",") if s.strip())
     for name in names:
         if name not in bench.METRICS:
-            raise SystemExit(
-                f"error: unknown metric {name!r}; choose from {','.join(bench.METRICS)}")
+            raise ValueError(f"unknown metric {name!r}; choose from {','.join(bench.METRICS)}")
     if not names:
-        raise SystemExit("error: empty metric selection")
+        raise ValueError("empty metric selection")
     for name in names:
         if names.count(name) > 1:
-            raise SystemExit(f"error: metric {name!r} given twice")
+            raise ValueError(f"metric {name!r} given twice")
     return names
 
 
@@ -40,9 +41,9 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
     try:
         values = tuple(float(s) for s in spec.split(",") if s.strip())
     except ValueError:
-        raise SystemExit(f"error: bad grid {spec!r}") from None
+        raise ValueError(f"bad grid {spec!r}") from None
     if not values:
-        raise SystemExit("error: empty grid")
+        raise ValueError("empty grid")
     return values
 
 
@@ -77,13 +78,9 @@ def _collect_pairs(gt_path: Path, pred_path: Path):
     if gt_path.is_file():
         return [(gt_path.stem, gt_path, pred_path)]
     pairs = []
-    try:
-        gt_files = sorted(p for p in gt_path.iterdir()
-                          if p.suffix in (".json", ".pgm"))
-    except OSError as exc:
-        raise SystemExit(f"error: {exc}") from None
+    gt_files = sorted(p for p in gt_path.iterdir() if p.suffix in (".json", ".pgm"))
     if not gt_files:
-        raise SystemExit(f"error: no trajectory or PGM files in {gt_path}")
+        raise ValueError(f"no trajectory or PGM files in {gt_path}")
     for gt_file in gt_files:
         pairs.append((gt_file.stem, gt_file, pred_path / (gt_file.stem + ".json")))
     return pairs
@@ -114,6 +111,11 @@ def _evaluate_pair(gt_file: Path, pred_file: Path, metrics, args) -> dict:
     return row
 
 
+def _csv_text(text) -> str:
+    """A free-text CSV cell: commas become semicolons so columns stay aligned."""
+    return str(text).replace(",", ";")
+
+
 def cmd_evaluate(args) -> int:
     metrics = _parse_metrics(args.metrics)
     pairs = _collect_pairs(Path(args.gt), Path(args.pred))
@@ -131,8 +133,8 @@ def cmd_evaluate(args) -> int:
     if args.format == "csv":
         lines = ["sample," + ",".join(metrics) + ",error"]
         for name, row in rows:
-            cells = [name] + [bench._fmt(row[m]) for m in metrics]
-            cells.append(str(row["error"]).replace(",", ";"))
+            cells = [_csv_text(name)] + [bench._fmt(row[m]) for m in metrics]
+            cells.append(_csv_text(row["error"]))
             lines.append(",".join(cells))
         for agg in ("mean", "median"):
             cells = [agg] + [bench._fmt(aggregates[m][agg]) for m in metrics] + [""]
@@ -155,13 +157,9 @@ def cmd_evaluate(args) -> int:
 
 def _load_corpus(args) -> list[Trajectory]:
     if (args.corpus is None) == (args.synthetic is None):
-        raise SystemExit("error: give exactly one of --corpus or --synthetic")
+        raise ValueError("give exactly one of --corpus or --synthetic")
     if args.synthetic is not None:
-        try:
-            return bench.make_synthetic_corpus(args.synthetic, seed=args.seed,
-                                               side=args.canvas)
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}") from None
+        return bench.make_synthetic_corpus(args.synthetic, seed=args.seed, side=args.canvas)
     corpus_dir = Path(args.corpus)
     files = sorted(corpus_dir.glob("*.json"))
     corpus = []
@@ -171,7 +169,7 @@ def _load_corpus(args) -> list[Trajectory]:
         except (OSError, ValueError) as exc:
             print(f"warning: skipping {f}: {exc}", file=sys.stderr)
     if not corpus:
-        raise SystemExit(f"error: no valid trajectory files in {corpus_dir}")
+        raise ValueError(f"no valid trajectory files in {corpus_dir}")
     return corpus
 
 
@@ -179,33 +177,22 @@ def cmd_curves(args) -> int:
     corpus = _load_corpus(args)
     grid = _parse_grid(args.grid) if args.grid else None
     metrics = _parse_metrics(args.metrics) if args.metrics is not None else None
-    try:
-        reports = getattr(bench, f"{args.command}_run")(
-            corpus, args.kind, grid=grid, metrics=metrics, seed=args.seed, k_max=args.kmax)
-    except ValueError as exc:  # input the run rejects before any work
-        raise SystemExit(f"error: {exc}") from None
+    reports = getattr(bench, f"{args.command}_run")(
+        corpus, args.kind, grid=grid, metrics=metrics, seed=args.seed, k_max=args.kmax)
     _write_out(bench.reports_to_csv(reports) if args.format == "csv"
                else bench.reports_to_json(reports), args.out)
     return 0
 
 
 def cmd_rasterize(args) -> int:
-    try:
-        mask = rasterize(load_trajectory(args.input), args.side)
-        write_mask_pgm(dilate3x3(mask, args.dilate), args.out)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    mask = rasterize(load_trajectory(args.input), args.side)
+    write_mask_pgm(dilate3x3(mask, args.dilate), args.out)
     return 0
 
 
 def cmd_convert(args) -> int:
-    try:
-        traj = load_trajectory(args.input)
-        save_trajectory(traj, args.out, form=args.to)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    traj = load_trajectory(args.input)
+    save_trajectory(traj, args.out, form=args.to)
     return 0
 
 
@@ -213,11 +200,8 @@ def _write_out(text: str, out) -> None:
     if out in (None, "-"):
         sys.stdout.write(text)
         return
-    try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise SystemExit(f"error: {exc}") from None
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def _int_at_least(low: int):
@@ -301,7 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:  # input or a path the command rejects
+        raise SystemExit(f"error: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -25,17 +25,40 @@ def _stroke_xy(traj: Trajectory) -> list[np.ndarray]:
     return [traj.xy[a:b] for a, b in stroke_bounds(traj)]
 
 
+# (test, demand) rules per kind, checked in order after finiteness.  Counts and
+# dilations are cast to int only once they pass, so 1.5 is never truncated.
+_COUNT_RULES = ((lambda v: v >= 1, "count must be finite and at least 1"),
+                (lambda v: float(v).is_integer(), "count must be a whole number"))
+_MAGNITUDE_RULES = {
+    "point-drift": ((lambda v: v > 0, "distance must be positive"),),
+    "stroke-drift": ((lambda v: v > 0, "distance must be positive"),),
+    "stroke-insert": _COUNT_RULES,
+    "stroke-delete": _COUNT_RULES,
+    "stroke-width": ((lambda v: v >= 0, "dilation must be non-negative"),
+                     (lambda v: float(v).is_integer(), "dilation must be a whole number")),
+    "sample-rate": ((lambda v: v > 0, "factor must be positive"),),
+}
+
+
+def _check_magnitude(kind: str, value) -> None:
+    """Raise ValueError unless `value` is a magnitude the named kind can take."""
+    if not math.isfinite(value):
+        raise ValueError(f"{kind} magnitude must be finite, got {value}")
+    for test, demand in _MAGNITUDE_RULES[kind]:
+        if not test(value):
+            raise ValueError(f"{kind} {demand}, got {value}")
+
+
 def insert_strokes(traj: Trajectory, k: int, seed: int) -> Trajectory:
     """Insert k copies of randomly chosen strokes at random canvas positions."""
-    if k < 1:
-        raise ValueError("insertion count must be at least 1")
+    _check_magnitude("stroke-insert", k)
     strokes = _stroke_xy(traj)
     if not strokes:
         raise ValueError("trajectory has no strokes to copy")
     side = traj.canvas_side
     rng = _rng(seed)
     out = list(strokes)
-    for _ in range(k):
+    for _ in range(int(k)):
         src = strokes[int(rng.integers(len(strokes)))]
         (min_x, min_y), (max_x, max_y) = src.min(axis=0).tolist(), src.max(axis=0).tolist()
         new_min_x = rng.uniform(0.0, max(side - 1 - (max_x - min_x), 0.0))
@@ -48,8 +71,8 @@ def insert_strokes(traj: Trajectory, k: int, seed: int) -> Trajectory:
 
 def delete_strokes(traj: Trajectory, k: int, seed: int) -> Trajectory:
     """Remove k uniformly chosen distinct strokes, keeping survivor order."""
-    if k < 1:
-        raise ValueError("deletion count must be at least 1")
+    _check_magnitude("stroke-delete", k)
+    k = int(k)
     strokes = _stroke_xy(traj)
     if k >= len(strokes):
         raise ValueError(
@@ -66,8 +89,7 @@ def drift_points(traj: Trajectory, d: float, seed: int,
 
     Displaced coordinates are clamped to the canvas; pen states are unchanged.
     """
-    if not (d > 0):
-        raise ValueError("drift distance must be positive")
+    _check_magnitude("point-drift", d)
     if not (0 < fraction <= 1):
         raise ValueError("fraction must lie in (0, 1]")
     rng = _rng(seed)
@@ -87,8 +109,7 @@ def drift_strokes(traj: Trajectory, d: float, seed: int) -> Trajectory:
     The translation is shortened per axis so the stroke's bounding box stays
     in canvas; within-stroke geometry is otherwise preserved exactly.
     """
-    if not (d > 0):
-        raise ValueError("drift distance must be positive")
+    _check_magnitude("stroke-drift", d)
     rng = _rng(seed)
     hi = traj.canvas_side - 1
     out = []
@@ -104,26 +125,25 @@ def drift_strokes(traj: Trajectory, d: float, seed: int) -> Trajectory:
 
 def widen_strokes(traj: Trajectory, k: int, side: int | None = None) -> GrayImage:
     """Render the trajectory k-times dilated as an ink-is-dark grayscale image."""
-    if k < 0:
-        raise ValueError("dilation count must be non-negative")
-    mask = dilate3x3(rasterize(traj, side), k)
+    _check_magnitude("stroke-width", k)
+    mask = dilate3x3(rasterize(traj, side), int(k))
     return mask_to_gray(mask, foreground=0, background=255)
 
 
 def change_sample_rate(traj: Trajectory, factor: float) -> Trajectory:
     """Vary the trajectory's point density; delegates to resample."""
+    _check_magnitude("sample-rate", factor)
     return resample(traj, factor)
 
 
-# kind name -> generator(traj, magnitude, seed), with the magnitude cast to
-# the generator's parameter type; the generators validate it.  The lambdas
-# look each generator up by name when called, so a rebound module attribute
-# is honoured.
+# kind name -> generator(traj, magnitude, seed); the generators validate the
+# magnitude.  The lambdas look each generator up by name when called, so a
+# rebound module attribute is honoured.
 ERROR_KINDS = {
-    "stroke-insert": lambda traj, m, seed: insert_strokes(traj, int(m), seed),
-    "stroke-delete": lambda traj, m, seed: delete_strokes(traj, int(m), seed),
-    "point-drift": lambda traj, m, seed: drift_points(traj, float(m), seed),
-    "stroke-drift": lambda traj, m, seed: drift_strokes(traj, float(m), seed),
+    "stroke-insert": lambda traj, m, seed: insert_strokes(traj, m, seed),
+    "stroke-delete": lambda traj, m, seed: delete_strokes(traj, m, seed),
+    "point-drift": lambda traj, m, seed: drift_points(traj, m, seed),
+    "stroke-drift": lambda traj, m, seed: drift_strokes(traj, m, seed),
 }
 
 

@@ -56,8 +56,8 @@ def softmin(values, gamma: float):
     values is a sequence of scalars, giving a float, or of same-shape arrays,
     giving their elementwise soft-min.  A minimum of +-inf is returned as is.
     """
-    if not (gamma > 0):
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     vals = np.asarray(list(values), dtype=float)
     if not len(vals):
         raise ValueError("softmin of an empty collection")
@@ -76,8 +76,8 @@ def _soft_dp(q: Trajectory, p: Trajectory, gamma: float):
     diagonals holds the flat bounds (a, b) of each anti-diagonal in fill
     order, as `seq_metrics._diagonals` gives them for hard DTW.
     """
-    if not (gamma > 0):
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     qc, pc = _coords(q), _coords(p)
     m, n = len(qc), len(pc)
     d = _sq_dist_table(qc, pc)

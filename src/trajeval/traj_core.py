@@ -262,9 +262,12 @@ def _canvas_side_of(obj) -> int:
     if not isinstance(canvas, (list, tuple)) or len(canvas) != 2:
         raise ValueError(f"canvas must be a [width, height] pair, got {canvas!r}")
     try:
-        return int(max(canvas))
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"canvas must hold two finite numbers, got {canvas!r}") from exc
+        sides = [float(v) for v in canvas]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"canvas must hold two finite whole numbers, got {canvas!r}") from exc
+    if not all(math.isfinite(v) and v.is_integer() for v in sides):
+        raise ValueError(f"canvas must hold two finite whole numbers, got {canvas!r}")
+    return int(max(sides))
 
 
 def trajectory_from_obj(obj) -> Trajectory:

@@ -64,6 +64,22 @@ def test_evaluate_directory_pairs_by_basename(sample_files, capsys):
         assert float(r["ldtw"]) > 0.0
 
 
+def test_evaluate_csv_keeps_columns_for_a_comma_in_the_sample_name(tmp_path, rng, capsys):
+    gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
+    gt_dir.mkdir()
+    pred_dir.mkdir()
+    traj = random_traj(rng)
+    save_trajectory(traj, gt_dir / "a,b.json")
+    save_trajectory(drift_points(traj, 1.5, seed=0), pred_dir / "a,b.json")
+    code, out = run_cli(["evaluate", str(gt_dir), str(pred_dir)], capsys)
+    assert code == 0
+    row = csv_rows(out)[0]
+    assert row["sample"] == "a;b" and row["error"] == "" and None not in row
+    assert 0.0 < float(row["aiou"]) <= 1.0 and float(row["ldtw"]) > 0.0
+    _, out = run_cli(["evaluate", str(gt_dir), str(pred_dir), "--format", "json"], capsys)
+    assert json.loads(out)["rows"][0]["sample"] == "a,b"
+
+
 def test_evaluate_aggregate_rows_are_consistent(sample_files, capsys):
     gt_dir, pred_dir = sample_files
     _, out = run_cli(["evaluate", str(gt_dir), str(pred_dir)], capsys)
@@ -345,17 +361,20 @@ def test_rasterize_dilate_flag(tmp_path, rng):
         dilate3x3(rasterize(traj), 2))
 
 
-def test_rasterize_reports_bad_input(tmp_path, capsys):
+def test_rasterize_reports_bad_input(tmp_path):
     (tmp_path / "bad.json").write_text("{not json")
-    code = main(["rasterize", str(tmp_path / "bad.json"), str(tmp_path / "o.pgm")])
-    assert code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["rasterize", str(tmp_path / "bad.json"), str(tmp_path / "o.pgm")])
+    assert exc.value.code == \
+        "error: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
 
 
-def test_rasterize_reports_unwritable_out_path(tmp_path, rng, capsys):
+def test_rasterize_reports_unwritable_out_path(tmp_path, rng):
     save_trajectory(random_traj(rng), tmp_path / "t.json")
     out = tmp_path / "no" / "such" / "t.pgm"
-    assert main(["rasterize", str(tmp_path / "t.json"), str(out), "--dilate", "1000000000"]) == 1
-    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["rasterize", str(tmp_path / "t.json"), str(out), "--dilate", "1000000000"])
+    assert exc.value.code == f"error: [Errno 2] No such file or directory: '{out}'"
 
 
 def test_convert_round_trip(tmp_path, rng):

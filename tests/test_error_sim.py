@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajeval import (change_sample_rate, delete_strokes, drift_points,
-                      drift_strokes, insert_strokes, perturb, rasterize,
-                      resample, strokes_of, widen_strokes)
+                      drift_strokes, insert_strokes, make_synthetic_corpus, perturb,
+                      rasterize, resample, strokes_of, widen_strokes)
+from trajeval.bench import DEFAULT_GRIDS, _check_run_inputs
 from trajeval.raster import dilate3x3
 
 from conftest import random_traj, traj_from_strokes
@@ -206,3 +209,55 @@ def test_error_kind_params_validate(rng):
                             ("point-drift", 0.0), ("stroke-drift", -2.0)):
         with pytest.raises(ValueError):
             perturb(traj, kind, magnitude, 5)
+
+
+# --- one magnitude rule for generators and runners ----------------------------
+
+_GLYPH = make_synthetic_corpus(1, seed=0)[0]
+
+
+def _generate(kind, traj, value):
+    if kind == "stroke-width":
+        return widen_strokes(traj, value)
+    if kind == "sample-rate":
+        return change_sample_rate(traj, value)
+    return perturb(traj, kind, value, 3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(DEFAULT_GRIDS)),
+       st.floats(-10, 10) | st.integers(-10, 10)
+       | st.sampled_from([math.inf, -math.inf, math.nan]))
+def test_generators_reject_exactly_the_magnitudes_the_runners_reject(kind, value):
+    try:
+        _check_run_inputs([_GLYPH], kind, (value,))
+        runner_rejects = False
+    except ValueError:
+        runner_rejects = True
+    try:
+        _generate(kind, _GLYPH, value)
+    except ValueError as exc:
+        if runner_rejects:
+            assert str(exc).startswith(f"{kind} ")
+        else:  # the one rejection a glyph, not the grid, decides
+            assert kind == "stroke-delete" and value >= len(strokes_of(_GLYPH))
+    else:
+        assert not runner_rejects
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda t: perturb(t, "stroke-insert", 1.5, 0),
+     "stroke-insert count must be a whole number, got 1.5"),
+    (lambda t: insert_strokes(t, 1.5, 0), "stroke-insert count must be a whole number, got 1.5"),
+    (lambda t: delete_strokes(t, 1.5, 0), "stroke-delete count must be a whole number, got 1.5"),
+    (lambda t: widen_strokes(t, 0.5), "stroke-width dilation must be a whole number, got 0.5"),
+    (lambda t: widen_strokes(t, math.nan), "stroke-width magnitude must be finite, got nan"),
+    (lambda t: perturb(t, "stroke-insert", math.inf, 0),
+     "stroke-insert magnitude must be finite, got inf"),
+    (lambda t: drift_points(t, math.inf, 0), "point-drift magnitude must be finite, got inf"),
+    (lambda t: change_sample_rate(t, -1), "sample-rate factor must be positive, got -1"),
+])
+def test_generators_name_the_kind_of_a_rejected_magnitude(call, message):
+    with pytest.raises(ValueError) as exc:
+        call(_GLYPH)
+    assert str(exc.value) == message

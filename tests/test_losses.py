@@ -67,6 +67,15 @@ def test_softmin_rejects_bad_inputs():
         softmin([1.0], gamma=0.0)
 
 
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, math.nan])
+def test_soft_dtw_rejects_gamma_that_is_not_positive_and_finite(gamma, rng):
+    q, p = random_traj(rng), random_traj(rng)
+    for call in (lambda: softmin([1.0, 2.0], gamma), lambda: sdtw(q, p, gamma),
+                 lambda: sdtw_grad(q, p, gamma)):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            call()
+
+
 def test_softmin_infinite_minimum_is_returned_as_is():
     assert softmin([math.inf, math.inf], gamma=1.0) == math.inf
     assert softmin([-math.inf, 2.0], gamma=1.0) == -math.inf

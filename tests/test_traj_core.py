@@ -342,10 +342,19 @@ def test_save_load_round_trip(tmp_path, rng):
     {"strokes": [[[None, 1]]]},                   # null coordinate
     {"strokes": [[[10 ** 400, 1]]]},              # coordinate too large for a float
     {"points": [{"x": 10 ** 400, "y": 0, "s": [1, 0, 0]}]},
+    {"canvas": [64.7, 64], "strokes": [[[1, 2]]]},           # fractional canvas side
+    {"canvas": [64, float("nan")], "strokes": [[[1, 2]]]},   # NaN canvas side
+    {"canvas": ["64", "1e400"], "strokes": [[[1, 2]]]},      # infinite side as text
 ])
 def test_rejects_malformed_objects(obj):
     with pytest.raises(ValueError):
         trajectory_from_obj(obj)
+
+
+def test_canvas_sides_are_compared_as_numbers():
+    obj = {"canvas": ["100", "64"], "strokes": [[[1, 2]]]}
+    assert trajectory_from_obj(obj).canvas_side == 100
+    assert trajectory_from_obj({"canvas": [64.0, 32], "strokes": [[[1, 2]]]}).canvas_side == 64
 
 
 _scalars = (st.none() | st.booleans() | st.text(max_size=4) | st.floats()
