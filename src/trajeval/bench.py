@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .error_sim import (ERROR_KINDS, _check_magnitude, change_sample_rate, drift_points,
-                        perturb, widen_strokes)
+from .error_sim import (ERROR_KINDS, _check_magnitude, _is_finite, change_sample_rate,
+                        drift_points, perturb)
 from .glyph_metrics import aiou, iou
-from .raster import BinaryMask, DegenerateHistogramError, binarize, rasterize
+from .raster import BinaryMask, dilate3x3, rasterize
 from .seq_metrics import dtw, rmse
 from .traj_core import DOWN, EOS, UP, Trajectory, normalize_to_canvas
 
@@ -147,7 +147,7 @@ def _check_run_inputs(corpus, kind, grid):
     if not grid:
         raise ValueError("magnitude grid must be non-empty")
     for value in grid:
-        if not math.isfinite(value):
+        if not _is_finite(value):
             raise ValueError(f"magnitude grid must be finite, got {value}")
     if list(grid) != sorted(grid):
         raise ValueError("magnitude grid must be ascending")
@@ -188,18 +188,16 @@ def sensitivity_run(corpus, kind: str, grid=None, metrics=("aiou", "ldtw"),
 
 
 def invariance_run(corpus, transform: str, grid=None, metrics=None, seed: int = 0,
-                   k_max: int = 10, base_drift: float | None = None) -> list[CurveReport]:
+                   k_max: int = 10) -> list[CurveReport]:
     """Nuisance-transform curves: stroke width (glyph metrics) or sample rate
     (sequence metrics).
 
     In sample-rate mode the prediction is the ground truth under a fixed base
-    point-drift (default 2 px) so sequence metrics start non-zero; in
-    stroke-width mode the default prediction is the clean trajectory, since
-    any misalignment couples the glyph scores to the width axis and masks the
-    adaptation effect being measured.  Pass base_drift explicitly to override
-    either default (0 keeps the prediction clean).  In stroke-width mode the
-    ground truth is the widened image, so sequence metrics are skipped; a
-    sample whose widened glyph fills the canvas is skipped at that width.
+    point-drift (2 px) so sequence metrics start non-zero.  In stroke-width
+    mode it is the clean glyph's mask, since any misalignment couples the
+    glyph scores to the width axis, and the ground truth is that mask dilated
+    k times (so sequence metrics are skipped).  A sample is skipped at a width
+    whose mask fills the canvas, and at every width if it cannot be rendered.
     """
     if transform not in INVARIANCE_TRANSFORMS:
         raise ValueError(
@@ -208,24 +206,25 @@ def invariance_run(corpus, transform: str, grid=None, metrics=None, seed: int = 
     _check_run_inputs(corpus, transform, grid)
     if metrics is None:
         metrics = GLYPH_METRICS if transform == "stroke-width" else ("dtw", "ldtw")
-    if base_drift is None:
-        base_drift = DEFAULT_BASE_DRIFT if transform == "sample-rate" else 0.0
     per_sample = []
     for i, traj in enumerate(corpus):
-        pred = drift_points(traj, base_drift, derive_seed(seed, i)) if base_drift > 0 else traj
-        if transform == "stroke-width":
-            pred_mask = rasterize(pred)
-            rows = []
-            for k in grid:
-                try:
-                    gt_mask = binarize(widen_strokes(traj, k))
-                except DegenerateHistogramError:  # the widened glyph fills the canvas
-                    rows.append(dict.fromkeys(metrics))
-                    continue
+        if transform == "sample-rate":
+            pred = drift_points(traj, DEFAULT_BASE_DRIFT, derive_seed(seed, i))
+            per_sample.append([score_pair(traj, change_sample_rate(pred, factor),
+                                          metrics, k_max)[0] for factor in grid])
+            continue
+        try:
+            pred_mask = gt_mask = rasterize(traj)
+        except ValueError:  # a point outside the canvas: no width can be scored
+            per_sample.append([dict.fromkeys(metrics) for _ in grid])
+            continue
+        rows, done = [], 0
+        for k in map(int, grid):  # exact: _check_run_inputs proved it whole, ascending
+            gt_mask, done = dilate3x3(gt_mask, k - done), k
+            if gt_mask.bits.all():  # the widened glyph fills the canvas
+                rows.append(dict.fromkeys(metrics))
+            else:
                 rows.append(score_pair(gt_mask, pred_mask, metrics, k_max)[0])
-        else:
-            rows = [score_pair(traj, change_sample_rate(pred, factor),
-                               metrics, k_max)[0] for factor in grid]
         per_sample.append(rows)
     return _aggregate(grid, metrics, per_sample, seed)
 

@@ -10,6 +10,7 @@ monotone sensitivity curves).
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -40,9 +41,14 @@ _MAGNITUDE_RULES = {
 }
 
 
+def _is_finite(value) -> bool:
+    """False for NaN, +-inf and an int beyond float range, where math.isfinite raises."""
+    return abs(value) <= sys.float_info.max
+
+
 def _check_magnitude(kind: str, value) -> None:
     """Raise ValueError unless `value` is a magnitude the named kind can take."""
-    if not math.isfinite(value):
+    if not _is_finite(value):
         raise ValueError(f"{kind} magnitude must be finite, got {value}")
     for test, demand in _MAGNITUDE_RULES[kind]:
         if not test(value):

@@ -8,14 +8,12 @@ The sweep stops at the first k where |g| / |g ∪ W_k| is at most the best IoU
 so far (W_k is the k-times-dilated prediction).  W_k only grows with k, so
 every later IoU is at most that bound, and correctly rounded division keeps
 the order in floating point; a later tie cannot change the smallest-argmax
-`best_k`.  The stop is exact.  `AiouResult.curve` still holds the whole
-k = 0..k_max sweep: it is finished from the last W_k when first read.
+`best_k`.  The stop is exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,25 +32,10 @@ def iou(g: BinaryMask, p: BinaryMask) -> float:
     return inter / union
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AiouResult:
     score: float
     best_k: int
-    # the sweep as far as aiou ran it, and what finishing it needs
-    _swept: tuple[float, ...] = field(repr=False)
-    _g: BinaryMask = field(repr=False)
-    _last: BinaryMask = field(repr=False)
-    _k_max: int = field(repr=False)
-
-    @cached_property
-    def curve(self) -> tuple[float, ...]:
-        """IoU at every k in 0..k_max; the part after the stop is computed
-        here, on first read, from the last dilated mask."""
-        curve, widened = list(self._swept), self._last
-        for _ in range(len(curve), self._k_max + 1):
-            widened = dilate3x3(widened, 1)
-            curve.append(iou(self._g, widened))
-        return tuple(curve)
 
 
 def aiou(g: BinaryMask, p: BinaryMask, k_max: int = 10) -> AiouResult:
@@ -61,20 +44,20 @@ def aiou(g: BinaryMask, p: BinaryMask, k_max: int = 10) -> AiouResult:
     best_k is the smallest k attaining the maximum.  The sweep stops once
     |g| / |g ∪ W_k| is at most the best IoU so far, or at k = 0 for an empty
     prediction (which no dilation changes); no later k could then win, so
-    score and best_k equal the full sweep's.  `curve` is the full sweep,
-    finished on first read.
+    score and best_k equal the full sweep's.
     """
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
     g_count = np.count_nonzero(g.bits)
     empty_p = not p.bits.any()
-    curve, best = [], 0.0
+    best, best_k = 0.0, 0
     widened = p
     for k in range(k_max + 1):
         if k > 0:
             widened = dilate3x3(widened, 1)
-        curve.append(iou(g, widened))
-        best = max(best, curve[-1])
+        score = iou(g, widened)
+        if score > best:  # strictly greater: the smallest k keeps a tie
+            best, best_k = score, k
         if empty_p or g_count / np.count_nonzero(g.bits | widened.bits) <= best:
             break
-    return AiouResult(best, curve.index(best), tuple(curve), g, widened, k_max)
+    return AiouResult(best, best_k)

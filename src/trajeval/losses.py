@@ -134,17 +134,15 @@ def l1_loss(pred, gt: Trajectory) -> float:
     return total / len(pred)
 
 
-def wce_loss(pred, gt: Trajectory, weights=(1.0, 5.0, 1.0)) -> float:
-    """Class-weighted cross-entropy over pen states, mean per point."""
+def wce_loss(pred, gt: Trajectory, w: LossWeights = LossWeights()) -> float:
+    """Cross-entropy over pen states weighted by w.class_weights, mean per point."""
     if len(pred) != len(gt):
         raise ValueError(f"length mismatch: {len(pred)} predictions vs "
                          f"{len(gt)} ground-truth points")
-    if len(weights) != 3:
-        raise ValueError("weights must cover the 3 pen-state classes")
     total = 0.0
     for pp, cls in zip(pred, gt.state.tolist()):
         prob = max(pp.state_probs[cls], _PROB_FLOOR)
-        total += -weights[cls] * math.log(prob)
+        total += -w.class_weights[cls] * math.log(prob)
     return total / len(pred)
 
 

@@ -183,6 +183,8 @@ def normalize_to_canvas(traj: Trajectory, side: int | None = None) -> Trajectory
     if side <= 1:
         raise ValueError("side must be at least 2")
     drawn = traj.drawn_xy()
+    if not len(drawn):
+        raise ValueError("trajectory has no drawn points to normalize")
     lo, hi = drawn.min(axis=0), drawn.max(axis=0)
     span = max(hi[0] - lo[0], hi[1] - lo[1])
     if span == 0.0:

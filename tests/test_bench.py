@@ -8,12 +8,13 @@ import math
 import numpy as np
 import pytest
 
-from trajeval import (CurveReport, OutOfCanvasError, aiou, dtw, invariance_run,
-                      make_synthetic_corpus, normalize_curve, rasterize,
-                      reports_to_csv, reports_to_json, score_pair,
-                      sensitivity_run, strokes_of)
+from trajeval import (CurveReport, DegenerateHistogramError, OutOfCanvasError, Trajectory,
+                      aiou, binarize, dtw, invariance_run, make_synthetic_corpus,
+                      normalize_curve, rasterize, reports_to_csv, reports_to_json,
+                      score_pair, sensitivity_run, strokes_of, widen_strokes)
 from trajeval import bench
 from trajeval.bench import DEFAULT_GRIDS, derive_seed
+from trajeval.traj_core import EOS
 
 from conftest import traj_from_strokes
 
@@ -159,6 +160,7 @@ def test_sensitivity_validates_inputs(corpus):
     ("stroke-delete", (0, 1), "stroke-delete count must be finite and at least 1, got 0"),
     ("stroke-insert", (1, 1.5, 2), "stroke-insert count must be a whole number, got 1.5"),
     ("stroke-delete", (1.0, 2.5), "stroke-delete count must be a whole number, got 2.5"),
+    ("stroke-drift", (1, -10**400), f"magnitude grid must be finite, got {-10**400}"),
 ])
 def test_sensitivity_rejects_magnitudes_no_glyph_can_take(corpus, kind, grid, message):
     with pytest.raises(ValueError) as exc:
@@ -183,16 +185,8 @@ def test_invariance_sample_rate_mode_defaults_to_sequence_metrics(corpus):
     assert all(v > 0 for v in by["dtw"].raw_mean)  # base drift keeps it nonzero
 
 
-def test_invariance_base_drift_override(corpus):
-    clean = invariance_run(corpus, "sample-rate", seed=3, base_drift=0.0)
-    by = {r.metric: r for r in clean}
-    # identical trajectories at factor 1: zero alignment cost
-    f1 = by["dtw"].grid.index(1.0)
-    assert by["dtw"].raw_mean[f1] == pytest.approx(0.0)
-
-
-def test_invariance_skips_a_width_that_fills_the_canvas(corpus, monkeypatch):
-    # a 63-step dilation of any pixel covers the 64-px canvas: nothing to binarize
+def test_invariance_skips_a_width_that_fills_the_canvas(corpus):
+    # a 63-step dilation of any pixel covers the 64-px canvas: no background left
     by_width = {r.metric: r for r in invariance_run(corpus, "stroke-width", grid=(0, 63))}
     alone = {r.metric: r for r in invariance_run(corpus, "stroke-width", grid=(0,))}
     for name, rep in by_width.items():
@@ -200,12 +194,55 @@ def test_invariance_skips_a_width_that_fills_the_canvas(corpus, monkeypatch):
         assert rep.samples_used == (len(corpus), 0)
         assert rep.samples_skipped == (0, len(corpus))
         assert math.isnan(rep.raw_mean[1])
-    # any other binarize failure is a fault, not a skipped sample
-    def fail(image):
-        raise ValueError("not a degenerate histogram")
-    monkeypatch.setattr(bench, "binarize", fail)
-    with pytest.raises(ValueError, match="not a degenerate histogram"):
-        invariance_run(corpus, "stroke-width", grid=(0,))
+
+
+def test_invariance_skips_a_glyph_outside_the_canvas_at_every_width(corpus):
+    outside = traj_from_strokes([[(10, 10), (70, 20), (30, 30)]])
+    with_it = invariance_run(corpus[:3] + [outside], "stroke-width", grid=(0, 1))
+    without = invariance_run(corpus[:3], "stroke-width", grid=(0, 1))
+    for rep, want in zip(with_it, without):
+        assert rep.raw_mean == want.raw_mean
+        assert rep.samples_used == (3, 3)
+        assert rep.samples_skipped == (1, 1)
+
+
+def invariance_width_reference(corpus, grid, metrics, seed, k_max):
+    """The stroke-width runner as a four-step reference: per width, render and
+    dilate the glyph with widen_strokes, Otsu-binarize that image, and score
+    the clean glyph against it; a degenerate histogram is a skipped sample."""
+    per_sample = []
+    for traj in corpus:
+        pred_mask = rasterize(traj)
+        rows = []
+        for k in grid:
+            try:
+                gt_mask = binarize(widen_strokes(traj, k))
+            except DegenerateHistogramError:
+                rows.append(dict.fromkeys(metrics))
+                continue
+            rows.append(score_pair(gt_mask, pred_mask, metrics, k_max)[0])
+        per_sample.append(rows)
+    return bench._aggregate(grid, metrics, per_sample, seed)
+
+
+def test_invariance_width_mode_matches_the_binarized_reference():
+    rng = np.random.Generator(np.random.PCG64(10))
+    for case in range(40):
+        side = int(rng.integers(9, 65))
+        corpus = make_synthetic_corpus(int(rng.integers(1, 4)), seed=case, side=side)
+        if case % 4 == 0:  # a glyph with no drawn points renders an empty mask
+            corpus.append(Trajectory.from_arrays([(1.0, 1.0)], [EOS], side))
+        widths = rng.integers(0, side + 6, size=int(rng.integers(1, 6)))
+        grid = sorted([0, *widths.tolist(), *widths[:1].tolist()])  # 0 and a repeat
+        if case % 2:
+            grid = [float(k) for k in grid]
+        metrics = ("aiou", "iou", "ldtw")[:int(rng.integers(1, 4))]
+        k_max = int(rng.choice([0, 3, 10]))
+        got = invariance_run(corpus, "stroke-width", grid=grid, metrics=metrics,
+                             seed=case, k_max=k_max)
+        want = invariance_width_reference(corpus, tuple(grid), metrics, case, k_max)
+        assert reports_to_csv(got) == reports_to_csv(want)
+        assert reports_to_json(got) == reports_to_json(want)
 
 
 def test_invariance_rejects_unknown_transform(corpus):

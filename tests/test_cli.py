@@ -8,8 +8,8 @@ import json
 import numpy as np
 import pytest
 
-from trajeval import (load_trajectory, rasterize, read_mask_pgm,
-                      save_trajectory, write_pgm)
+from trajeval import (load_trajectory, make_synthetic_corpus, rasterize,
+                      read_mask_pgm, save_trajectory, write_pgm)
 from trajeval.cli import main
 from trajeval.error_sim import drift_points, widen_strokes
 
@@ -236,6 +236,21 @@ def test_invariance_skips_a_width_that_fills_the_canvas(capsys):
     for row in (r for r in rows if r["magnitude"] == "30.000000"):
         assert (row["raw_mean"], row["normalized"]) == ("nan", "nan")
         assert (row["samples_used"], row["samples_skipped"]) == ("0", "2")
+
+
+def test_curve_commands_skip_a_corpus_glyph_outside_the_canvas(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for i, traj in enumerate(make_synthetic_corpus(3, seed=0)):
+        save_trajectory(traj, corpus / f"{i}.json")
+    (corpus / "out.json").write_text(json.dumps(
+        {"canvas": [64, 64], "strokes": [[[10, 10], [70, 20], [30, 30]]]}))
+    for argv in (["sensitivity", "--error", "point-drift", "--grid", "1,2"],
+                 ["invariance", "--transform", "stroke-width", "--grid", "0,1"]):
+        code, out = run_cli([*argv, "--corpus", str(corpus), "--metrics", "aiou"], capsys)
+        assert code == 0
+        assert [(r["samples_used"], r["samples_skipped"]) for r in csv_rows(out)] == \
+            [("3", "1"), ("3", "1")]
 
 
 def test_bench_commands_demand_one_corpus_source(capsys):

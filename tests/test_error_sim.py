@@ -227,7 +227,7 @@ def _generate(kind, traj, value):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(sorted(DEFAULT_GRIDS)),
        st.floats(-10, 10) | st.integers(-10, 10)
-       | st.sampled_from([math.inf, -math.inf, math.nan]))
+       | st.sampled_from([math.inf, -math.inf, math.nan, 10**400, -10**400]))
 def test_generators_reject_exactly_the_magnitudes_the_runners_reject(kind, value):
     try:
         _check_run_inputs([_GLYPH], kind, (value,))
@@ -255,6 +255,8 @@ def test_generators_reject_exactly_the_magnitudes_the_runners_reject(kind, value
     (lambda t: perturb(t, "stroke-insert", math.inf, 0),
      "stroke-insert magnitude must be finite, got inf"),
     (lambda t: drift_points(t, math.inf, 0), "point-drift magnitude must be finite, got inf"),
+    (lambda t: perturb(t, "stroke-insert", 10**400, 0),
+     f"stroke-insert magnitude must be finite, got {10**400}"),
     (lambda t: change_sample_rate(t, -1), "sample-rate factor must be positive, got -1"),
 ])
 def test_generators_name_the_kind_of_a_rejected_magnitude(call, message):

@@ -50,7 +50,6 @@ def test_aiou_matches_brute_force_sweep(rng):
         p = rasterize(drift_points(gt, 2.0, int(rng.integers(1 << 30))))
         result = aiou(g, p, k_max=6)
         sweep = [iou_oracle(g.bits, dilate3x3(p, k).bits) for k in range(7)]
-        assert result.curve == pytest.approx(tuple(sweep))
         assert result.score == pytest.approx(max(sweep))
         assert result.best_k == sweep.index(max(sweep))
 
@@ -71,7 +70,7 @@ def test_aiou_best_k_is_smallest_argmax():
     result = aiou(g, p, k_max=8)
     assert result.score == 1.0
     assert result.best_k == 3
-    assert result.curve[result.best_k + 1] == 1.0  # later ties exist
+    assert iou(g, dilate3x3(p, 4)) == 1.0  # later ties exist
 
 
 def test_aiou_k_max_zero_equals_plain_iou(rng):

@@ -239,6 +239,12 @@ def test_wce_uniform_probs_give_weighted_log3():
     assert wce_loss(uniform_pred(gt2), gt2) == pytest.approx(1.0 * math.log(3.0))
 
 
+def test_wce_reads_the_class_weights_of_loss_weights():
+    gt = Trajectory((TrajPoint(0, 0, PenState.UP),))
+    flat = LossWeights(class_weights=(1, 1, 1))
+    assert wce_loss(uniform_pred(gt), gt, flat) == pytest.approx(math.log(3.0))
+
+
 def test_wce_confident_correct_prediction_is_near_zero():
     gt = Trajectory((TrajPoint(0, 0, PenState.DOWN),))
     pred = [PredictedPoint(0, 0, (1.0 - 2e-7, 1e-7, 1e-7))]

@@ -179,6 +179,13 @@ def test_normalize_rejects_tiny_canvas():
         normalize_to_canvas(traj, 1)
 
 
+def test_normalize_names_a_trajectory_with_no_drawn_points():
+    traj = Trajectory((TrajPoint(1, 1, PenState.EOS),), canvas_side=64)
+    with pytest.raises(ValueError) as exc:
+        normalize_to_canvas(traj)
+    assert str(exc.value) == "trajectory has no drawn points to normalize"
+
+
 # --- dedupe / downsample / resample ------------------------------------------
 
 def test_dedupe_collapses_same_pixel_runs():
