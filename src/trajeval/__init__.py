@@ -13,7 +13,7 @@ from .raster import (BinaryMask, DegenerateHistogramError, GrayImage,
                      OutOfCanvasError, binarize, dilate3x3, otsu_threshold,
                      rasterize, read_mask_pgm, read_pgm, write_mask_pgm, write_pgm)
 from .glyph_metrics import AiouResult, aiou, iou
-from .seq_metrics import AlignmentPath, DtwResult, dtw, ldtw, rmse
+from .seq_metrics import AlignmentPath, DtwResult, dtw, dtw_many, ldtw, rmse
 from .losses import (LossWeights, PredictedPoint, l1_loss, sdtw, sdtw_grad,
                      softmin, total_loss, wce_loss)
 from .error_sim import (ERROR_KINDS, change_sample_rate, delete_strokes,

@@ -19,11 +19,12 @@ from .error_sim import (ERROR_KINDS, _check_magnitude, _is_finite, change_sample
                         drift_points, perturb)
 from .glyph_metrics import aiou, iou
 from .raster import BinaryMask, dilate3x3, rasterize
-from .seq_metrics import dtw, rmse
+from .seq_metrics import DtwResult, dtw, dtw_many, rmse
 from .traj_core import DOWN, EOS, UP, Trajectory, normalize_to_canvas
 
 GLYPH_METRICS = ("aiou", "iou")
-METRICS = GLYPH_METRICS + ("ldtw", "dtw", "rmse")
+DTW_METRICS = ("ldtw", "dtw")
+METRICS = GLYPH_METRICS + DTW_METRICS + ("rmse",)
 SENSITIVITY_KINDS = tuple(ERROR_KINDS)
 INVARIANCE_TRANSFORMS = ("stroke-width", "sample-rate")
 
@@ -73,7 +74,8 @@ def derive_seed(seed: int, index: int) -> int:
 
 def score_pair(gt, pred, metrics, k_max: int = 10, side: int | None = None,
                gt_mask: BinaryMask | None = None,
-               rmse_pred: Trajectory | None = None) -> tuple[dict, dict]:
+               rmse_pred: Trajectory | None = None,
+               dtw_result: DtwResult | ValueError | None = None) -> tuple[dict, dict]:
     """Score one (ground truth, prediction) pair on each named metric.
 
     gt and pred are trajectories or binary masks; a mask ground truth (a PGM
@@ -82,7 +84,8 @@ def score_pair(gt, pred, metrics, k_max: int = 10, side: int | None = None,
     trajectory's canvas; a mask ground truth sets it); with no glyph metric
     nothing is rendered.  gt_mask is gt already rendered, for callers that
     score many predictions against one ground truth; rmse_pred, if given,
-    replaces pred for RMSE.
+    replaces pred for RMSE; dtw_result is `dtw(gt, pred)` from a `dtw_many`
+    batch, or the ValueError that batch gave for the pair.
 
     Returns (values, errors) keyed by metric in metric order: a metric that
     raises ValueError gets value None and its exception in errors, and
@@ -94,7 +97,7 @@ def score_pair(gt, pred, metrics, k_max: int = 10, side: int | None = None,
         side = gt_mask.width
     values: dict[str, float | None] = {}
     errors: dict[str, ValueError] = {}
-    pred_mask = dtw_result = None
+    pred_mask = None
     for name in metrics:
         try:
             if name in GLYPH_METRICS:
@@ -104,11 +107,13 @@ def score_pair(gt, pred, metrics, k_max: int = 10, side: int | None = None,
                     gt_mask = rasterize(gt, side)
                 values[name] = (aiou(gt_mask, pred_mask, k_max).score if name == "aiou"
                                 else iou(gt_mask, pred_mask))
-            elif name in ("dtw", "ldtw"):
+            elif name in DTW_METRICS:
                 if gt is None:
                     raise ValueError("sequence metrics need a trajectory ground truth")
                 if dtw_result is None:
                     dtw_result = dtw(gt, pred)
+                if isinstance(dtw_result, ValueError):
+                    raise dtw_result
                 values[name] = dtw_result.cost if name == "dtw" else dtw_result.ldtw
             elif name == "rmse":
                 if gt is None:
@@ -155,6 +160,32 @@ def _check_run_inputs(corpus, kind, grid):
         _check_magnitude(kind, value)
 
 
+def _score_sweep(corpus, preds, metrics, k_max) -> list:
+    """Score each glyph against its row of predictions, one per magnitude.
+
+    A None prediction is a sample skipped at that magnitude.  Each ground
+    truth is rendered once, and every pair's DTW comes from one `dtw_many`
+    batch for the whole sweep, handed back in the order the pairs were given.
+    """
+    results = iter(())
+    if any(name in DTW_METRICS for name in metrics):
+        results = iter(dtw_many([(traj, pred) for traj, row in zip(corpus, preds)
+                                 for pred in row if pred is not None]))
+    glyph = any(name in GLYPH_METRICS for name in metrics)
+    per_sample = []
+    for traj, row in zip(corpus, preds):
+        try:
+            gt_mask = rasterize(traj) if glyph else None
+        except ValueError:
+            gt_mask = None  # score_pair meets the same error and skips the metric
+        per_sample.append([
+            dict.fromkeys(metrics) if pred is None else
+            score_pair(traj, pred, metrics, k_max, gt_mask=gt_mask,
+                       dtw_result=next(results, None))[0]
+            for pred in row])
+    return per_sample
+
+
 def sensitivity_run(corpus, kind: str, grid=None, metrics=("aiou", "ldtw"),
                     seed: int = 0, k_max: int = 10) -> list[CurveReport]:
     """Error-sensitivity curves: mean metric value per error magnitude.
@@ -167,24 +198,17 @@ def sensitivity_run(corpus, kind: str, grid=None, metrics=("aiou", "ldtw"),
         raise ValueError(f"unknown error kind {kind!r}; expected one of {SENSITIVITY_KINDS}")
     grid = tuple(grid if grid is not None else DEFAULT_GRIDS[kind])
     _check_run_inputs(corpus, kind, grid)
-    glyph = any(name in GLYPH_METRICS for name in metrics)
-    per_sample = []
+    preds = []
     for i, traj in enumerate(corpus):
         sseed = derive_seed(seed, i)
-        try:
-            gt_mask = rasterize(traj) if glyph else None
-        except ValueError:
-            gt_mask = None  # score_pair meets the same error and skips the metric
-        rows = []
+        row = []
         for magnitude in grid:
             try:
-                pred = perturb(traj, kind, magnitude, sseed)
+                row.append(perturb(traj, kind, magnitude, sseed))
             except ValueError:
-                rows.append(dict.fromkeys(metrics))
-                continue
-            rows.append(score_pair(traj, pred, metrics, k_max, gt_mask=gt_mask)[0])
-        per_sample.append(rows)
-    return _aggregate(grid, metrics, per_sample, seed)
+                row.append(None)
+        preds.append(row)
+    return _aggregate(grid, metrics, _score_sweep(corpus, preds, metrics, k_max), seed)
 
 
 def invariance_run(corpus, transform: str, grid=None, metrics=None, seed: int = 0,
@@ -206,13 +230,13 @@ def invariance_run(corpus, transform: str, grid=None, metrics=None, seed: int = 
     _check_run_inputs(corpus, transform, grid)
     if metrics is None:
         metrics = GLYPH_METRICS if transform == "stroke-width" else ("dtw", "ldtw")
+    if transform == "sample-rate":
+        drifted = [drift_points(traj, DEFAULT_BASE_DRIFT, derive_seed(seed, i))
+                   for i, traj in enumerate(corpus)]
+        preds = [[change_sample_rate(pred, factor) for factor in grid] for pred in drifted]
+        return _aggregate(grid, metrics, _score_sweep(corpus, preds, metrics, k_max), seed)
     per_sample = []
-    for i, traj in enumerate(corpus):
-        if transform == "sample-rate":
-            pred = drift_points(traj, DEFAULT_BASE_DRIFT, derive_seed(seed, i))
-            per_sample.append([score_pair(traj, change_sample_rate(pred, factor),
-                                          metrics, k_max)[0] for factor in grid])
-            continue
+    for traj in corpus:
         try:
             pred_mask = gt_mask = rasterize(traj)
         except ValueError:  # a point outside the canvas: no width can be scored

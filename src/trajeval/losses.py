@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .traj_core import Trajectory
-from .seq_metrics import _coords, _diagonals, _sq_dist_table
+from .seq_metrics import _coords, _diagonals
 
 _PROB_FLOOR = 1e-12
 
@@ -66,6 +66,19 @@ def softmin(values, gamma: float):
         out = np.where(np.isinf(lo), lo,
                        lo - gamma * np.log(np.exp(-(vals - lo) / gamma).sum(axis=0)))
     return float(out) if out.ndim == 0 else out
+
+
+def _sq_dist_table(qc: np.ndarray, pc: np.ndarray) -> np.ndarray:
+    """Squared distances |q_i - p_j|^2 at cell (i, j), 1-based, of a zero-padded
+    (m+2, n+2) table: the layout that `seq_metrics._diagonals` walks."""
+    m, n = len(qc), len(pc)
+    dx = qc[:, 0, None] - pc[None, :, 0]
+    dy = qc[:, 1, None] - pc[None, :, 1]
+    dx *= dx
+    dy *= dy
+    d = np.zeros((m + 2, n + 2))
+    np.add(dx, dy, out=d[1:m + 1, 1:n + 1])
+    return d
 
 
 def _soft_dp(q: Trajectory, p: Trajectory, gamma: float):

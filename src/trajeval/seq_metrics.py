@@ -1,5 +1,8 @@
 """Writing-order metrics: DTW with an explicit alignment path, LDTW, RMSE.
 
+`dtw_many` aligns a batch of pairs with one anti-diagonal sweep per chunk of
+them; `dtw` is a batch of one.
+
 Distances are Euclidean over (x, y) only; pen states never enter the
 distance, and the end-of-sequence marker is stripped before alignment.
 """
@@ -53,19 +56,6 @@ def _coords(traj: Trajectory) -> np.ndarray:
     return xy
 
 
-def _sq_dist_table(qc: np.ndarray, pc: np.ndarray) -> np.ndarray:
-    """Squared distances |q_i - p_j|^2 at cell (i, j), 1-based, of a zero-padded
-    (m+2, n+2) table: the layout that `_diagonals` walks."""
-    m, n = len(qc), len(pc)
-    dx = qc[:, 0, None] - pc[None, :, 0]
-    dy = qc[:, 1, None] - pc[None, :, 1]
-    dx *= dx
-    dy *= dy
-    d = np.zeros((m + 2, n + 2))
-    np.add(dx, dy, out=d[1:m + 1, 1:n + 1])
-    return d
-
-
 def _diagonals(m: int, n: int) -> list[tuple[int, int]]:
     """Flat bounds (a, b) of each anti-diagonal i + j = s, s = 2 .. m+n, of a
     flattened (m+2, n+2) table, in fill order.
@@ -73,36 +63,60 @@ def _diagonals(m: int, n: int) -> list[tuple[int, int]]:
     The diagonal's cells are the strided slice a:b:n+1; a cell's diagonal, up
     and left predecessors lie n+3, n+2 and 1 flat cells before it.
     """
-    bounds = []
-    for s in range(2, m + n + 1):
-        i0, i1 = max(1, s - n), min(m, s - 1)
-        # flat indices of cells (i0, s - i0) and one past (i1, s - i1)
-        bounds.append((i0 * (n + 1) + s, i1 * (n + 1) + s + 1))
-    return bounds
+    s = np.arange(2, m + n + 1)
+    # flat indices of cells (i0, s - i0) and one past (i1, s - i1)
+    a = np.maximum(1, s - n) * (n + 1) + s
+    b = np.minimum(m, s - 1) * (n + 1) + s + 1
+    return list(zip(a.tolist(), b.tolist()))
 
 
-def dtw(q: Trajectory, p: Trajectory) -> DtwResult:
-    """Globally optimal alignment cost and one achieving path.
+# Cells of one chunk's stacked table.  It bounds a batch's working memory (the
+# table and one temporary, 512 KiB in all) while a chunk still holds about a
+# dozen of the sweeps' 50-point pairs; 2^16 was barely faster and held more.
+_CHUNK_CELLS = 1 << 15
 
-    The accumulated-cost table is filled one anti-diagonal at a time; min is
-    exact and each cell adds the same two doubles as a row-by-row fill, so the
-    cost and the path do not depend on the fill order.  Ties during
-    backtracking prefer the diagonal step, then the q-advance, then the
-    p-advance, which pins the path length T (and hence LDTW).
+
+def _forward(coords) -> np.ndarray:
+    """Accumulated-cost tables of a chunk of (qc, pc) pairs, filled by one
+    anti-diagonal sweep for all of them.
+
+    Slice [:, :, g] of the (M+2, N+2, G) result is pair g's table: q's point
+    i and p's point j at cell (i, j), 1-based, under an infinite border row
+    and column 0.  Shorter pairs are zero-padded to M x N; a padded cell is
+    filled but never read, since no cell of a pair's own table depends on it.
+    The pair index is the last axis, so each diagonal's G cells are adjacent.
     """
-    qc, pc = _coords(q), _coords(p)
-    m, n = len(qc), len(pc)
-    d = _sq_dist_table(qc, pc)
-    np.sqrt(d, out=d)
-    r = np.full((m + 2, n + 2), math.inf)
+    g_count = len(coords)
+    m = max(len(qc) for qc, _ in coords)
+    n = max(len(pc) for _, pc in coords)
+    qs, ps = np.zeros((m, g_count, 2)), np.zeros((n, g_count, 2))
+    for g, (qc, pc) in enumerate(coords):
+        qs[:len(qc), g], ps[:len(pc), g] = qc, pc
+    # the distances fill r's interior, and each diagonal adds its predecessors'
+    # minimum to them in place: the same two doubles as a separate distance table
+    r = np.full((m + 2, n + 2, g_count), math.inf)
     r[0, 0] = 0.0
-    fd, fr, w = d.ravel(), r.ravel(), n + 2
-    scratch = np.empty(min(m, n))
+    d = r[1:m + 1, 1:n + 1]
+    np.subtract(qs[:, None, :, 0], ps[None, :, :, 0], out=d)
+    d *= d
+    dy = qs[:, None, :, 1] - ps[None, :, :, 1]
+    dy *= dy
+    d += dy
+    np.sqrt(d, out=d)
+    cell = (g_count,) if g_count > 1 else ()  # a lone pair walks 1-D views: fewer numpy strides
+    fr, w = r.reshape((-1,) + cell), n + 2
+    scratch = np.empty((min(m, n),) + cell)
     for a, b in _diagonals(m, n):
         pred = scratch[:(b - a + n) // (n + 1)]  # one entry per cell of the diagonal
         np.minimum(fr[a - w:b - w:n + 1], fr[a - 1:b - 1:n + 1], out=pred)
         np.minimum(pred, fr[a - w - 1:b - w - 1:n + 1], out=pred)
-        np.add(pred, fd[a:b:n + 1], out=fr[a:b:n + 1])
+        cells = fr[a:b:n + 1]
+        np.add(cells, pred, out=cells)
+    return r
+
+
+def _backtrack(table: np.ndarray, m: int, n: int) -> DtwResult:
+    """Cost and tie-broken path of the pair whose filled table is `table`."""
     pairs = [(m, n)]
     i, j = m, n
     while i > 1 or j > 1:
@@ -111,8 +125,8 @@ def dtw(q: Trajectory, p: Trajectory) -> DtwResult:
         elif j == 1:
             i -= 1
         else:
-            k = i * w + j
-            diag, up, left = fr.item(k - w - 1), fr.item(k - w), fr.item(k - 1)
+            diag, up, left = (table.item(i - 1, j - 1), table.item(i - 1, j),
+                              table.item(i, j - 1))
             best = min(diag, up, left)
             if diag == best:
                 i -= 1
@@ -123,7 +137,59 @@ def dtw(q: Trajectory, p: Trajectory) -> DtwResult:
                 j -= 1
         pairs.append((i, j))
     pairs.reverse()
-    return DtwResult(cost=r.item(m, n), path=AlignmentPath(tuple(pairs)))
+    return DtwResult(cost=table.item(m, n), path=AlignmentPath(tuple(pairs)))
+
+
+def dtw_many(pairs) -> list[DtwResult | ValueError]:
+    """`dtw` of each (q, p) pair, in input order; a pair that `dtw` rejects
+    gets the ValueError that `dtw` would raise in its place.
+
+    The pairs are sorted by (m, n) and cut into chunks of at most
+    `_CHUNK_CELLS` stacked cells (a larger pair is a chunk of its own); each
+    chunk is one anti-diagonal sweep, so the per-diagonal numpy calls are
+    shared by the whole chunk.  Every pair's table is bit-identical to the one
+    it would get alone.
+    """
+    out: list[DtwResult | ValueError | None] = [None] * len(pairs)
+    jobs = []
+    for index, (q, p) in enumerate(pairs):
+        try:
+            qc, pc = _coords(q), _coords(p)
+        except ValueError as exc:
+            out[index] = exc
+            continue
+        jobs.append((len(qc), len(pc), index, qc, pc))
+    jobs.sort(key=lambda job: job[:2])
+    start = 0
+    while start < len(jobs):
+        stop, n_max = start + 1, jobs[start][1]
+        while stop < len(jobs):
+            m, n = jobs[stop][:2]
+            if (stop + 1 - start) * (m + 2) * (max(n_max, n) + 2) > _CHUNK_CELLS:
+                break
+            stop, n_max = stop + 1, max(n_max, n)
+        chunk = jobs[start:stop]
+        r = _forward([(qc, pc) for _, _, _, qc, pc in chunk])
+        for g, (m, n, index, _, _) in enumerate(chunk):
+            out[index] = _backtrack(r[:, :, g], m, n)
+        start = stop
+    return out
+
+
+def dtw(q: Trajectory, p: Trajectory) -> DtwResult:
+    """Globally optimal alignment cost and one achieving path.
+
+    A batch of one through `dtw_many`.  The accumulated-cost table is filled
+    one anti-diagonal at a time; min is exact and each cell adds the same two
+    doubles as a row-by-row fill, so the cost and the path do not depend on
+    the fill order.  Ties during backtracking prefer the diagonal step, then
+    the q-advance, then the p-advance, which pins the path length T (and
+    hence LDTW).
+    """
+    result = dtw_many([(q, p)])[0]
+    if isinstance(result, ValueError):
+        raise result
+    return result
 
 
 def ldtw(q: Trajectory, p: Trajectory) -> float:

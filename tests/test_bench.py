@@ -14,6 +14,7 @@ from trajeval import (CurveReport, DegenerateHistogramError, OutOfCanvasError, T
                       score_pair, sensitivity_run, strokes_of, widen_strokes)
 from trajeval import bench
 from trajeval.bench import DEFAULT_GRIDS, derive_seed
+from trajeval.error_sim import change_sample_rate, drift_points, perturb
 from trajeval.traj_core import EOS
 
 from conftest import traj_from_strokes
@@ -243,6 +244,71 @@ def test_invariance_width_mode_matches_the_binarized_reference():
         want = invariance_width_reference(corpus, tuple(grid), metrics, case, k_max)
         assert reports_to_csv(got) == reports_to_csv(want)
         assert reports_to_json(got) == reports_to_json(want)
+
+
+def sensitivity_reference(corpus, kind, grid, metrics, seed, k_max):
+    """The sensitivity runner scoring one pair at a time, each with its own
+    `dtw` call."""
+    glyph = any(name in bench.GLYPH_METRICS for name in metrics)
+    per_sample = []
+    for i, traj in enumerate(corpus):
+        sseed = derive_seed(seed, i)
+        try:
+            gt_mask = rasterize(traj) if glyph else None
+        except ValueError:
+            gt_mask = None
+        rows = []
+        for magnitude in grid:
+            try:
+                pred = perturb(traj, kind, magnitude, sseed)
+            except ValueError:
+                rows.append(dict.fromkeys(metrics))
+                continue
+            rows.append(score_pair(traj, pred, metrics, k_max, gt_mask=gt_mask)[0])
+        per_sample.append(rows)
+    return bench._aggregate(grid, metrics, per_sample, seed)
+
+
+def sample_rate_reference(corpus, grid, metrics, seed, k_max):
+    """The sample-rate runner scoring one pair at a time."""
+    per_sample = []
+    for i, traj in enumerate(corpus):
+        pred = drift_points(traj, bench.DEFAULT_BASE_DRIFT, derive_seed(seed, i))
+        per_sample.append([score_pair(traj, change_sample_rate(pred, factor),
+                                      metrics, k_max)[0] for factor in grid])
+    return bench._aggregate(grid, metrics, per_sample, seed)
+
+
+@pytest.mark.parametrize("kind, grid, metrics", [
+    ("stroke-insert", (1, 3, 4), ("aiou", "ldtw", "dtw")),
+    ("stroke-delete", (1, 5, 7, 9), ("ldtw", "iou", "rmse")),
+    ("point-drift", (0.5, 2.5, 7.25), ("aiou", "iou", "ldtw", "dtw", "rmse")),
+    ("stroke-drift", DEFAULT_GRIDS["stroke-drift"], ("dtw",)),
+    ("sample-rate", (0.3, 1.0, 2.5), ("ldtw", "dtw", "rmse")),
+    ("point-drift", (1, 2), ("aiou",)),
+])
+def test_runners_match_the_pair_at_a_time_reference(kind, grid, metrics, monkeypatch):
+    """The runners' one `dtw_many` batch per sweep gives the bytes that scoring
+    each pair on its own gave, and no batch runs without a DTW metric."""
+    corpus = make_synthetic_corpus(14, seed=9)
+    corpus.insert(5, Trajectory.from_arrays([(1.0, 1.0)], [EOS]))  # nothing to align
+    assert len({len(t.drawn_xy()) for t in corpus}) > 5
+    batches = []
+    dtw_many = bench.dtw_many
+    monkeypatch.setattr(bench, "dtw_many",
+                        lambda pairs: batches.append(len(pairs)) or dtw_many(pairs))
+    if kind == "sample-rate":
+        got = invariance_run(corpus, kind, grid=grid, metrics=metrics, seed=4, k_max=3)
+        want = sample_rate_reference(corpus, grid, metrics, 4, 3)
+    else:
+        got = sensitivity_run(corpus, kind, grid=grid, metrics=metrics, seed=4, k_max=3)
+        want = sensitivity_reference(corpus, kind, grid, metrics, 4, 3)
+    assert len(batches) == (1 if {"dtw", "ldtw"} & set(metrics) else 0)
+    assert reports_to_csv(got) == reports_to_csv(want)
+    assert reports_to_json(got) == reports_to_json(want)
+    if kind == "stroke-delete":  # 7 strokes skip some glyphs, 9 skip all
+        skipped = got[0].samples_skipped
+        assert skipped[0] < skipped[2] < skipped[3] == len(corpus)
 
 
 def test_invariance_rejects_unknown_transform(corpus):

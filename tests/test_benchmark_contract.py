@@ -37,7 +37,11 @@ def test_every_traced_function_resolves(layer_trace):
             assert callable(getattr(module, name, None)), f"{layer}.{name}"
 
 
-def test_layer_trace_counts_a_small_sweep(layer_trace):
+def test_layer_trace_counts_a_small_sweep(layer_trace, monkeypatch):
+    batches = []
+    dtw_many = trajeval.bench.dtw_many
+    monkeypatch.setattr(trajeval.bench, "dtw_many",
+                        lambda pairs: batches.append(len(pairs)) or dtw_many(pairs))
     tracer = layer_trace.Tracer()
     tracer.install()
     try:
@@ -51,9 +55,10 @@ def test_layer_trace_counts_a_small_sweep(layer_trace):
     assert out["error_sim.drift_points.calls"] == 4
     assert out["raster.rasterize.calls"] == 6  # one ground truth + two predictions each
     assert out["raster.rasterize.repeat_share"] == 0.0
-    assert out["seq_metrics.dtw.calls"] == 4
-    assert out["seq_metrics.dtw.cells"] == sum(2 * len(t.drawn_points()) ** 2
-                                               for t in corpus)
+    # the sweep's four alignments run in one untraced dtw_many batch
+    assert out["seq_metrics.dtw.calls"] == 0
+    assert out["seq_metrics.dtw.cells"] == 0
+    assert batches == [4]
 
 
 def test_layer_trace_counts_one_loss_step(layer_trace):

@@ -1,16 +1,19 @@
 """Command-line interface tests: evaluation, benchmarks, conversion, and
 byte-stable output."""
 
+import argparse
 import csv
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from trajeval import (load_trajectory, make_synthetic_corpus, rasterize,
                       read_mask_pgm, save_trajectory, write_pgm)
-from trajeval.cli import main
+from trajeval.cli import build_parser, main
 from trajeval.error_sim import drift_points, widen_strokes
 
 from conftest import random_traj, traj_from_strokes
@@ -402,3 +405,16 @@ def test_convert_round_trip(tmp_path, rng):
     back = load_trajectory(tmp_path / "p2.json")
     assert [(p.x, p.y) for p in back.drawn_points()] == \
            [(p.x, p.y) for p in traj.drawn_points()]
+
+
+def test_readme_names_every_option_of_every_command():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert set(commands) == {"evaluate", "sensitivity", "invariance", "rasterize", "convert"}
+    missing = sorted({f"{name} {option}"
+                      for name, sub in commands.items() for action in sub._actions
+                      if not isinstance(action, argparse._HelpAction)
+                      for option in action.option_strings
+                      if not re.search(re.escape(option) + r"(?![\w-])", readme)})
+    assert not missing

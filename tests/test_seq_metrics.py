@@ -6,12 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trajeval import AlignmentPath, Trajectory, dtw, ldtw, rmse
+from trajeval import AlignmentPath, Trajectory, dtw, dtw_many, ldtw, rmse
+from trajeval import seq_metrics
 from trajeval.bench import (DEFAULT_GRIDS, SENSITIVITY_KINDS, derive_seed,
                             make_synthetic_corpus)
 from trajeval.error_sim import change_sample_rate, perturb
-from trajeval.seq_metrics import _coords
-from trajeval.traj_core import DOWN, UP
+from trajeval.seq_metrics import _coords, _diagonals
+from trajeval.traj_core import DOWN, EOS, UP
 
 from conftest import random_traj, traj_from_strokes
 
@@ -268,3 +269,82 @@ def test_dtw_peak_memory_per_cell():
     finally:
         tracemalloc.stop()
     assert peak / (600 * 500) < 56
+
+
+# --- batched DTW -------------------------------------------------------------
+
+def test_dtw_many_matches_row_loop_reference(monkeypatch):
+    """One batch over every tie-heavy pair, with pairs that have no drawn
+    points placed between them, gives each pair its own reference result."""
+    forward_calls = []
+    forward = seq_metrics._forward
+    monkeypatch.setattr(seq_metrics, "_forward",
+                        lambda coords: forward_calls.append(len(coords)) or forward(coords))
+    empty = Trajectory.from_arrays([(1.0, 1.0)], [EOS])
+    coords, pairs = [], []
+    for k, (qc, pc) in enumerate(_tie_heavy_pairs()):
+        if k % 97 == 3:
+            pairs.append((empty, _polyline(pc)) if k % 2 else (_polyline(qc), empty))
+            coords.append(None)
+        coords.append((qc, pc))
+        pairs.append((_polyline(qc), _polyline(pc)))
+    results = dtw_many(pairs)
+    assert len(results) == len(pairs) and coords.count(None) >= 5
+    assert len(forward_calls) > 3 and sum(forward_calls) == len(pairs) - coords.count(None)
+    for want, got in zip(coords, results):
+        if want is None:
+            assert isinstance(got, ValueError)
+            assert str(got) == "trajectory has no drawn points to align"
+            continue
+        cost, path = dtw_reference(*want)
+        assert got.cost == cost
+        assert got.path.pairs == path
+
+
+def test_dtw_many_of_nothing_is_empty():
+    assert dtw_many([]) == []
+
+
+def test_dtw_many_holds_one_chunk_at_a_time():
+    """The working memory of a 1,600-pair batch stays within a small factor of
+    a 100-pair batch's: chunks are filled one after another, never as one
+    table for the whole sweep.  The results themselves (one path per pair)
+    are kept, so the peak is taken above the memory they hold at the end."""
+    corpus = make_synthetic_corpus(200, seed=0)
+    pairs = [(gt, perturb(gt, "point-drift", magnitude, derive_seed(0, i)))
+             for i, gt in enumerate(corpus) for magnitude in DEFAULT_GRIDS["point-drift"]]
+    assert len(pairs) == 1600
+
+    def working_peak(batch):
+        tracemalloc.start()
+        try:
+            results = dtw_many(batch)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(results) == len(batch)
+        return peak - held
+
+    small, large = working_peak(pairs[:100]), working_peak(pairs)
+    assert large < 3 * small
+    # a whole-sweep table would need 8 bytes for each of the sweep's cells
+    cells = sum(len(_coords(q)) * len(_coords(p)) for q, p in pairs)
+    assert large < 8 * cells / 10
+
+
+def diagonals_reference(m, n):
+    """The flat diagonal bounds of an (m+2, n+2) table, one diagonal at a time."""
+    bounds = []
+    for s in range(2, m + n + 1):
+        i0, i1 = max(1, s - n), min(m, s - 1)
+        bounds.append((i0 * (n + 1) + s, i1 * (n + 1) + s + 1))
+    return bounds
+
+
+def test_diagonals_match_the_loop_reference():
+    for m in range(1, 41):
+        for n in range(1, 41):
+            got = _diagonals(m, n)
+            assert got == diagonals_reference(m, n)
+            assert all(type(a) is int and type(b) is int for a, b in got)
+    assert _diagonals(238, 238) == diagonals_reference(238, 238)
