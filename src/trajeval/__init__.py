@@ -14,8 +14,8 @@ from .raster import (BinaryMask, DegenerateHistogramError, GrayImage,
                      rasterize, read_mask_pgm, read_pgm, write_mask_pgm, write_pgm)
 from .glyph_metrics import AiouResult, aiou, iou
 from .seq_metrics import AlignmentPath, DtwResult, dtw, dtw_many, ldtw, rmse
-from .losses import (LossWeights, PredictedPoint, l1_loss, sdtw, sdtw_grad,
-                     softmin, total_loss, wce_loss)
+from .losses import (LossWeights, NonFiniteSdtwError, PredictedPoint, l1_loss,
+                     sdtw, sdtw_grad, softmin, total_loss, wce_loss)
 from .error_sim import (ERROR_KINDS, change_sample_rate, delete_strokes,
                         drift_points, drift_strokes, insert_strokes, perturb,
                         widen_strokes)

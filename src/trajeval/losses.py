@@ -81,6 +81,11 @@ def _sq_dist_table(qc: np.ndarray, pc: np.ndarray) -> np.ndarray:
     return d
 
 
+class NonFiniteSdtwError(ValueError):
+    """The soft-DTW value or gradient is not finite: the squared distances
+    are too large for float64 relative to gamma."""
+
+
 def _soft_dp(q: Trajectory, p: Trajectory, gamma: float):
     """Forward soft-DTW pass: (qc, pc, d, r, diagonals).
 
@@ -88,53 +93,132 @@ def _soft_dp(q: Trajectory, p: Trajectory, gamma: float):
     q's point i and p's point j at cell (i, j), 1-based; r[m, n] is the value.
     diagonals holds the flat bounds (a, b) of each anti-diagonal in fill
     order, as `seq_metrics._diagonals` gives them for hard DTW.
+
+    Each diagonal does `softmin`'s arithmetic, in its order, on buffers
+    allocated once per call, so every cell is bit-identical to `softmin` of
+    its diagonal, up and left predecessors.  An overflow leaves inf in r.
     """
     if not 0 < gamma < math.inf:
         raise ValueError("gamma must be positive and finite")
     qc, pc = _coords(q), _coords(p)
     m, n = len(qc), len(pc)
-    d = _sq_dist_table(qc, pc)
-    r = np.full((m + 2, n + 2), math.inf)
-    r[0, 0] = 0.0
-    fd, fr, w = d.ravel(), r.ravel(), n + 2
-    diagonals = _diagonals(m, n)
-    for a, b in diagonals:
-        fr[a:b:n + 1] = fd[a:b:n + 1] + softmin(
-            (fr[a - w - 1:b - w - 1:n + 1], fr[a - w:b - w:n + 1],
-             fr[a - 1:b - 1:n + 1]), gamma)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf once a cell overflows
+        d = _sq_dist_table(qc, pc)
+        r = np.full((m + 2, n + 2), math.inf)
+        r[0, 0] = 0.0
+        fd, fr, w = d.ravel(), r.ravel(), n + 2
+        size = min(m, n)  # cells on the longest diagonal
+        lo_buf, inf_buf, terms_buf = np.empty(size), np.empty(size, bool), np.empty(3 * size)
+        g = np.array(gamma)  # a 0-d array divides faster than a Python float
+        diagonals = _diagonals(m, n)
+        for a, b in diagonals:
+            k = (b - a + n) // (n + 1)
+            lo, inf, terms = lo_buf[:k], inf_buf[:k], terms_buf[:3 * k]
+            total, up_term, left_term = terms[:k], terms[k:2 * k], terms[2 * k:]
+            diag, up, left = (fr[a - w - 1:b - w - 1:n + 1], fr[a - w:b - w:n + 1],
+                              fr[a - 1:b - 1:n + 1])
+            np.minimum(diag, up, out=lo)
+            np.minimum(lo, left, out=lo)
+            np.subtract(lo, diag, out=total)
+            np.subtract(lo, up, out=up_term)
+            np.subtract(lo, left, out=left_term)
+            np.divide(terms, g, out=terms)
+            np.exp(terms, out=terms)
+            total += up_term
+            total += left_term
+            np.log(total, out=total)
+            total *= g
+            np.subtract(lo, total, out=total)
+            np.isinf(lo, out=inf)
+            np.copyto(total, lo, where=inf)
+            np.add(fd[a:b:n + 1], total, out=fr[a:b:n + 1])
     return qc, pc, d, r, diagonals
 
 
 def sdtw(q: Trajectory, p: Trajectory, gamma: float = 1.0) -> float:
-    """Soft-DTW value with squared Euclidean inner distances."""
-    r = _soft_dp(q, p, gamma)[3]
-    return float(r[-2, -2])
+    """Soft-DTW value with squared Euclidean inner distances.
+
+    Raises NonFiniteSdtwError when the value overflows float64.
+    """
+    value = float(_soft_dp(q, p, gamma)[3][-2, -2])
+    if not math.isfinite(value):
+        raise NonFiniteSdtwError(
+            f"soft-DTW value is {value}: the squared distances overflow float64")
+    return value
+
+
+# Cells of the backward pass's scratch block, which holds the right and
+# diagonal successor weights of a band of rows until d's and r's rows are
+# free to take them (128 KiB, a whole table at the loss step's 50 points).
+_WEIGHT_BLOCK_CELLS = 1 << 14
+
+
+def _successor_weights(d: np.ndarray, r: np.ndarray, e: np.ndarray,
+                       gamma: float) -> None:
+    """Overwrite the interiors of e, d and r with the weights
+    exp((r_s - r_c - d_s) / gamma) of each cell c's successor s below, right
+    and on the diagonal, in that order.
+
+    r's last row and column must already hold the backward pass's border.
+    The table is done in bands of rows: a band's right and diagonal weights
+    wait in the scratch block until the band's rows of d and r, which no
+    later band reads, take them.
+    """
+    m, n = r.shape[0] - 2, r.shape[1] - 2
+    rows = max(1, min(m, _WEIGHT_BLOCK_CELLS // (2 * n)))
+    scratch = np.empty((2, rows, n))
+    for i0 in range(1, m + 1, rows):
+        i1 = min(i0 + rows, m + 1)
+        right, diag = scratch[:, :i1 - i0]
+        below, here = e[i0:i1, 1:n + 1], r[i0:i1, 1:n + 1]
+        for out, rs, ds in ((below, r[i0 + 1:i1 + 1, 1:n + 1], d[i0 + 1:i1 + 1, 1:n + 1]),
+                            (right, r[i0:i1, 2:], d[i0:i1, 2:]),
+                            (diag, r[i0 + 1:i1 + 1, 2:], d[i0 + 1:i1 + 1, 2:])):
+            np.subtract(rs, here, out=out)
+            out -= ds
+            out /= gamma
+            np.exp(out, out=out)
+        d[i0:i1, 1:n + 1] = right
+        r[i0:i1, 1:n + 1] = diag
 
 
 def sdtw_grad(q: Trajectory, p: Trajectory, gamma: float = 1.0) -> np.ndarray:
     """Exact gradient of sdtw w.r.t. the (x, y) of every predicted point of p.
 
-    Computed by the standard backward recursion over the soft-DP table, one
-    anti-diagonal at a time in reverse; returns an (N, 2) array matching p's
-    drawn points.
+    Computed by the standard backward recursion over the soft-DP table
+    (Mensch & Blondel 2018): the successor weights are computed for the
+    whole table first, then the walk over the anti-diagonals in reverse does
+    three products and two sums per diagonal.  Returns an (N, 2) array
+    matching p's drawn points; raises NonFiniteSdtwError when the gradient
+    is not finite.
     """
     qc, pc, d, r, diagonals = _soft_dp(q, p, gamma)
     m, n = len(qc), len(pc)
-    r[m + 1, :] = -math.inf
-    r[:, n + 1] = -math.inf
-    r[m + 1, n + 1] = r[m, n]
-    e = np.zeros_like(r)
-    e[m + 1, n + 1] = 1.0
-    fd, fr, fe, w = d.ravel(), r.ravel(), e.ravel(), n + 2
-    for a, b in reversed(diagonals):
-        # successors below, right and diagonal: n+2, 1 and n+3 flat cells on
-        fe[a:b:n + 1] = sum(
-            np.exp((fr[a + o:b + o:n + 1] - fr[a:b:n + 1] - fd[a + o:b + o:n + 1])
-                   / gamma) * fe[a + o:b + o:n + 1]
-            for o in (w, 1, w + 1))
-    weights = e[1:m + 1, 1:n + 1]
-    # d/dp_j of sum_i w_ij * |q_i - p_j|^2  =  2 * (sum_i w_ij) p_j - 2 * sum_i w_ij q_i
-    return 2.0 * (weights.sum(axis=0)[:, None] * pc - weights.T @ qc)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked on the gradient below
+        r[m + 1, :] = -math.inf
+        r[:, n + 1] = -math.inf
+        r[m + 1, n + 1] = r[m, n]
+        e = np.zeros_like(r)
+        e[m + 1, n + 1] = 1.0
+        _successor_weights(d, r, e, gamma)
+        # each cell holds the weights of its successors below, right and on
+        # the diagonal (n+2, 1 and n+3 flat cells on) in e, d and r
+        fd, fr, fe, w = d.ravel(), r.ravel(), e.ravel(), n + 2
+        for a, b in reversed(diagonals):
+            cells, right, diag = fe[a:b:n + 1], fd[a:b:n + 1], fr[a:b:n + 1]
+            cells *= fe[a + w:b + w:n + 1]
+            right *= fe[a + 1:b + 1:n + 1]
+            diag *= fe[a + w + 1:b + w + 1:n + 1]
+            cells += right
+            cells += diag
+        weights = e[1:m + 1, 1:n + 1]
+        # d/dp_j of sum_i w_ij * |q_i - p_j|^2  =  2 * (sum_i w_ij) p_j - 2 * sum_i w_ij q_i
+        grad = 2.0 * (weights.sum(axis=0)[:, None] * pc - weights.T @ qc)
+    if not np.isfinite(grad).all():
+        raise NonFiniteSdtwError(
+            "soft-DTW gradient is not finite: the squared distances are too "
+            f"large relative to gamma={gamma}")
+    return grad
 
 
 def l1_loss(pred, gt: Trajectory) -> float:

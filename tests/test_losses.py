@@ -2,14 +2,19 @@
 against finite differences, and the weighted total objective."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trajeval import (LossWeights, PredictedPoint, PenState, TrajPoint,
-                      Trajectory, l1_loss, sdtw, sdtw_grad, softmin, total_loss,
-                      wce_loss)
-from trajeval.seq_metrics import _coords
+from trajeval import (LossWeights, NonFiniteSdtwError, PredictedPoint, PenState,
+                      TrajPoint, Trajectory, l1_loss, make_synthetic_corpus, sdtw,
+                      sdtw_grad, softmin, total_loss, wce_loss)
+from trajeval.losses import _soft_dp, _sq_dist_table
+from trajeval.seq_metrics import _coords, _diagonals
 
 from conftest import random_traj, traj_from_strokes
 
@@ -212,6 +217,122 @@ def test_sdtw_and_grad_match_scalar_reference(m, n, gamma):
     got = sdtw_grad(q, p, gamma)
     assert got.shape == (n, 2)
     assert np.abs(got - grad).max() <= 1e-9 * np.abs(grad).max()
+
+
+# --- soft-DTW against the per-diagonal reference -----------------------------
+
+def soft_dp_reference(q, p, gamma):
+    """Forward soft-DTW by one `softmin` call per anti-diagonal, each with its
+    own stacked temporaries: (qc, pc, d, r, diagonals) as `_soft_dp` gives
+    them.  The in-place forward must match it bit for bit."""
+    qc, pc = _coords(q), _coords(p)
+    m, n = len(qc), len(pc)
+    d = _sq_dist_table(qc, pc)
+    r = np.full((m + 2, n + 2), math.inf)
+    r[0, 0] = 0.0
+    fd, fr, w = d.ravel(), r.ravel(), n + 2
+    diagonals = _diagonals(m, n)
+    for a, b in diagonals:
+        fr[a:b:n + 1] = fd[a:b:n + 1] + softmin(
+            (fr[a - w - 1:b - w - 1:n + 1], fr[a - w:b - w:n + 1],
+             fr[a - 1:b - 1:n + 1]), gamma)
+    return qc, pc, d, r, diagonals
+
+
+def sdtw_grad_reference(q, p, gamma):
+    """Backward recursion computing each diagonal's successor weights as it
+    walks, summed below, right, diagonal; the precomputed-weight walk must
+    match it bit for bit."""
+    qc, pc, d, r, diagonals = soft_dp_reference(q, p, gamma)
+    m, n = len(qc), len(pc)
+    r[m + 1, :] = -math.inf
+    r[:, n + 1] = -math.inf
+    r[m + 1, n + 1] = r[m, n]
+    e = np.zeros_like(r)
+    e[m + 1, n + 1] = 1.0
+    fd, fr, fe, w = d.ravel(), r.ravel(), e.ravel(), n + 2
+    for a, b in reversed(diagonals):
+        fe[a:b:n + 1] = sum(
+            np.exp((fr[a + o:b + o:n + 1] - fr[a:b:n + 1] - fd[a + o:b + o:n + 1])
+                   / gamma) * fe[a + o:b + o:n + 1]
+            for o in (w, 1, w + 1))
+    weights = e[1:m + 1, 1:n + 1]
+    return 2.0 * (weights.sum(axis=0)[:, None] * pc - weights.T @ qc)
+
+
+def assert_matches_per_diagonal_reference(q, p, gamma):
+    ref = soft_dp_reference(q, p, gamma)
+    got = _soft_dp(q, p, gamma)
+    assert got[2].tobytes() == ref[2].tobytes()
+    assert got[3].tobytes() == ref[3].tobytes()
+    assert sdtw(q, p, gamma) == ref[3][-2, -2]
+    assert sdtw_grad(q, p, gamma).tobytes() == sdtw_grad_reference(q, p, gamma).tobytes()
+
+
+@pytest.mark.parametrize("extent", ["canvas", "gamma"])
+@pytest.mark.parametrize("gamma", [1e-3, 0.1, 1.0, 10.0])
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 9), (8, 1), (13, 7), (49, 49),
+                                 (400, 350)])
+def test_soft_dtw_is_bit_identical_to_the_per_diagonal_reference(m, n, gamma, extent):
+    """On the canvas, neighbouring costs differ by far more than gamma and
+    the soft-min is nearly a hard min; points spread over a few sqrt(gamma)
+    make every exponential of the soft-min and of the weights count."""
+    side = 63.0 if extent == "canvas" else 3.0 * math.sqrt(gamma)
+    rng = np.random.Generator(np.random.PCG64(7000 + 1000 * m + n))
+    q = traj_from_strokes([rng.uniform(0.0, side, size=(m, 2)).tolist()])
+    p = traj_from_strokes([rng.uniform(0.0, side, size=(n, 2)).tolist()])
+    assert_matches_per_diagonal_reference(q, p, gamma)
+
+
+_coord = st.floats(0.0, 4.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_coord, _coord), min_size=1, max_size=12),
+       st.lists(st.tuples(_coord, _coord), min_size=1, max_size=12),
+       st.floats(1e-3, 10.0))
+def test_soft_dtw_matches_the_per_diagonal_reference_on_random_pairs(qxy, pxy, gamma):
+    assert_matches_per_diagonal_reference(traj_from_strokes([qxy]),
+                                          traj_from_strokes([pxy]), gamma)
+
+
+def _scaled(traj, factor):
+    return Trajectory.from_arrays(traj.xy * factor, traj.state, traj.canvas_side)
+
+
+def test_soft_dtw_raises_instead_of_returning_a_non_finite_result():
+    """Squared distances far above gamma overflow the backward's weights
+    (value 3.1e20 at 1e8) and, further up, the value itself; both raise a
+    named error without a RuntimeWarning."""
+    q, p = make_synthetic_corpus(2, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(sdtw_grad(_scaled(q, 1e6), _scaled(p, 1e6))).all()
+        q8, p8 = _scaled(q, 1e8), _scaled(p, 1e8)
+        assert math.isfinite(sdtw(q8, p8))
+        with pytest.raises(NonFiniteSdtwError, match="gradient is not finite"):
+            sdtw_grad(q8, p8)
+        q160, p160 = _scaled(q, 1e160), _scaled(p, 1e160)
+        with pytest.raises(NonFiniteSdtwError, match="value is inf"):
+            sdtw(q160, p160)
+        with pytest.raises(NonFiniteSdtwError):
+            sdtw_grad(q160, p160)
+    assert issubclass(NonFiniteSdtwError, ValueError)
+
+
+def test_sdtw_grad_peak_memory_per_cell():
+    """The gradient holds the distance, soft-DP and backward tables and a
+    fixed scratch block, not a table per successor weight."""
+    rng = np.random.Generator(np.random.PCG64(600))
+    q = traj_from_strokes([rng.uniform(0.0, 63.0, size=(600, 2)).tolist()])
+    p = traj_from_strokes([rng.uniform(0.0, 63.0, size=(500, 2)).tolist()])
+    tracemalloc.start()
+    try:
+        sdtw_grad(q, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (600 * 500) <= 28
 
 
 # --- L1 / weighted cross-entropy / total -------------------------------------
