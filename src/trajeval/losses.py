@@ -3,6 +3,13 @@ L1 coordinate loss, weighted pen-state cross-entropy, and the weighted total.
 
 SDTW uses squared Euclidean distances (differentiable everywhere); the hard
 DTW/LDTW evaluation metrics keep plain Euclidean distances.
+
+A training step asks for `sdtw` and then `sdtw_grad` on the same pair.  The
+backward only reads the finished forward tables, so `sdtw` leaves its tables
+in a one-pair slot and an `sdtw_grad` on the same `q` and `p` objects with
+an equal `gamma` takes them instead of running the forward again.  The slot
+holds at most one pair's two tables, memory the `sdtw` call already peaked
+at, and is emptied by every `sdtw_grad` and replaced by every `sdtw`.
 """
 
 from __future__ import annotations
@@ -135,16 +142,46 @@ def _soft_dp(q: Trajectory, p: Trajectory, gamma: float):
     return qc, pc, d, r, diagonals
 
 
-def sdtw(q: Trajectory, p: Trajectory, gamma: float = 1.0) -> float:
-    """Soft-DTW value with squared Euclidean inner distances.
+# The forward of the last `sdtw` call that returned, under one key:
+# (q, p, gamma, (qc, pc, d, r, diagonals)).  Only whole-entry dict
+# operations touch it, each atomic, so two callers never share the tables
+# that `sdtw_grad` overwrites.  The entry holds q and p themselves: while it
+# lives their ids cannot be reused, and as Trajectory and its xy are
+# immutable, the same objects mean the same coordinates.
+_last_forward: dict = {}
+_FORWARD = "forward"
 
-    Raises NonFiniteSdtwError when the value overflows float64.
-    """
-    value = float(_soft_dp(q, p, gamma)[3][-2, -2])
+
+def _check_value(value: float) -> None:
     if not math.isfinite(value):
         raise NonFiniteSdtwError(
             f"soft-DTW value is {value}: the squared distances overflow float64")
+
+
+def sdtw(q: Trajectory, p: Trajectory, gamma: float = 1.0) -> float:
+    """Soft-DTW value with squared Euclidean inner distances.
+
+    Leaves its forward tables for an `sdtw_grad(q, p, gamma)` that follows
+    on the same objects, replacing any an earlier call left.  Raises
+    NonFiniteSdtwError when the value overflows float64, and then leaves
+    no tables.
+    """
+    _last_forward.pop(_FORWARD, None)  # free the old tables before the new ones
+    forward = _soft_dp(q, p, gamma)
+    value = float(forward[3][-2, -2])
+    _check_value(value)
+    _last_forward[_FORWARD] = (q, p, gamma, forward)
     return value
+
+
+def _take_forward(q: Trajectory, p: Trajectory, gamma: float):
+    """Empty the slot; return its tables when `sdtw(q, p, gamma)` left them,
+    else run the forward."""
+    entry = _last_forward.pop(_FORWARD, None)
+    if entry is not None and entry[0] is q and entry[1] is p and entry[2] == gamma:
+        return entry[3]
+    del entry  # free a stale pair's tables before the forward allocates
+    return _soft_dp(q, p, gamma)
 
 
 # Cells of the backward pass's scratch block, which holds the right and
@@ -160,22 +197,28 @@ def _successor_weights(d: np.ndarray, r: np.ndarray, e: np.ndarray,
     and on the diagonal, in that order.
 
     r's last row and column must already hold the backward pass's border.
-    The table is done in bands of rows: a band's right and diagonal weights
-    wait in the scratch block until the band's rows of d and r, which no
-    later band reads, take them.
+    A successor whose r overflowed to +inf lies on no finite path and gets
+    weight 0 (its exponent would be inf - inf).  The table is done in bands
+    of rows: a band's right and diagonal weights wait in the scratch block
+    until the band's rows of d and r, which no later band reads, take them.
     """
     m, n = r.shape[0] - 2, r.shape[1] - 2
     rows = max(1, min(m, _WEIGHT_BLOCK_CELLS // (2 * n)))
     scratch = np.empty((2, rows, n))
+    overflowed = np.empty((rows + 1, n + 1), bool)
     for i0 in range(1, m + 1, rows):
         i1 = min(i0 + rows, m + 1)
         right, diag = scratch[:, :i1 - i0]
         below, here = e[i0:i1, 1:n + 1], r[i0:i1, 1:n + 1]
-        for out, rs, ds in ((below, r[i0 + 1:i1 + 1, 1:n + 1], d[i0 + 1:i1 + 1, 1:n + 1]),
-                            (right, r[i0:i1, 2:], d[i0:i1, 2:]),
-                            (diag, r[i0 + 1:i1 + 1, 2:], d[i0 + 1:i1 + 1, 2:])):
+        over = overflowed[:i1 - i0 + 1]
+        np.equal(r[i0:i1 + 1, 1:], math.inf, out=over)
+        for out, rs, ds, skip in (
+                (below, r[i0 + 1:i1 + 1, 1:n + 1], d[i0 + 1:i1 + 1, 1:n + 1], over[1:, :-1]),
+                (right, r[i0:i1, 2:], d[i0:i1, 2:], over[:-1, 1:]),
+                (diag, r[i0 + 1:i1 + 1, 2:], d[i0 + 1:i1 + 1, 2:], over[1:, 1:])):
             np.subtract(rs, here, out=out)
             out -= ds
+            np.copyto(out, -math.inf, where=skip)
             out /= gamma
             np.exp(out, out=out)
         d[i0:i1, 1:n + 1] = right
@@ -188,12 +231,16 @@ def sdtw_grad(q: Trajectory, p: Trajectory, gamma: float = 1.0) -> np.ndarray:
     Computed by the standard backward recursion over the soft-DP table
     (Mensch & Blondel 2018): the successor weights are computed for the
     whole table first, then the walk over the anti-diagonals in reverse does
-    three products and two sums per diagonal.  Returns an (N, 2) array
-    matching p's drawn points; raises NonFiniteSdtwError when the gradient
-    is not finite.
+    three products and two sums per diagonal.  When the last `sdtw` or
+    `sdtw_grad` call was `sdtw(q, p, gamma)` on these same objects, the
+    forward is the tables it left; otherwise it runs here.  Either way no
+    tables stay behind.
+    Returns an (N, 2) array matching p's drawn points; raises
+    NonFiniteSdtwError when the value or the gradient is not finite.
     """
-    qc, pc, d, r, diagonals = _soft_dp(q, p, gamma)
+    qc, pc, d, r, diagonals = _take_forward(q, p, gamma)
     m, n = len(qc), len(pc)
+    _check_value(float(r[m, n]))
     with np.errstate(over="ignore", invalid="ignore"):  # checked on the gradient below
         r[m + 1, :] = -math.inf
         r[:, n + 1] = -math.inf

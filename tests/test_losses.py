@@ -2,17 +2,21 @@
 against finite differences, and the weighted total objective."""
 
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trajeval import (LossWeights, NonFiniteSdtwError, PredictedPoint, PenState,
                       TrajPoint, Trajectory, l1_loss, make_synthetic_corpus, sdtw,
                       sdtw_grad, softmin, total_loss, wce_loss)
+from trajeval import losses
 from trajeval.losses import _soft_dp, _sq_dist_table
 from trajeval.seq_metrics import _coords, _diagonals
 
@@ -333,6 +337,139 @@ def test_sdtw_grad_peak_memory_per_cell():
     finally:
         tracemalloc.stop()
     assert peak / (600 * 500) <= 28
+
+
+def test_sdtw_grad_gives_overflowed_cells_weight_zero():
+    """Cells past the squared-distance overflow have r = +inf and lie on no
+    finite path; the finite path's value and gradient still come out."""
+    q = traj_from_strokes([[(0.0, 0.0), (1e160, 0.0)]])
+    p = traj_from_strokes([[(0.0, 0.0), (1e160, 1.0)]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = sdtw_grad(q, p)
+        assert sdtw(q, p) == 1.0
+        after = sdtw_grad(q, p)
+    assert alone.tolist() == after.tolist() == [[0.0, 0.0], [0.0, 2.0]]
+
+
+def _forward_runs():
+    """Count the forwards run, through the module's own `_soft_dp`."""
+    return mock.patch.object(losses, "_soft_dp", wraps=losses._soft_dp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(_coord, _coord), min_size=1, max_size=60),
+       st.lists(st.tuples(_coord, _coord), min_size=1, max_size=60),
+       st.floats(0.05, 20.0))
+def test_sdtw_grad_after_sdtw_reuses_its_forward_bit_for_bit(qxy, pxy, gamma):
+    assume(len(qxy) != len(pxy))
+    q, p = traj_from_strokes([qxy]), traj_from_strokes([pxy])
+    alone = sdtw_grad(q, p, gamma).tobytes()
+    assert not losses._last_forward
+    sdtw(q, p, gamma)
+    with _forward_runs() as forward:
+        after = sdtw_grad(q, p, gamma).tobytes()
+    assert forward.call_count == 0
+    assert not losses._last_forward
+    assert after == alone == sdtw_grad_reference(q, p, gamma).tobytes()
+
+
+@pytest.mark.parametrize("case", ["equal but distinct p", "other gamma",
+                                  "sdtw in between", "second sdtw_grad"])
+def test_sdtw_grad_runs_its_own_forward_unless_sdtw_left_its_pair(case, rng):
+    q, p = random_traj(rng, n_points=(5, 9)), random_traj(rng, n_points=(5, 9))
+    gamma = 2.0 if case == "other gamma" else 1.0
+    alone = sdtw_grad(q, p, gamma).tobytes()
+    sdtw(q, p)
+    if case == "equal but distinct p":
+        p = Trajectory.from_arrays(p.xy, p.state, p.canvas_side)
+    elif case == "sdtw in between":
+        sdtw(p, q)
+    elif case == "second sdtw_grad":
+        assert sdtw_grad(q, p).tobytes() == alone
+        assert not losses._last_forward
+    with _forward_runs() as forward:
+        got = sdtw_grad(q, p, gamma).tobytes()
+    assert forward.call_count == 1
+    assert got == alone
+    assert not losses._last_forward
+
+
+def test_sdtw_grad_empties_the_slot_before_its_backward_overwrites_the_tables(rng):
+    q, p = random_traj(rng), random_traj(rng)
+    sdtw(q, p)
+    slot_at_backward = []
+
+    def backward(*args):
+        slot_at_backward.append(dict(losses._last_forward))
+        real(*args)
+
+    real = losses._successor_weights
+    with mock.patch.object(losses, "_successor_weights", backward):
+        sdtw_grad(q, p)
+    assert slot_at_backward == [{}]
+
+
+def test_sdtw_that_raises_leaves_no_forward():
+    q, p = make_synthetic_corpus(2, seed=1)
+    sdtw(q, p)
+    with pytest.raises(NonFiniteSdtwError):
+        sdtw(_scaled(q, 1e160), _scaled(p, 1e160))
+    assert not losses._last_forward
+    with pytest.raises(ValueError, match="gamma"):
+        sdtw(q, p, gamma=0.0)
+    assert not losses._last_forward
+
+
+def test_sdtw_then_sdtw_grad_peak_memory_per_cell():
+    """The step peaks no higher than the gradient alone; sdtw keeps only its
+    distance and soft-DP tables, and sdtw_grad leaves no table behind."""
+    rng = np.random.Generator(np.random.PCG64(600))
+    q = traj_from_strokes([rng.uniform(0.0, 63.0, size=(600, 2)).tolist()])
+    p = traj_from_strokes([rng.uniform(0.0, 63.0, size=(500, 2)).tolist()])
+    cells = 600 * 500
+    tracemalloc.start()
+    try:
+        sdtw(q, p)
+        kept = tracemalloc.get_traced_memory()[0]
+        sdtw_grad(q, p)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept / cells <= 17
+    assert peak / cells <= 28
+    assert current / cells < 1  # a float64 table is 8 bytes per cell
+
+
+def test_threads_sharing_pairs_never_share_forward_tables():
+    """Threads stepping on the same pair objects race for the one slot; the
+    backward overwrites the tables it takes, so a slot two threads both took
+    would corrupt a gradient."""
+    rng = np.random.Generator(np.random.PCG64(13))
+    pairs = [tuple(traj_from_strokes([rng.uniform(0.0, 6.0, size=(k, 2)).tolist()])
+                   for k in (12, 9)) for _ in range(3)]
+    expected = [sdtw_grad(q, p).tobytes() for q, p in pairs]
+    bad = []
+
+    def step():
+        for _ in range(60):
+            for (q, p), want in zip(pairs, expected):
+                sdtw(q, p)
+                if sdtw_grad(q, p).tobytes() != want:
+                    bad.append((q, p))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=step) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not bad
 
 
 # --- L1 / weighted cross-entropy / total -------------------------------------
