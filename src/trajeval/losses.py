@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .traj_core import Trajectory
-from .seq_metrics import _coords, _diagonals
+from .seq_metrics import _coords, _fill, _sq_dist_tables
 
 _PROB_FLOOR = 1e-12
 
@@ -33,10 +33,11 @@ class LossWeights:
     class_weights: tuple[float, float, float] = (1.0, 5.0, 1.0)
 
     def __post_init__(self):
-        if min(self.lambda1, self.lambda2, self.lambda3) < 0:
-            raise ValueError("loss weights must be non-negative")
-        if len(self.class_weights) != 3 or min(self.class_weights) < 0:
-            raise ValueError("class_weights must be 3 non-negative scalars")
+        if not all(0 <= v < math.inf for v in (self.lambda1, self.lambda2, self.lambda3)):
+            raise ValueError("loss weights must be finite and non-negative")
+        if len(self.class_weights) != 3 or not all(
+                0 <= v < math.inf for v in self.class_weights):
+            raise ValueError("class_weights must be 3 finite non-negative scalars")
         object.__setattr__(self, "class_weights", tuple(self.class_weights))
 
 
@@ -50,8 +51,8 @@ class PredictedPoint:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError("non-finite predicted coordinates")
         probs = tuple(float(v) for v in self.state_probs)
-        if len(probs) != 3 or min(probs) < 0:
-            raise ValueError("state_probs must be 3 non-negative values")
+        if len(probs) != 3 or not all(0 <= v < math.inf for v in probs):
+            raise ValueError("state_probs must be 3 finite non-negative values")
         if abs(sum(probs) - 1.0) > 1e-6:
             raise ValueError(f"state_probs must sum to 1, got {sum(probs)}")
         object.__setattr__(self, "state_probs", probs)
@@ -75,71 +76,27 @@ def softmin(values, gamma: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _sq_dist_table(qc: np.ndarray, pc: np.ndarray) -> np.ndarray:
-    """Squared distances |q_i - p_j|^2 at cell (i, j), 1-based, of a zero-padded
-    (m+2, n+2) table: the layout that `seq_metrics._diagonals` walks."""
-    m, n = len(qc), len(pc)
-    dx = qc[:, 0, None] - pc[None, :, 0]
-    dy = qc[:, 1, None] - pc[None, :, 1]
-    dx *= dx
-    dy *= dy
-    d = np.zeros((m + 2, n + 2))
-    np.add(dx, dy, out=d[1:m + 1, 1:n + 1])
-    return d
-
-
 class NonFiniteSdtwError(ValueError):
     """The soft-DTW value or gradient is not finite: the squared distances
     are too large for float64 relative to gamma."""
 
 
 def _soft_dp(q: Trajectory, p: Trajectory, gamma: float):
-    """Forward soft-DTW pass: (qc, pc, d, r, diagonals).
+    """Forward soft-DTW pass: (qc, pc, d, r, diagonals), a batch of one
+    through `seq_metrics._fill`.
 
-    d holds squared distances and r the soft-DP table, both (m+2, n+2) with
-    q's point i and p's point j at cell (i, j), 1-based; r[m, n] is the value.
-    diagonals holds the flat bounds (a, b) of each anti-diagonal in fill
-    order, as `seq_metrics._diagonals` gives them for hard DTW.
-
-    Each diagonal does `softmin`'s arithmetic, in its order, on buffers
-    allocated once per call, so every cell is bit-identical to `softmin` of
-    its diagonal, up and left predecessors.  An overflow leaves inf in r.
+    d holds squared distances under a zero border and r the soft-DP table,
+    both (m+2, n+2); r[m, n] is the value.  An overflow leaves inf in r.
     """
     if not 0 < gamma < math.inf:
         raise ValueError("gamma must be positive and finite")
     qc, pc = _coords(q), _coords(p)
-    m, n = len(qc), len(pc)
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf once a cell overflows
-        d = _sq_dist_table(qc, pc)
-        r = np.full((m + 2, n + 2), math.inf)
+        d = _sq_dist_tables([(qc, pc)], 0.0)
+        r = np.full_like(d, math.inf)
         r[0, 0] = 0.0
-        fd, fr, w = d.ravel(), r.ravel(), n + 2
-        size = min(m, n)  # cells on the longest diagonal
-        lo_buf, inf_buf, terms_buf = np.empty(size), np.empty(size, bool), np.empty(3 * size)
-        g = np.array(gamma)  # a 0-d array divides faster than a Python float
-        diagonals = _diagonals(m, n)
-        for a, b in diagonals:
-            k = (b - a + n) // (n + 1)
-            lo, inf, terms = lo_buf[:k], inf_buf[:k], terms_buf[:3 * k]
-            total, up_term, left_term = terms[:k], terms[k:2 * k], terms[2 * k:]
-            diag, up, left = (fr[a - w - 1:b - w - 1:n + 1], fr[a - w:b - w:n + 1],
-                              fr[a - 1:b - 1:n + 1])
-            np.minimum(diag, up, out=lo)
-            np.minimum(lo, left, out=lo)
-            np.subtract(lo, diag, out=total)
-            np.subtract(lo, up, out=up_term)
-            np.subtract(lo, left, out=left_term)
-            np.divide(terms, g, out=terms)
-            np.exp(terms, out=terms)
-            total += up_term
-            total += left_term
-            np.log(total, out=total)
-            total *= g
-            np.subtract(lo, total, out=total)
-            np.isinf(lo, out=inf)
-            np.copyto(total, lo, where=inf)
-            np.add(fd[a:b:n + 1], total, out=fr[a:b:n + 1])
-    return qc, pc, d, r, diagonals
+        diagonals = _fill(d, r, gamma)
+    return qc, pc, d[:, :, 0], r[:, :, 0], diagonals
 
 
 # The forward of the last `sdtw` call that returned, under one key:

@@ -214,7 +214,3 @@ def read_pgm(path) -> GrayImage:
 
 def write_mask_pgm(mask: BinaryMask, path) -> None:
     write_pgm(mask_to_gray(mask), path)
-
-
-def read_mask_pgm(path) -> BinaryMask:
-    return BinaryMask(read_pgm(path).pixels >= 128)

@@ -1,7 +1,7 @@
 """Writing-order metrics: DTW with an explicit alignment path, LDTW, RMSE.
 
 `dtw_many` aligns a batch of pairs with one anti-diagonal sweep per chunk of
-them; `dtw` is a batch of one.
+them; `dtw` is a batch of one.  `_fill` is the one sweep; soft-DTW uses it too.
 
 Distances are Euclidean over (x, y) only; pen states never enter the
 distance, and the end-of-sequence marker is stripped before alignment.
@@ -76,42 +76,77 @@ def _diagonals(m: int, n: int) -> list[tuple[int, int]]:
 _CHUNK_CELLS = 1 << 15
 
 
-def _forward(coords) -> np.ndarray:
-    """Accumulated-cost tables of a chunk of (qc, pc) pairs, filled by one
-    anti-diagonal sweep for all of them.
-
-    Slice [:, :, g] of the (M+2, N+2, G) result is pair g's table: q's point
-    i and p's point j at cell (i, j), 1-based, under an infinite border row
-    and column 0.  Shorter pairs are zero-padded to M x N; a padded cell is
-    filled but never read, since no cell of a pair's own table depends on it.
-    The pair index is the last axis, so each diagonal's G cells are adjacent.
-    """
+def _sq_dist_tables(coords, border: float) -> np.ndarray:
+    """Stacked (M+2, N+2, G) table of a chunk of (qc, pc) pairs: |q_i - p_j|^2
+    of pair g at cell (i, j, g), 1-based, inside a `border` frame.  Shorter
+    pairs are zero-padded to M x N; a padded cell is filled but never read.
+    The pair index is last, so each diagonal's G cells are adjacent."""
     g_count = len(coords)
     m = max(len(qc) for qc, _ in coords)
     n = max(len(pc) for _, pc in coords)
     qs, ps = np.zeros((m, g_count, 2)), np.zeros((n, g_count, 2))
     for g, (qc, pc) in enumerate(coords):
         qs[:len(qc), g], ps[:len(pc), g] = qc, pc
-    # the distances fill r's interior, and each diagonal adds its predecessors'
-    # minimum to them in place: the same two doubles as a separate distance table
-    r = np.full((m + 2, n + 2, g_count), math.inf)
-    r[0, 0] = 0.0
-    d = r[1:m + 1, 1:n + 1]
+    table = np.full((m + 2, n + 2, g_count), border)
+    d = table[1:m + 1, 1:n + 1]
     np.subtract(qs[:, None, :, 0], ps[None, :, :, 0], out=d)
     d *= d
     dy = qs[:, None, :, 1] - ps[None, :, :, 1]
     dy *= dy
     d += dy
-    np.sqrt(d, out=d)
+    return table
+
+
+def _fill(d: np.ndarray, r: np.ndarray, gamma: float | None = None):
+    """Fill the stacked tables r one anti-diagonal at a time for all pairs;
+    return the diagonals' flat bounds.  Each cell gets its d plus the minimum
+    of its diagonal, up and left predecessors or, with `gamma`, their soft-min:
+    `losses.softmin`'s arithmetic in its order on buffers allocated once, so
+    bit-identical to it.  Hard DTW passes r as d (distances in r's interior)."""
+    m, n, g_count = r.shape[0] - 2, r.shape[1] - 2, r.shape[2]
     cell = (g_count,) if g_count > 1 else ()  # a lone pair walks 1-D views: fewer numpy strides
-    fr, w = r.reshape((-1,) + cell), n + 2
-    scratch = np.empty((min(m, n),) + cell)
-    for a, b in _diagonals(m, n):
-        pred = scratch[:(b - a + n) // (n + 1)]  # one entry per cell of the diagonal
-        np.minimum(fr[a - w:b - w:n + 1], fr[a - 1:b - 1:n + 1], out=pred)
-        np.minimum(pred, fr[a - w - 1:b - w - 1:n + 1], out=pred)
-        cells = fr[a:b:n + 1]
-        np.add(cells, pred, out=cells)
+    fd, fr, w = d.reshape((-1,) + cell), r.reshape((-1,) + cell), n + 2
+    size = min(m, n)  # cells on the longest diagonal
+    lo_buf = np.empty((size,) + cell)
+    if gamma is not None:
+        inf_buf, terms_buf = np.empty((size,) + cell, bool), np.empty((3 * size,) + cell)
+        g = np.array(gamma)  # a 0-d array divides faster than a Python float
+    diagonals = _diagonals(m, n)
+    for a, b in diagonals:
+        k = (b - a + n) // (n + 1)
+        lo = lo_buf[:k]
+        diag, up, left = (fr[a - w - 1:b - w - 1:n + 1], fr[a - w:b - w:n + 1],
+                          fr[a - 1:b - 1:n + 1])
+        np.minimum(diag, up, out=lo)
+        np.minimum(lo, left, out=lo)
+        if gamma is not None:
+            inf, terms = inf_buf[:k], terms_buf[:3 * k]
+            total, up_term, left_term = terms[:k], terms[k:2 * k], terms[2 * k:]
+            np.subtract(lo, diag, out=total)
+            np.subtract(lo, up, out=up_term)
+            np.subtract(lo, left, out=left_term)
+            np.divide(terms, g, out=terms)
+            np.exp(terms, out=terms)
+            total += up_term
+            total += left_term
+            np.log(total, out=total)
+            total *= g
+            np.subtract(lo, total, out=total)
+            np.isinf(lo, out=inf)
+            np.copyto(total, lo, where=inf)
+            lo = total
+        np.add(fd[a:b:n + 1], lo, out=fr[a:b:n + 1])
+    return diagonals
+
+
+def _forward(coords) -> np.ndarray:
+    """Accumulated-cost tables of a chunk of (qc, pc) pairs in
+    `_sq_dist_tables`' layout under an infinite border, filled by one `_fill`."""
+    r = _sq_dist_tables(coords, math.inf)
+    r[0, 0] = 0.0
+    d = r[1:-1, 1:-1]
+    np.sqrt(d, out=d)
+    _fill(r, r)
     return r
 
 

@@ -266,9 +266,9 @@ def _canvas_side_of(obj) -> int:
     try:
         sides = [float(v) for v in canvas]
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"canvas must hold two finite whole numbers, got {canvas!r}") from exc
-    if not all(math.isfinite(v) and v.is_integer() for v in sides):
-        raise ValueError(f"canvas must hold two finite whole numbers, got {canvas!r}")
+        raise ValueError(f"canvas must hold two positive whole numbers, got {canvas!r}") from exc
+    if not all(math.isfinite(v) and v.is_integer() and v >= 1 for v in sides):
+        raise ValueError(f"canvas must hold two positive whole numbers, got {canvas!r}")
     return int(max(sides))
 
 

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from trajeval import (load_trajectory, make_synthetic_corpus, rasterize,
-                      read_mask_pgm, save_trajectory, write_pgm)
+                      read_pgm, save_trajectory, write_pgm)
 from trajeval.cli import build_parser, main
+from trajeval.raster import mask_to_gray
 from trajeval.error_sim import drift_points, widen_strokes
 
 from conftest import random_traj, traj_from_strokes
@@ -366,7 +367,8 @@ def test_rasterize_writes_matching_pgm(tmp_path, rng):
     save_trajectory(traj, tmp_path / "t.json")
     code = main(["rasterize", str(tmp_path / "t.json"), str(tmp_path / "t.pgm")])
     assert code == 0
-    assert read_mask_pgm(tmp_path / "t.pgm").same_bits(rasterize(traj))
+    assert (read_pgm(tmp_path / "t.pgm").pixels.tobytes()
+            == mask_to_gray(rasterize(traj)).pixels.tobytes())
 
 
 def test_rasterize_dilate_flag(tmp_path, rng):
@@ -375,8 +377,8 @@ def test_rasterize_dilate_flag(tmp_path, rng):
     main(["rasterize", str(tmp_path / "t.json"), str(tmp_path / "d.pgm"),
           "--dilate", "2"])
     from trajeval import dilate3x3
-    assert read_mask_pgm(tmp_path / "d.pgm").same_bits(
-        dilate3x3(rasterize(traj), 2))
+    assert (read_pgm(tmp_path / "d.pgm").pixels.tobytes()
+            == mask_to_gray(dilate3x3(rasterize(traj), 2)).pixels.tobytes())
 
 
 def test_rasterize_reports_bad_input(tmp_path):

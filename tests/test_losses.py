@@ -17,7 +17,7 @@ from trajeval import (LossWeights, NonFiniteSdtwError, PredictedPoint, PenState,
                       TrajPoint, Trajectory, l1_loss, make_synthetic_corpus, sdtw,
                       sdtw_grad, softmin, total_loss, wce_loss)
 from trajeval import losses
-from trajeval.losses import _soft_dp, _sq_dist_table
+from trajeval.losses import _soft_dp
 from trajeval.seq_metrics import _coords, _diagonals
 
 from conftest import random_traj, traj_from_strokes
@@ -231,7 +231,8 @@ def soft_dp_reference(q, p, gamma):
     them.  The in-place forward must match it bit for bit."""
     qc, pc = _coords(q), _coords(p)
     m, n = len(qc), len(pc)
-    d = _sq_dist_table(qc, pc)
+    d = np.zeros((m + 2, n + 2))
+    d[1:m + 1, 1:n + 1] = ((qc[:, None] - pc[None]) ** 2).sum(axis=2)
     r = np.full((m + 2, n + 2), math.inf)
     r[0, 0] = 0.0
     fd, fr, w = d.ravel(), r.ravel(), n + 2
@@ -322,6 +323,21 @@ def test_soft_dtw_raises_instead_of_returning_a_non_finite_result():
         with pytest.raises(NonFiniteSdtwError):
             sdtw_grad(q160, p160)
     assert issubclass(NonFiniteSdtwError, ValueError)
+
+
+def test_sdtw_peak_memory_per_cell():
+    """The forward holds its distance and soft-DP tables, and a table-sized
+    temporary only while the distances are built, before the soft-DP table."""
+    rng = np.random.Generator(np.random.PCG64(600))
+    q = traj_from_strokes([rng.uniform(0.0, 63.0, size=(600, 2)).tolist()])
+    p = traj_from_strokes([rng.uniform(0.0, 63.0, size=(500, 2)).tolist()])
+    tracemalloc.start()
+    try:
+        sdtw(q, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (600 * 500) < 20
 
 
 def test_sdtw_grad_peak_memory_per_cell():
@@ -520,6 +536,8 @@ def test_predicted_point_validates_probs():
         PredictedPoint(0, 0, (0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
         PredictedPoint(0, 0, (-0.1, 0.6, 0.5))
+    with pytest.raises(ValueError):
+        PredictedPoint(0, 0, (math.nan, 0.5, 0.5))
 
 
 def test_default_weights():
@@ -540,3 +558,9 @@ def test_loss_weights_reject_negatives():
         LossWeights(lambda1=-0.1)
     with pytest.raises(ValueError):
         LossWeights(class_weights=(1.0, -5.0, 1.0))
+    for bad in (math.nan, math.inf, -math.inf):
+        for field in ("lambda1", "lambda2", "lambda3"):
+            with pytest.raises(ValueError):
+                LossWeights(**{field: bad})
+        with pytest.raises(ValueError):
+            LossWeights(class_weights=(1.0, bad, 1.0))

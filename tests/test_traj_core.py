@@ -352,6 +352,8 @@ def test_save_load_round_trip(tmp_path, rng):
     {"canvas": [64.7, 64], "strokes": [[[1, 2]]]},           # fractional canvas side
     {"canvas": [64, float("nan")], "strokes": [[[1, 2]]]},   # NaN canvas side
     {"canvas": ["64", "1e400"], "strokes": [[[1, 2]]]},      # infinite side as text
+    {"canvas": [-5, 64], "strokes": [[[1, 2]]]},             # negative canvas side
+    {"canvas": [0, 64], "strokes": [[[1, 2]]]},              # zero canvas side
 ])
 def test_rejects_malformed_objects(obj):
     with pytest.raises(ValueError):
