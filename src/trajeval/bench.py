@@ -18,7 +18,7 @@ import numpy as np
 from .error_sim import (ERROR_KINDS, _check_magnitude, _is_finite, change_sample_rate,
                         drift_points, perturb)
 from .glyph_metrics import aiou, iou
-from .raster import BinaryMask, dilate3x3, rasterize
+from .raster import BinaryMask, dilate3x3, rasterize, rasterize_many
 from .seq_metrics import DtwResult, dtw, dtw_many, rmse
 from .traj_core import DOWN, EOS, UP, Trajectory, normalize_to_canvas
 
@@ -73,17 +73,19 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 def score_pair(gt, pred, metrics, k_max: int = 10, side: int | None = None,
-               gt_mask: BinaryMask | None = None,
+               gt_mask: BinaryMask | ValueError | None = None,
+               pred_mask: BinaryMask | ValueError | None = None,
                rmse_pred: Trajectory | None = None,
                dtw_result: DtwResult | ValueError | None = None) -> tuple[dict, dict]:
     """Score one (ground truth, prediction) pair on each named metric.
 
-    gt and pred are trajectories or binary masks; a mask ground truth (a PGM
-    scan, a widened image) scores glyph metrics only.  Glyph metrics render
-    the prediction first, then the ground truth, at `side` (default: each
+    gt and pred are trajectories or binary masks; a mask (a PGM scan, a
+    widened image) scores glyph metrics only.  Glyph metrics render the
+    prediction first, then the ground truth, at `side` (default: each
     trajectory's canvas; a mask ground truth sets it); with no glyph metric
-    nothing is rendered.  gt_mask is gt already rendered, for callers that
-    score many predictions against one ground truth; rmse_pred, if given,
+    nothing is rendered.  gt_mask and pred_mask are gt and pred already
+    rendered (say by one `rasterize_many` call for a ground truth and its
+    predictions), or the ValueError rendering gave; rmse_pred, if given,
     replaces pred for RMSE; dtw_result is `dtw(gt, pred)` from a `dtw_many`
     batch, or the ValueError that batch gave for the pair.
 
@@ -93,23 +95,30 @@ def score_pair(gt, pred, metrics, k_max: int = 10, side: int | None = None,
     """
     if isinstance(gt, BinaryMask):
         gt, gt_mask = None, gt
-    if gt_mask is not None:
+    if isinstance(pred, BinaryMask):
+        pred, pred_mask = None, pred
+    if isinstance(gt_mask, BinaryMask):
         side = gt_mask.width
     values: dict[str, float | None] = {}
     errors: dict[str, ValueError] = {}
-    pred_mask = None
     for name in metrics:
         try:
             if name in GLYPH_METRICS:
                 if pred_mask is None:
-                    pred_mask = pred if isinstance(pred, BinaryMask) else rasterize(pred, side)
+                    pred_mask = rasterize(pred, side)
+                if isinstance(pred_mask, ValueError):
+                    raise pred_mask
                 if gt_mask is None:
                     gt_mask = rasterize(gt, side)
+                if isinstance(gt_mask, ValueError):
+                    raise gt_mask
                 values[name] = (aiou(gt_mask, pred_mask, k_max).score if name == "aiou"
                                 else iou(gt_mask, pred_mask))
             elif name in DTW_METRICS:
                 if gt is None:
                     raise ValueError("sequence metrics need a trajectory ground truth")
+                if pred is None:
+                    raise ValueError("sequence metrics need a trajectory prediction")
                 if dtw_result is None:
                     dtw_result = dtw(gt, pred)
                 if isinstance(dtw_result, ValueError):
@@ -118,6 +127,8 @@ def score_pair(gt, pred, metrics, k_max: int = 10, side: int | None = None,
             elif name == "rmse":
                 if gt is None:
                     raise ValueError("RMSE needs a trajectory ground truth")
+                if pred is None:
+                    raise ValueError("RMSE needs a trajectory prediction")
                 values[name] = rmse(gt, pred if rmse_pred is None else rmse_pred)
             else:
                 raise KeyError(f"unknown metric {name!r}")
@@ -163,8 +174,9 @@ def _check_run_inputs(corpus, kind, grid):
 def _score_sweep(corpus, preds, metrics, k_max) -> list:
     """Score each glyph against its row of predictions, one per magnitude.
 
-    A None prediction is a sample skipped at that magnitude.  Each ground
-    truth is rendered once, and every pair's DTW comes from one `dtw_many`
+    A None prediction is a sample skipped at that magnitude.  Each glyph's
+    row (its ground truth, then its predictions) is rendered by one
+    `rasterize_many` call, and every pair's DTW comes from one `dtw_many`
     batch for the whole sweep, handed back in the order the pairs were given.
     """
     results = iter(())
@@ -174,14 +186,13 @@ def _score_sweep(corpus, preds, metrics, k_max) -> list:
     glyph = any(name in GLYPH_METRICS for name in metrics)
     per_sample = []
     for traj, row in zip(corpus, preds):
-        try:
-            gt_mask = rasterize(traj) if glyph else None
-        except ValueError:
-            gt_mask = None  # score_pair meets the same error and skips the metric
+        masks = iter(rasterize_many([traj] + [pred for pred in row if pred is not None])
+                     if glyph else ())
+        gt_mask = next(masks, None)
         per_sample.append([
             dict.fromkeys(metrics) if pred is None else
             score_pair(traj, pred, metrics, k_max, gt_mask=gt_mask,
-                       dtw_result=next(results, None))[0]
+                       pred_mask=next(masks, None), dtw_result=next(results, None))[0]
             for pred in row])
     return per_sample
 

@@ -20,8 +20,8 @@ import numpy as np
 from .raster import BinaryMask, dilate3x3
 
 
-def iou(g: BinaryMask, p: BinaryMask) -> float:
-    """Intersection-over-union of two same-sized masks."""
+def _overlap(g: BinaryMask, p: BinaryMask) -> tuple[int, int]:
+    """|g ∩ p| and |g ∪ p| of two same-sized masks whose union is not empty."""
     if g.bits.shape != p.bits.shape:
         raise ValueError(
             f"mask dimensions differ: {g.width}x{g.height} vs {p.width}x{p.height}")
@@ -29,6 +29,12 @@ def iou(g: BinaryMask, p: BinaryMask) -> float:
     union = np.count_nonzero(g.bits | p.bits)
     if union == 0:
         raise ValueError("undefined IoU: both masks are empty")
+    return inter, union
+
+
+def iou(g: BinaryMask, p: BinaryMask) -> float:
+    """Intersection-over-union of two same-sized masks."""
+    inter, union = _overlap(g, p)
     return inter / union
 
 
@@ -55,9 +61,10 @@ def aiou(g: BinaryMask, p: BinaryMask, k_max: int = 10) -> AiouResult:
     for k in range(k_max + 1):
         if k > 0:
             widened = dilate3x3(widened, 1)
-        score = iou(g, widened)
+        inter, union = _overlap(g, widened)
+        score = inter / union
         if score > best:  # strictly greater: the smallest k keeps a tie
             best, best_k = score, k
-        if empty_p or g_count / np.count_nonzero(g.bits | widened.bits) <= best:
+        if empty_p or g_count / union <= best:
             break
     return AiouResult(best, best_k)

@@ -80,36 +80,89 @@ def line_pixels(x0: int, y0: int, x1: int, y1: int) -> list[tuple[int, int]]:
             for i in range(n + 1)]
 
 
+# Mask cells of one stacked render: 64 canvases of 64 x 64 px, 256 KiB.  A
+# stack's point and line-pixel index arrays grow with it too.
+_STACK_CELLS = 1 << 18
+
+
+def rasterize_many(trajs, side: int | None = None) -> list[BinaryMask | OutOfCanvasError]:
+    """`rasterize` of each trajectory, in input order; a trajectory that
+    `rasterize` rejects gets the OutOfCanvasError it would raise in its place.
+
+    The trajectories are grouped by canvas side (`side`, else each one's own)
+    and cut into stacks of at most `_STACK_CELLS` mask cells.  Each stack is
+    rendered by one set of numpy calls into a (count, side, side) grid, and
+    each mask is a view of its stack.
+    """
+    out: list[BinaryMask | OutOfCanvasError | None] = [None] * len(trajs)
+    groups: dict[int, list[int]] = {}
+    for index, traj in enumerate(trajs):
+        groups.setdefault(side if side is not None else traj.canvas_side, []).append(index)
+    for canvas, members in groups.items():
+        per_stack = max(1, _STACK_CELLS // max(canvas, 1) ** 2)
+        for start in range(0, len(members), per_stack):
+            stack = members[start:start + per_stack]
+            masks = _render_stack([trajs[index] for index in stack], canvas)
+            for index, mask in zip(stack, masks):
+                out[index] = mask
+    return out
+
+
+def _render_stack(trajs, side: int) -> list[BinaryMask | OutOfCanvasError]:
+    """Masks of trajectories on one side x side canvas, all in one pass.
+
+    Every drawn point is set, and each segment from a pen-down point to its
+    successor in the same trajectory is drawn with the round-half-up rule of
+    `line_pixels`.  A trajectory with a point outside the canvas draws nothing
+    and gets its error instead.
+    """
+    xys = [traj.drawn_xy() for traj in trajs]
+    lens = np.array([len(xy) for xy in xys])
+    ends = np.cumsum(lens)
+    owner = np.repeat(np.arange(len(trajs)), lens)  # trajectory of each point
+    down = np.concatenate([traj.state[:len(xy)] for traj, xy in zip(trajs, xys)]) == DOWN
+    down[ends[lens > 0] - 1] = False  # a last point starts no segment, pen-up or not
+    xy = np.concatenate(xys)
+    pix = np.floor(xy + 0.5)
+    outside = ((pix < 0) | (pix >= side)).any(axis=1)
+    errors = {}
+    if outside.any():
+        for k in np.unique(owner[outside]).tolist():
+            idx = int(np.argmax(outside[ends[k] - lens[k]:ends[k]]))
+            x, y = xys[k][idx].tolist()
+            px, py = pixel_of(x, y)
+            errors[k] = OutOfCanvasError(
+                f"point {idx} at ({x}, {y}) rounds to pixel ({px}, {py}) "
+                f"outside the {side}x{side} canvas")
+        keep = ~np.isin(owner, list(errors))
+        pix, owner, down = pix[keep], owner[keep], down[keep]
+    pix = pix.astype(np.int64)
+    seg = np.flatnonzero(down)
+    start, delta = pix[seg], pix[seg + 1] - pix[seg]
+    n = np.abs(delta).max(axis=1)
+    step = np.repeat(np.arange(len(seg)), n)  # one row per step i in 0..n-1
+    i = (np.arange(len(step)) - np.repeat(np.cumsum(n) - n, n))[:, None]
+    m = n[step, None]
+    line = start[step] + (2 * delta[step] * i + m) // (2 * m)
+    # a side below 1 has rejected every drawn point; its masks stay empty
+    grid = np.zeros((len(trajs),) + (max(side, 0),) * 2, dtype=bool)
+    flat = grid.reshape(-1)
+    flat[(owner * side + pix[:, 1]) * side + pix[:, 0]] = True
+    flat[(owner[seg][step] * side + line[:, 1]) * side + line[:, 0]] = True
+    return [errors[k] if k in errors else BinaryMask(grid[k]) for k in range(len(trajs))]
+
+
 def rasterize(traj: Trajectory, side: int | None = None) -> BinaryMask:
     """Render a trajectory as a width-1 mask; no segment crosses a pen-up.
 
-    Every drawn point is set, and each segment from a pen-down point to its
-    successor is drawn with the round-half-up rule of `line_pixels`, all
-    segments in one pass.
+    A batch of one through `rasterize_many`: every drawn point is set, and
+    each segment from a pen-down point to its successor is drawn with the
+    round-half-up rule of `line_pixels`, all segments in one pass.
     """
-    side = side if side is not None else traj.canvas_side
-    xy = traj.drawn_xy()
-    pix = np.floor(xy + 0.5)
-    outside = ((pix < 0) | (pix >= side)).any(axis=1)
-    if outside.any():
-        idx = int(np.argmax(outside))
-        x, y = xy[idx].tolist()
-        px, py = pixel_of(x, y)
-        raise OutOfCanvasError(
-            f"point {idx} at ({x}, {y}) rounds to pixel ({px}, {py}) "
-            f"outside the {side}x{side} canvas")
-    pix = pix.astype(np.int64)
-    grid = np.zeros((side, side), dtype=bool)
-    grid[pix[:, 1], pix[:, 0]] = True
-    seg = np.flatnonzero(traj.state[:len(pix)][:-1] == DOWN)
-    start, delta = pix[seg], pix[seg + 1] - pix[seg]
-    n = np.abs(delta).max(axis=1)
-    owner = np.repeat(np.arange(len(seg)), n)  # one row per step i in 0..n-1
-    i = (np.arange(len(owner)) - np.repeat(np.cumsum(n) - n, n))[:, None]
-    m = n[owner, None]
-    line = start[owner] + (2 * delta[owner] * i + m) // (2 * m)
-    grid[line[:, 1], line[:, 0]] = True
-    return BinaryMask(grid)
+    mask = rasterize_many([traj], side)[0]
+    if isinstance(mask, OutOfCanvasError):
+        raise mask
+    return mask
 
 
 def otsu_threshold(img: GrayImage) -> int:

@@ -70,30 +70,48 @@ def _diagonals(m: int, n: int) -> list[tuple[int, int]]:
     return list(zip(a.tolist(), b.tolist()))
 
 
-# Cells of one chunk's stacked table.  It bounds a batch's working memory (the
-# table and one temporary, 512 KiB in all) while a chunk still holds about a
-# dozen of the sweeps' 50-point pairs; 2^16 was barely faster and held more.
-_CHUNK_CELLS = 1 << 15
+# Cells of one chunk's stacked table.  The distances are built in place
+# (`_sq_dist_tables`), so the table is most of a chunk's working memory
+# (1 MiB) while a chunk holds about 50 of the sweeps' 49-point pairs: the
+# per-diagonal numpy calls cost about the same for 12 stacked pairs as for 40.
+_CHUNK_CELLS = 1 << 17
+
+# Cells of the scratch band through which `_sq_dist_tables` adds the y-terms
+# (32 KiB, at least one table row).  Over a band of several rows numpy buffers
+# the ufuncs, with buffers up to twice the band, so the band stays small.
+_BAND_CELLS = 1 << 12
 
 
 def _sq_dist_tables(coords, border: float) -> np.ndarray:
     """Stacked (M+2, N+2, G) table of a chunk of (qc, pc) pairs: |q_i - p_j|^2
     of pair g at cell (i, j, g), 1-based, inside a `border` frame.  Shorter
     pairs are zero-padded to M x N; a padded cell is filled but never read.
-    The pair index is last, so each diagonal's G cells are adjacent."""
+    The pair index is last, so each diagonal's G cells are adjacent.
+
+    The x-terms are built in the table itself and the y-terms in a band of
+    rows at a time, so the table is the only allocation of its size.  Every
+    operand is a copy or an unbroadcast row block: a broadcast operand would
+    make numpy buffer the whole ufunc.
+    """
     g_count = len(coords)
     m = max(len(qc) for qc, _ in coords)
     n = max(len(pc) for _, pc in coords)
-    qs, ps = np.zeros((m, g_count, 2)), np.zeros((n, g_count, 2))
+    qs, ps = np.zeros((2, m, g_count)), np.zeros((2, n, g_count))
     for g, (qc, pc) in enumerate(coords):
-        qs[:len(qc), g], ps[:len(pc), g] = qc, pc
+        qs[:, :len(qc), g], ps[:, :len(pc), g] = qc.T, pc.T
     table = np.full((m + 2, n + 2, g_count), border)
     d = table[1:m + 1, 1:n + 1]
-    np.subtract(qs[:, None, :, 0], ps[None, :, :, 0], out=d)
+    np.copyto(d, qs[0, :, None])
+    np.subtract(d, ps[0], out=d)
     d *= d
-    dy = qs[:, None, :, 1] - ps[None, :, :, 1]
-    dy *= dy
-    d += dy
+    rows = max(1, _BAND_CELLS // (n * g_count))
+    band = np.empty((min(rows, m), n, g_count))
+    for i in range(0, m, rows):
+        dy = band[:min(rows, m - i)]
+        np.copyto(dy, qs[1, i:i + rows, None])
+        np.subtract(dy, ps[1], out=dy)
+        dy *= dy
+        d[i:i + rows] += dy
     return table
 
 
@@ -143,9 +161,8 @@ def _forward(coords) -> np.ndarray:
     """Accumulated-cost tables of a chunk of (qc, pc) pairs in
     `_sq_dist_tables`' layout under an infinite border, filled by one `_fill`."""
     r = _sq_dist_tables(coords, math.inf)
+    np.sqrt(r, out=r)  # the whole table: numpy buffers a ufunc over its inner view
     r[0, 0] = 0.0
-    d = r[1:-1, 1:-1]
-    np.sqrt(d, out=d)
     _fill(r, r)
     return r
 

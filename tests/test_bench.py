@@ -76,6 +76,34 @@ def test_score_pair_mask_ground_truth_skips_sequence_metrics(corpus):
     assert str(errors["rmse"]) == "RMSE needs a trajectory ground truth"
 
 
+def test_score_pair_mask_prediction_skips_sequence_metrics(corpus):
+    gt, pred = corpus[0], corpus[1]
+    metrics = ("aiou", "dtw", "ldtw", "iou", "rmse")
+    values, errors = score_pair(gt, rasterize(pred), metrics)
+    want, _ = score_pair(gt, pred, ("aiou", "iou"))
+    assert values == {"aiou": want["aiou"], "dtw": None, "ldtw": None,
+                      "iou": want["iou"], "rmse": None}
+    assert list(errors) == ["dtw", "ldtw", "rmse"]
+    assert str(errors["dtw"]) == "sequence metrics need a trajectory prediction"
+    assert str(errors["ldtw"]) == "sequence metrics need a trajectory prediction"
+    assert str(errors["rmse"]) == "RMSE needs a trajectory prediction"
+
+
+def test_score_pair_takes_rendered_masks_or_their_errors(corpus, monkeypatch):
+    gt, pred = corpus[0], corpus[1]
+    want = score_pair(gt, pred, ("aiou", "iou", "dtw"))
+    pred_mask, gt_mask = rasterize(pred), rasterize(gt)
+    monkeypatch.setattr(bench, "rasterize", lambda *args: pytest.fail("rendered again"))
+    assert score_pair(gt, pred, ("aiou", "iou", "dtw"), gt_mask=gt_mask,
+                      pred_mask=pred_mask) == want
+    error = OutOfCanvasError("point 0 is off the canvas")
+    for masks in ({"gt_mask": gt_mask, "pred_mask": error},
+                  {"gt_mask": error, "pred_mask": pred_mask}):
+        values, errors = score_pair(gt, pred, ("aiou", "iou", "dtw"), **masks)
+        assert values["aiou"] is None and values["iou"] is None and values["dtw"] > 0
+        assert errors == {"aiou": error, "iou": error}
+
+
 def test_score_pair_reports_the_prediction_error_first():
     gt = traj_from_strokes([[(70, 10), (20, 20)]])
     pred = traj_from_strokes([[(10, 90), (20, 20)]])

@@ -53,7 +53,9 @@ def test_layer_trace_counts_a_small_sweep(layer_trace, monkeypatch):
     out = layer_trace.summarize(tracer.take(), wall_s=1.0)
     assert out["traj_core.normalize_to_canvas.calls"] == 2
     assert out["error_sim.drift_points.calls"] == 4
-    assert out["raster.rasterize.calls"] == 6  # one ground truth + two predictions each
+    # each glyph's ground truth and two predictions render in one untraced
+    # rasterize_many call
+    assert out["raster.rasterize.calls"] == 0
     assert out["raster.rasterize.repeat_share"] == 0.0
     # the sweep's four alignments run in one untraced dtw_many batch
     assert out["seq_metrics.dtw.calls"] == 0

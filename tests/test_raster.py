@@ -5,6 +5,7 @@ directly from its definition.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,10 +14,11 @@ from hypothesis import strategies as st
 
 from trajeval import (BinaryMask, DegenerateHistogramError, GrayImage,
                       OutOfCanvasError, PenState, TrajPoint, Trajectory,
-                      binarize, dedupe_points, dilate3x3, otsu_threshold,
-                      rasterize, read_pgm, resample,
+                      binarize, dedupe_points, dilate3x3, make_synthetic_corpus,
+                      otsu_threshold, rasterize, rasterize_many, read_pgm, resample,
                       write_mask_pgm, write_pgm)
-from trajeval.raster import line_pixels, mask_to_gray
+from trajeval.raster import _STACK_CELLS, line_pixels, mask_to_gray
+from trajeval.traj_core import DOWN, EOS, UP
 
 from conftest import random_traj, traj_from_strokes
 
@@ -165,6 +167,93 @@ def test_rasterize_matches_segment_oracle():
         traj = Trajectory(_points_of(strokes, close_last, eos_at), canvas_side=canvas)
         want = raster_oracle(strokes, side if side is not None else canvas)
         assert np.array_equal(rasterize(traj, side).bits, want), trial
+
+
+# --- stacked rendering -------------------------------------------------------
+
+@st.composite
+def glyphs(draw):
+    """A trajectory on an 8, 16 or 64 px canvas: 1-4 strokes of 1-5 points,
+    the last one pen-up or not, with or without EOS, some reaching past the
+    canvas; or a lone EOS marker, which draws nothing."""
+    canvas = draw(st.sampled_from([8, 16, 64]))
+    if draw(st.integers(0, 9)) == 0:
+        return Trajectory.from_arrays([(1.0, 2.0)], [EOS], canvas)
+    lo, hi = (-3.0, canvas + 2.0) if draw(st.booleans()) else (0.0, canvas - 1.0)
+    coord = st.floats(lo, hi, allow_nan=False)
+    xy, state = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        stroke = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=5))
+        xy += stroke
+        state += [DOWN] * (len(stroke) - 1) + [UP]
+    if not draw(st.booleans()):
+        state[-1] = DOWN  # the last stroke is never lifted
+    if draw(st.booleans()):
+        xy.append(xy[-1])
+        state.append(EOS)
+    return Trajectory.from_arrays(xy, state, canvas)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(glyphs(), max_size=12), st.sampled_from([None, 8, 16]))
+def test_rasterize_many_equals_one_at_a_time(trajs, side):
+    got = rasterize_many(trajs, side)
+    assert len(got) == len(trajs)
+    for traj, mask in zip(trajs, got):
+        try:
+            want = rasterize(traj, side)
+        except OutOfCanvasError as exc:
+            assert type(mask) is OutOfCanvasError and str(mask) == str(exc)
+            continue
+        assert isinstance(mask, BinaryMask) and mask.bits.shape == want.bits.shape
+        assert np.array_equal(mask.bits, want.bits)
+
+
+def test_rasterize_many_ends_each_trajectory_at_its_last_point():
+    """An open last stroke draws no segment into the next trajectory, and a
+    rejected member between two others leaves them as they are."""
+    open_end = Trajectory.from_arrays([(0.0, 0.0), (3.0, 0.0)], [DOWN, DOWN], 8)
+    outside = Trajectory.from_arrays([(1.0, 1.0), (9.0, 1.0)], [DOWN, UP], 8)
+    closed = Trajectory.from_arrays([(0.0, 5.0), (3.0, 5.0), (3.0, 5.0)], [DOWN, UP, EOS], 8)
+    first, error, last = rasterize_many([open_end, outside, closed])
+    assert first.count() == 4 and first.bits[0, :4].all()
+    assert isinstance(error, OutOfCanvasError) and "point 1" in str(error)
+    assert last.count() == 4 and last.bits[5, :4].all()
+
+
+@pytest.mark.parametrize("side", [0, -3])
+def test_rasterize_rejects_every_point_of_an_empty_canvas(side):
+    traj = traj_from_strokes([[(1, 1), (2, 2)]])
+    with pytest.raises(OutOfCanvasError, match=f"point 0 .* outside the {side}x{side} canvas"):
+        rasterize(traj, side)
+
+
+def test_rasterize_many_of_nothing_is_empty():
+    assert rasterize_many([]) == []
+
+
+def test_rasterize_many_renders_one_stack_at_a_time():
+    """A 1,000-glyph call renders stacks of `_STACK_CELLS` mask cells one after
+    another: its working memory above the masks it returns is no more than a
+    one-stack call's, and every mask equals its one-at-a-time render."""
+    corpus = make_synthetic_corpus(1000, seed=3)
+
+    def working_peak(batch):
+        tracemalloc.start()
+        try:
+            masks = rasterize_many(batch)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(masks) == len(batch)
+        return peak - held, masks
+
+    one, _ = working_peak(corpus[:_STACK_CELLS // 64 ** 2])
+    many, masks = working_peak(corpus)
+    assert many < 1.5 * one
+    # a stack's grid takes _STACK_CELLS bytes and its index arrays a few times that
+    assert many < 8 * _STACK_CELLS
+    assert all(mask.same_bits(rasterize(traj)) for traj, mask in zip(corpus, masks))
 
 
 # --- Otsu / binarize ---------------------------------------------------------

@@ -258,8 +258,8 @@ def test_dtw_matches_row_loop_reference():
 
 
 def test_dtw_peak_memory_per_cell():
-    """One long alignment allocates one float64 table and one temporary of
-    its size, not boxed floats and not a second table."""
+    """One long alignment allocates one float64 table and a small scratch
+    band, not boxed floats and not a second table-sized temporary."""
     rng = np.random.Generator(np.random.PCG64(600))
     q = _polyline(rng.uniform(0.0, 63.0, size=(600, 2)))
     p = _polyline(rng.uniform(0.0, 63.0, size=(500, 2)))
@@ -269,7 +269,33 @@ def test_dtw_peak_memory_per_cell():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (600 * 500) < 20
+    assert peak / (600 * 500) < 10
+
+
+def test_a_full_chunk_peaks_near_its_table(monkeypatch):
+    """A full `_CHUNK_CELLS` chunk of the sweeps' 49-point pairs is one forward
+    pass that peaks within 1.25x its table's bytes: the distances are built
+    in the table, not beside it."""
+    rng = np.random.Generator(np.random.PCG64(49))
+    count = seq_metrics._CHUNK_CELLS // (51 * 51)
+    pairs = [(_polyline(rng.uniform(0.0, 63.0, size=(49, 2))),
+              _polyline(rng.uniform(0.0, 63.0, size=(49, 2)))) for _ in range(count)]
+    forward, peaks = seq_metrics._forward, []
+
+    def measured(coords):
+        tracemalloc.start()
+        try:
+            r = forward(coords)
+            peaks.append((len(coords), tracemalloc.get_traced_memory()[1] / r.nbytes))
+        finally:
+            tracemalloc.stop()
+        return r
+
+    monkeypatch.setattr(seq_metrics, "_forward", measured)
+    dtw_many(pairs)
+    assert count > 40
+    assert len(peaks) == 1 and peaks[0][0] == count
+    assert peaks[0][1] < 1.25
 
 
 # --- batched DTW -------------------------------------------------------------
