@@ -6,12 +6,15 @@ serves `sensitivity` and `invariance` through the `bench` runner of the same
 name.  Everything runs serially in one process, and `bench._fmt` (CSV) and
 `bench._json_number` (JSON) write every number, so seeded output is stable.
 Handlers reject bad input by raising OSError or ValueError; only `main` turns
-one into an error line on stderr and exit status 1.
+one into an error line on stderr and exit status 1.  `main` parses with one
+parser, built on its first call and kept for the life of the process;
+`build_parser()` returns a new parser on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import statistics
@@ -283,8 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser as it was, so every `main` call can share it
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # input or a path the command rejects

@@ -66,20 +66,6 @@ class BinaryMask:
             np.array_equal(self.bits, other.bits))
 
 
-def _rhu_div(a: int, b: int) -> int:
-    # round-half-up of a/b for integer a, b > 0; exact in integer arithmetic
-    return (2 * a + b) // (2 * b)
-
-
-def line_pixels(x0: int, y0: int, x1: int, y1: int) -> list[tuple[int, int]]:
-    """Closest-pixel (Bresenham) raster of the segment between two pixels."""
-    n = max(abs(x1 - x0), abs(y1 - y0))
-    if n == 0:
-        return [(x0, y0)]
-    return [(x0 + _rhu_div((x1 - x0) * i, n), y0 + _rhu_div((y1 - y0) * i, n))
-            for i in range(n + 1)]
-
-
 # Mask cells of one stacked render: 64 canvases of 64 x 64 px, 256 KiB.  A
 # stack's point and line-pixel index arrays grow with it too.
 _STACK_CELLS = 1 << 18
@@ -112,9 +98,11 @@ def _render_stack(trajs, side: int) -> list[BinaryMask | OutOfCanvasError]:
     """Masks of trajectories on one side x side canvas, all in one pass.
 
     Every drawn point is set, and each segment from a pen-down point to its
-    successor in the same trajectory is drawn with the round-half-up rule of
-    `line_pixels`.  A trajectory with a point outside the canvas draws nothing
-    and gets its error instead.
+    successor in the same trajectory is drawn pixel by pixel: between pixels
+    p0 and p1, n = max(|dx|, |dy|) steps apart, each i in 0..n sets
+    p0 + round-half-up((p1 - p0) * i / n), computed exactly in integers.  A
+    trajectory with a point outside the canvas draws nothing and gets its
+    error instead.
     """
     xys = [traj.drawn_xy() for traj in trajs]
     lens = np.array([len(xy) for xy in xys])
@@ -156,8 +144,9 @@ def rasterize(traj: Trajectory, side: int | None = None) -> BinaryMask:
     """Render a trajectory as a width-1 mask; no segment crosses a pen-up.
 
     A batch of one through `rasterize_many`: every drawn point is set, and
-    each segment from a pen-down point to its successor is drawn with the
-    round-half-up rule of `line_pixels`, all segments in one pass.
+    each segment from a pen-down pixel p0 to its successor p1 sets
+    p0 + round-half-up((p1 - p0) * i / n) for each i in 0..n, where
+    n = max(|dx|, |dy|), all segments in one pass.
     """
     mask = rasterize_many([traj], side)[0]
     if isinstance(mask, OutOfCanvasError):

@@ -6,13 +6,18 @@ import csv
 import io
 import json
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trajeval import (load_trajectory, make_synthetic_corpus, rasterize,
-                      read_pgm, save_trajectory, write_pgm)
+from trajeval import (Trajectory, bench, dedupe_points, downsample_half,
+                      load_trajectory, make_synthetic_corpus, normalize_to_canvas,
+                      rasterize, read_pgm, save_trajectory, write_pgm)
+from trajeval import cli
 from trajeval.cli import build_parser, main
 from trajeval.raster import mask_to_gray
 from trajeval.error_sim import drift_points, widen_strokes
@@ -166,6 +171,47 @@ def test_evaluate_rmse_resample_matches_lengths(tmp_path, rng, capsys):
                          "--rmse-resample"], capsys)
     assert code == 0
     assert csv_rows(out)[0]["rmse"] != ""
+
+
+@pytest.mark.parametrize("flags", [["--normalize"], ["--dedupe"], ["--downsample-half"],
+                                   ["--normalize", "--dedupe", "--downsample-half"]])
+def test_evaluate_preprocessing_flags_match_the_library_chain(flags, tmp_path, capsys):
+    metrics = ("aiou", "iou", "ldtw", "dtw", "rmse")
+    gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
+    gt_dir.mkdir()
+    pred_dir.mkdir()
+    # half-size glyphs with 1-3 px steps: normalizing rescales them, some
+    # neighbours share a pixel, and every stroke has points to halve
+    for i, glyph in enumerate(make_synthetic_corpus(3, seed=0, step_range=(1.0, 3.0))):
+        gt = Trajectory.from_arrays(glyph.xy * 0.5 + 3.0, glyph.state, 64)
+        save_trajectory(gt, gt_dir / f"g{i}.json")
+        save_trajectory(drift_points(gt, 1.0, seed=i), pred_dir / f"g{i}.json")
+
+    def chain(traj, flags):
+        if "--normalize" in flags:
+            traj = normalize_to_canvas(traj, 64)
+        if "--dedupe" in flags:
+            traj = dedupe_points(traj)
+        if "--downsample-half" in flags:
+            traj = downsample_half(traj)
+        return traj
+
+    def library_rows(flags):
+        rows = []
+        for i in range(3):
+            gt, pred = (chain(load_trajectory(d / f"g{i}.json"), flags)
+                        for d in (gt_dir, pred_dir))
+            values, errors = bench.score_pair(gt, pred, metrics, 10, side=64)
+            error = next((f"{name}: {exc}" for name, exc in errors.items()), "")
+            rows.append({"sample": f"g{i}", "error": error,
+                         **{m: bench._json_number(values[m]) for m in metrics}})
+        return rows
+
+    code, out = run_cli(["evaluate", str(gt_dir), str(pred_dir), "--metrics",
+                         ",".join(metrics), "--format", "json", *flags], capsys)
+    assert code == 0
+    assert json.loads(out)["rows"] == library_rows(flags)
+    assert library_rows(flags) != library_rows([])  # each flag changes a score
 
 
 # --- sensitivity / invariance ------------------------------------------------
@@ -420,3 +466,68 @@ def test_readme_names_every_option_of_every_command():
                       for option in action.option_strings
                       if not re.search(re.escape(option) + r"(?![\w-])", readme)})
     assert not missing
+
+
+# --- one parser per process --------------------------------------------------
+
+def _outcome(argv, capsys):
+    """(exit status or SystemExit message, stdout, stderr) of one `main` call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_main_reuses_its_parser_without_carrying_options_over(sample_files,
+                                                               monkeypatch, capsys):
+    gt_dir, pred_dir = str(sample_files[0]), str(sample_files[1])
+    calls = [["evaluate", gt_dir, pred_dir, "--normalize", "--dedupe", "--format", "json"],
+             ["evaluate", gt_dir, pred_dir, "--canvas", "1"],
+             ["evaluate", gt_dir, pred_dir, "--metrics", "aiou,aiou"],
+             ["evaluate", gt_dir, pred_dir]]
+    shared = [_outcome(argv, capsys) for argv in calls]
+    assert [code for code, _, _ in shared] == [0, 2, "error: metric 'aiou' given twice", 0]
+    monkeypatch.setattr(cli, "_parser", build_parser)  # a new parser per call
+    assert [_outcome(argv, capsys) for argv in calls] == shared
+
+
+def test_main_builds_its_parser_once_per_process(sample_files, monkeypatch, capsys):
+    argv = ["evaluate", str(sample_files[0]), str(sample_files[1])]
+    main(argv)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(argv) == 0
+    assert built == []
+    # build_parser still gives each caller its own: the top level and 5 commands
+    assert build_parser() is not build_parser()
+    assert len(built) == 12
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = textwrap.dedent("""
+        import argparse, sys
+        sys.path.insert(0, sys.argv[1])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        argparse.ArgumentParser.__init__ = counting_init
+        import trajeval.cli
+        print(len(built))
+    """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"]

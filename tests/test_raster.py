@@ -17,13 +17,27 @@ from trajeval import (BinaryMask, DegenerateHistogramError, GrayImage,
                       binarize, dedupe_points, dilate3x3, make_synthetic_corpus,
                       otsu_threshold, rasterize, rasterize_many, read_pgm, resample,
                       write_mask_pgm, write_pgm)
-from trajeval.raster import _STACK_CELLS, line_pixels, mask_to_gray
+from trajeval.raster import _STACK_CELLS, mask_to_gray
 from trajeval.traj_core import DOWN, EOS, UP
 
 from conftest import random_traj, traj_from_strokes
 
 
 # --- brute-force oracles -----------------------------------------------------
+
+def _rhu_div(a: int, b: int) -> int:
+    # round-half-up of a/b for integer a, b > 0; exact in integer arithmetic
+    return (2 * a + b) // (2 * b)
+
+
+def line_pixels(x0: int, y0: int, x1: int, y1: int) -> list[tuple[int, int]]:
+    """Closest-pixel (Bresenham) raster of the segment between two pixels."""
+    n = max(abs(x1 - x0), abs(y1 - y0))
+    if n == 0:
+        return [(x0, y0)]
+    return [(x0 + _rhu_div((x1 - x0) * i, n), y0 + _rhu_div((y1 - y0) * i, n))
+            for i in range(n + 1)]
+
 
 def otsu_oracle(pixels):
     """Exhaustive between-class-variance scan; smallest argmax."""
@@ -55,7 +69,7 @@ def dilate_oracle(bits):
     return out
 
 
-# --- line rasterization ------------------------------------------------------
+# --- the segment oracle: line_pixels ----------------------------------------
 
 def test_line_pixels_axis_aligned():
     assert line_pixels(1, 2, 4, 2) == [(1, 2), (2, 2), (3, 2), (4, 2)]
