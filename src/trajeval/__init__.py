@@ -19,7 +19,7 @@ from .losses import (LossWeights, NonFiniteSdtwError, PredictedPoint, l1_loss,
                      sdtw, sdtw_grad, softmin, total_loss, wce_loss)
 from .error_sim import (ERROR_KINDS, change_sample_rate, delete_strokes,
                         drift_points, drift_strokes, insert_strokes, perturb,
-                        widen_strokes)
+                        perturb_row, widen_strokes)
 from .bench import (CurveReport, invariance_run, make_synthetic_corpus,
                     normalize_curve, reports_to_csv, reports_to_json,
                     score_pair, sensitivity_run)

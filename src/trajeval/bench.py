@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .error_sim import (ERROR_KINDS, _check_magnitude, _is_finite, change_sample_rate,
-                        drift_points, perturb)
+                        drift_points, perturb_row)
 from .glyph_metrics import aiou, iou
 from .raster import BinaryMask, dilate3x3, rasterize, rasterize_many
 from .seq_metrics import DtwResult, dtw, dtw_many, rmse
@@ -75,7 +75,7 @@ def derive_seed(seed: int, index: int) -> int:
 def score_pair(gt, pred, metrics, k_max: int = 10, side: int | None = None,
                gt_mask: BinaryMask | ValueError | None = None,
                pred_mask: BinaryMask | ValueError | None = None,
-               rmse_pred: Trajectory | None = None,
+               rmse_pred: Trajectory | ValueError | None = None,
                dtw_result: DtwResult | ValueError | None = None) -> tuple[dict, dict]:
     """Score one (ground truth, prediction) pair on each named metric.
 
@@ -86,8 +86,9 @@ def score_pair(gt, pred, metrics, k_max: int = 10, side: int | None = None,
     nothing is rendered.  gt_mask and pred_mask are gt and pred already
     rendered (say by one `rasterize_many` call for a ground truth and its
     predictions), or the ValueError rendering gave; rmse_pred, if given,
-    replaces pred for RMSE; dtw_result is `dtw(gt, pred)` from a `dtw_many`
-    batch, or the ValueError that batch gave for the pair.
+    replaces pred for RMSE, or is the ValueError RMSE records; dtw_result is
+    `dtw(gt, pred)` from a `dtw_many` batch, or the ValueError that batch gave
+    for the pair.
 
     Returns (values, errors) keyed by metric in metric order: a metric that
     raises ValueError gets value None and its exception in errors, and
@@ -129,6 +130,8 @@ def score_pair(gt, pred, metrics, k_max: int = 10, side: int | None = None,
                     raise ValueError("RMSE needs a trajectory ground truth")
                 if pred is None:
                     raise ValueError("RMSE needs a trajectory prediction")
+                if isinstance(rmse_pred, ValueError):
+                    raise rmse_pred
                 values[name] = rmse(gt, pred if rmse_pred is None else rmse_pred)
             else:
                 raise KeyError(f"unknown metric {name!r}")
@@ -209,16 +212,9 @@ def sensitivity_run(corpus, kind: str, grid=None, metrics=("aiou", "ldtw"),
         raise ValueError(f"unknown error kind {kind!r}; expected one of {SENSITIVITY_KINDS}")
     grid = tuple(grid if grid is not None else DEFAULT_GRIDS[kind])
     _check_run_inputs(corpus, kind, grid)
-    preds = []
-    for i, traj in enumerate(corpus):
-        sseed = derive_seed(seed, i)
-        row = []
-        for magnitude in grid:
-            try:
-                row.append(perturb(traj, kind, magnitude, sseed))
-            except ValueError:
-                row.append(None)
-        preds.append(row)
+    preds = [[None if isinstance(pred, ValueError) else pred
+              for pred in perturb_row(traj, kind, grid, derive_seed(seed, i))]
+             for i, traj in enumerate(corpus)]
     return _aggregate(grid, metrics, _score_sweep(corpus, preds, metrics, k_max), seed)
 
 

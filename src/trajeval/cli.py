@@ -76,6 +76,10 @@ def _resample_to_count(traj: Trajectory, target: int) -> Trajectory:
     return out
 
 
+# --dedupe drops different points from the two sides, so RMSE's index pairs no longer correspond
+DEDUPE_RMSE_REASON = "--dedupe leaves RMSE no point-to-point correspondence; add --rmse-resample"
+
+
 def _collect_pairs(gt_path: Path, pred_path: Path):
     """(name, gt_file, pred_file) triples; directory mode pairs by basename."""
     if gt_path.is_file():
@@ -105,6 +109,8 @@ def _evaluate_pair(gt_file: Path, pred_file: Path, metrics, args) -> dict:
     rmse_pred = None
     if args.rmse_resample and isinstance(gt, Trajectory):
         rmse_pred = _resample_to_count(pred, len(gt.drawn_xy()))
+    elif args.dedupe:
+        rmse_pred = ValueError(DEDUPE_RMSE_REASON)
     values, errors = bench.score_pair(gt, pred, metrics, args.kmax, side=args.canvas,
                                       rmse_pred=rmse_pred)
     row.update(values)

@@ -4,7 +4,9 @@ Every generator is a pure function of (input, parameters, seed): running it
 twice with the same arguments yields bit-identical output, and no global RNG
 state is touched.  With a fixed seed the random draws do not depend on the
 magnitude, so growing the magnitude yields nested perturbations (useful for
-monotone sensitivity curves).
+monotone sensitivity curves).  `perturb_row` therefore makes a glyph's draws
+once for a whole grid of magnitudes and builds each prediction from them; the
+single-magnitude generators are rows of one through the same bodies.
 """
 
 from __future__ import annotations
@@ -55,38 +57,96 @@ def _check_magnitude(kind: str, value) -> None:
             raise ValueError(f"{kind} {demand}, got {value}")
 
 
-def insert_strokes(traj: Trajectory, k: int, seed: int) -> Trajectory:
-    """Insert k copies of randomly chosen strokes at random canvas positions."""
-    _check_magnitude("stroke-insert", k)
+def _insert_row(traj: Trajectory, ks, seed: int) -> list:
     strokes = _stroke_xy(traj)
+    ks = [int(k) for k in ks]
     if not strokes:
-        raise ValueError("trajectory has no strokes to copy")
-    side = traj.canvas_side
-    rng = _rng(seed)
-    out = list(strokes)
-    for _ in range(int(k)):
+        return [ValueError("trajectory has no strokes to copy") for _ in ks]
+    side, rng, out, joined = traj.canvas_side, _rng(seed), list(strokes), {}
+    for count in range(1, max(ks) + 1):
         src = strokes[int(rng.integers(len(strokes)))]
         (min_x, min_y), (max_x, max_y) = src.min(axis=0).tolist(), src.max(axis=0).tolist()
         new_min_x = rng.uniform(0.0, max(side - 1 - (max_x - min_x), 0.0))
         new_min_y = rng.uniform(0.0, max(side - 1 - (max_y - min_y), 0.0))
-        moved = src + (new_min_x - min_x, new_min_y - min_y)
-        pos = int(rng.integers(len(out) + 1))
-        out.insert(pos, moved)
-    return join_strokes(out, traj)
+        out.insert(int(rng.integers(len(out) + 1)), src + (new_min_x - min_x, new_min_y - min_y))
+        if count in ks:
+            joined[count] = join_strokes(out, traj)
+    return [joined[k] for k in ks]
+
+
+def _delete_row(traj: Trajectory, ks, seed: int) -> list:
+    strokes = _stroke_xy(traj)
+    order = _rng(seed).permutation(len(strokes)).tolist()  # the first k are deleted
+    n = len(strokes)
+    return [join_strokes([strokes[i] for i in sorted(order[k:])], traj) if k < n
+            else ValueError(f"cannot delete {k} of {n} strokes: at least one must remain")
+            for k in map(int, ks)]
+
+
+def _point_drift_row(traj: Trajectory, ds, seed: int, fraction: float = 1.0) -> list:
+    rng, n_drawn = _rng(seed), len(traj.drawn_xy())
+    chosen = rng.permutation(n_drawn)[:math.ceil(fraction * n_drawn)]
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=len(chosen)).tolist()
+    unit = np.array([(math.cos(t), math.sin(t)) for t in angles]).reshape(-1, 2)
+    base, row = traj.xy[chosen], []
+    for d in ds:
+        xy = traj.xy.copy()
+        xy[chosen] = np.minimum(np.maximum(base + d * unit, 0.0), traj.canvas_side - 1)
+        row.append(Trajectory.from_arrays(xy, traj.state, traj.canvas_side))
+    return row
+
+
+def _stroke_drift_row(traj: Trajectory, ds, seed: int) -> list:
+    strokes = _stroke_xy(traj)
+    angles = _rng(seed).uniform(0.0, 2.0 * math.pi, size=len(strokes)).tolist()
+    units = [(math.cos(t), math.sin(t)) for t in angles]
+    boxes = [(st.min(axis=0).tolist(), st.max(axis=0).tolist()) for st in strokes]
+    # every magnitude moves the same rows: add its per-stroke offsets to them
+    joined, lens = join_strokes(strokes, traj), [len(st) for st in strokes]
+    hi, row = traj.canvas_side - 1, []
+    for d in ds:
+        offsets = [(min(max(d * cos, -min_x), hi - max_x), min(max(d * sin, -min_y), hi - max_y))
+                   for (cos, sin), ((min_x, min_y), (max_x, max_y)) in zip(units, boxes)]
+        xy = joined.xy.copy()
+        xy[:sum(lens)] += np.repeat(np.array(offsets).reshape(-1, 2), lens, axis=0)
+        row.append(Trajectory.from_arrays(xy, joined.state, traj.canvas_side))
+    return row
+
+
+# kind name -> row body(traj, magnitudes, seed), called by `perturb_row` once
+# the magnitudes pass `_check_magnitude`
+ERROR_KINDS = {"stroke-insert": _insert_row, "stroke-delete": _delete_row,
+               "point-drift": _point_drift_row, "stroke-drift": _stroke_drift_row}
+
+
+def perturb_row(traj: Trajectory, kind: str, grid, seed: int) -> list:
+    """`perturb` at each magnitude of `grid`, in grid order, from one set of
+    seeded draws.  Every magnitude is checked before any draw; one this glyph
+    cannot take gets the ValueError `perturb` would raise in its place."""
+    if kind not in ERROR_KINDS:
+        raise ValueError(f"unknown error kind {kind!r}; expected one of {tuple(ERROR_KINDS)}")
+    grid = tuple(grid)  # read twice: checked, then drawn for
+    for magnitude in grid:
+        _check_magnitude(kind, magnitude)
+    return ERROR_KINDS[kind](traj, grid, seed)
+
+
+def perturb(traj: Trajectory, kind: str, magnitude, seed: int) -> Trajectory:
+    """Apply the named error kind at `magnitude` under a fixed seed: a row of one."""
+    pred = perturb_row(traj, kind, (magnitude,), seed)[0]
+    if isinstance(pred, ValueError):
+        raise pred
+    return pred
+
+
+def insert_strokes(traj: Trajectory, k: int, seed: int) -> Trajectory:
+    """Insert k copies of randomly chosen strokes at random canvas positions."""
+    return perturb(traj, "stroke-insert", k, seed)
 
 
 def delete_strokes(traj: Trajectory, k: int, seed: int) -> Trajectory:
     """Remove k uniformly chosen distinct strokes, keeping survivor order."""
-    _check_magnitude("stroke-delete", k)
-    k = int(k)
-    strokes = _stroke_xy(traj)
-    if k >= len(strokes):
-        raise ValueError(
-            f"cannot delete {k} of {len(strokes)} strokes: at least one must remain")
-    order = _rng(seed).permutation(len(strokes))
-    doomed = set(int(i) for i in order[:k])
-    survivors = [st for i, st in enumerate(strokes) if i not in doomed]
-    return join_strokes(survivors, traj)
+    return perturb(traj, "stroke-delete", k, seed)
 
 
 def drift_points(traj: Trajectory, d: float, seed: int,
@@ -98,15 +158,7 @@ def drift_points(traj: Trajectory, d: float, seed: int,
     _check_magnitude("point-drift", d)
     if not (0 < fraction <= 1):
         raise ValueError("fraction must lie in (0, 1]")
-    rng = _rng(seed)
-    n_drawn = len(traj.drawn_xy())
-    m = math.ceil(fraction * n_drawn)
-    chosen = rng.permutation(n_drawn)[:m]
-    angles = rng.uniform(0.0, 2.0 * math.pi, size=m).tolist()
-    step = d * np.array([(math.cos(t), math.sin(t)) for t in angles]).reshape(-1, 2)
-    xy = traj.xy.copy()
-    xy[chosen] = np.minimum(np.maximum(xy[chosen] + step, 0.0), traj.canvas_side - 1)
-    return Trajectory.from_arrays(xy, traj.state, traj.canvas_side)
+    return _point_drift_row(traj, (d,), seed, fraction)[0]
 
 
 def drift_strokes(traj: Trajectory, d: float, seed: int) -> Trajectory:
@@ -115,18 +167,7 @@ def drift_strokes(traj: Trajectory, d: float, seed: int) -> Trajectory:
     The translation is shortened per axis so the stroke's bounding box stays
     in canvas; within-stroke geometry is otherwise preserved exactly.
     """
-    _check_magnitude("stroke-drift", d)
-    rng = _rng(seed)
-    hi = traj.canvas_side - 1
-    out = []
-    for st in _stroke_xy(traj):
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        ox, oy = d * math.cos(theta), d * math.sin(theta)
-        (min_x, min_y), (max_x, max_y) = st.min(axis=0).tolist(), st.max(axis=0).tolist()
-        ox = min(max(ox, -min_x), hi - max_x)
-        oy = min(max(oy, -min_y), hi - max_y)
-        out.append(st + (ox, oy))
-    return join_strokes(out, traj)
+    return perturb(traj, "stroke-drift", d, seed)
 
 
 def widen_strokes(traj: Trajectory, k: int, side: int | None = None) -> GrayImage:
@@ -140,21 +181,3 @@ def change_sample_rate(traj: Trajectory, factor: float) -> Trajectory:
     """Vary the trajectory's point density; delegates to resample."""
     _check_magnitude("sample-rate", factor)
     return resample(traj, factor)
-
-
-# kind name -> generator(traj, magnitude, seed); the generators validate the
-# magnitude.  The lambdas look each generator up by name when called, so a
-# rebound module attribute is honoured.
-ERROR_KINDS = {
-    "stroke-insert": lambda traj, m, seed: insert_strokes(traj, m, seed),
-    "stroke-delete": lambda traj, m, seed: delete_strokes(traj, m, seed),
-    "point-drift": lambda traj, m, seed: drift_points(traj, m, seed),
-    "stroke-drift": lambda traj, m, seed: drift_strokes(traj, m, seed),
-}
-
-
-def perturb(traj: Trajectory, kind: str, magnitude, seed: int) -> Trajectory:
-    """Apply the named error kind at `magnitude` under a fixed seed."""
-    if kind not in ERROR_KINDS:
-        raise ValueError(f"unknown error kind {kind!r}; expected one of {tuple(ERROR_KINDS)}")
-    return ERROR_KINDS[kind](traj, magnitude, seed)

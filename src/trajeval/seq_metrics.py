@@ -34,6 +34,12 @@ class AlignmentPath:
                 raise ValueError(
                     f"invalid alignment step ({i0}, {j0}) -> ({i1}, {j1})")
 
+    @classmethod
+    def _walked(cls, pairs: tuple) -> "AlignmentPath":  # valid by construction: no re-check
+        path = cls.__new__(cls)
+        object.__setattr__(path, "pairs", pairs)
+        return path
+
     def __len__(self) -> int:
         return len(self.pairs)
 
@@ -189,7 +195,7 @@ def _backtrack(table: np.ndarray, m: int, n: int) -> DtwResult:
                 j -= 1
         pairs.append((i, j))
     pairs.reverse()
-    return DtwResult(cost=table.item(m, n), path=AlignmentPath(tuple(pairs)))
+    return DtwResult(cost=table.item(m, n), path=AlignmentPath._walked(tuple(pairs)))
 
 
 def dtw_many(pairs) -> list[DtwResult | ValueError]:

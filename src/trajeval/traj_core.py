@@ -211,35 +211,44 @@ def _rhu(v):
     return np.floor(v + 0.5).astype(np.int64)
 
 
-def _resample_stroke(pts: np.ndarray, factor: float) -> np.ndarray:
-    n = len(pts)
-    if n == 1:
-        return pts
-    if factor < 1:
-        target = max(int(_rhu(factor * (n - 1))) + 1, 2)
-        return pts[np.unique(_rhu(np.arange(target) * (n - 1) / (target - 1)))]
-    # segment i splits into max(rhu(factor*i) - rhu(factor*(i-1)), 1) pieces;
-    # interpolated points are inserted, the original points kept exactly
-    pieces = np.maximum(np.diff(_rhu(factor * np.arange(n))), 1)
-    seg = np.repeat(np.arange(n - 1), pieces)
-    j = np.arange(len(seg)) + 1 - np.repeat(np.cumsum(pieces) - pieces, pieces)
-    a, b = pts[seg], pts[seg + 1]
-    out = a + (b - a) * (j / pieces[seg])[:, None]
-    ends = j == pieces[seg]
-    out[ends] = b[ends]
-    return np.concatenate([pts[:1], out])
-
-
 def resample(traj: Trajectory, factor: float) -> Trajectory:
     """Change the sampling density of every stroke by `factor`.
 
     factor >= 1 subdivides each within-stroke segment by linear interpolation
     so a stroke of n points ends up with round(factor*(n-1))+1 points; factor
-    < 1 decimates uniformly, always keeping stroke endpoints.
+    < 1 decimates uniformly, always keeping stroke endpoints and closing states.
+    One set of numpy calls over global row indices serves every stroke; each
+    point gets the arithmetic it would get in a stroke of its own.
     """
     if not 0 < factor < math.inf:
         raise ValueError(f"resample factor must be positive and finite, got {factor}")
-    return _per_stroke(traj, lambda pts: _resample_stroke(pts, factor))
+    xy = traj.drawn_xy()
+    bounds = np.array(stroke_bounds(traj), dtype=np.intp).reshape(-1, 2)
+    starts, lens = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
+    if factor < 1:
+        # rows at `target` rounded even steps per stroke never decrease: dedupe drops repeats
+        target = np.where(lens > 1, np.maximum(_rhu(factor * (lens - 1)) + 1, 2), 1)
+        stroke = np.repeat(np.arange(len(lens)), target)
+        k = np.arange(len(stroke)) - np.repeat(np.cumsum(target) - target, target)
+        rows = starts[stroke] + _rhu(k * (lens - 1)[stroke] / np.maximum(target - 1, 1)[stroke])
+        keep = np.diff(rows, prepend=-1) != 0
+        out, stroke = xy[rows[keep]], stroke[keep]
+    else:
+        # a stroke's row i > 0 ends max(rhu(factor*i) - rhu(factor*(i-1)), 1) pieces
+        # interpolated from row i-1, its row 0 one; every row is kept exactly
+        local = np.arange(len(xy)) - np.repeat(starts, lens)
+        pieces = np.where(local > 0, np.maximum(np.diff(_rhu(factor * local), prepend=0), 1), 1)
+        end = np.repeat(np.arange(len(xy)), pieces)
+        j = np.arange(len(end)) + 1 - np.repeat(np.cumsum(pieces) - pieces, pieces)
+        a, b = xy[end - (local[end] > 0)], xy[end]
+        out = a + (b - a) * (j / pieces[end])[:, None]
+        ends = j == pieces[end]
+        out[ends] = b[ends]
+        stroke = np.repeat(np.arange(len(lens)), lens)[end]
+    state = np.where(np.diff(stroke, append=len(lens)) != 0,  # a stroke's last point
+                     traj.state[bounds[:, 1] - 1][stroke], DOWN)
+    return Trajectory.from_arrays(np.concatenate([out, traj.xy[len(xy):]]),
+                                  np.concatenate([state, traj.state[len(xy):]]), traj.canvas_side)
 
 
 # --- canonical file formats -------------------------------------------------

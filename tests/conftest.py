@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from trajeval import PenState, TrajPoint, Trajectory
+from trajeval.traj_core import DOWN, EOS, UP
 
 
 def traj_from_strokes(strokes, side=64, eos=True):
@@ -39,3 +41,17 @@ def rng():
 
 def euclid(a, b):
     return math.hypot(a[0] - b[0], a[1] - b[1])
+
+
+@st.composite
+def trajectories(draw, max_strokes=5, max_points=9, coord=st.floats(0.0, 63.0)):
+    """Trajectories as columns: 1-point strokes, a last stroke without its
+    pen-up, no EOS marker, and no stroke at all (a lone EOS row) all occur."""
+    lens = draw(st.lists(st.integers(1, max_points), max_size=max_strokes))
+    eos = draw(st.booleans()) or not lens
+    state = [s for n in lens for s in [DOWN] * (n - 1) + [UP]]
+    if state and draw(st.booleans()):
+        state[-1] = DOWN  # the last stroke ends without a pen-up
+    state += [EOS] * eos
+    xy = draw(st.lists(st.tuples(coord, coord), min_size=len(state), max_size=len(state)))
+    return Trajectory.from_arrays(xy, state, 64)

@@ -38,10 +38,14 @@ def test_every_traced_function_resolves(layer_trace):
 
 
 def test_layer_trace_counts_a_small_sweep(layer_trace, monkeypatch):
-    batches = []
+    batches, rows = [], []
     dtw_many = trajeval.bench.dtw_many
     monkeypatch.setattr(trajeval.bench, "dtw_many",
                         lambda pairs: batches.append(len(pairs)) or dtw_many(pairs))
+    perturb_row = trajeval.bench.perturb_row
+    monkeypatch.setattr(trajeval.bench, "perturb_row",
+                        lambda traj, kind, grid, seed:
+                        rows.append(tuple(grid)) or perturb_row(traj, kind, grid, seed))
     tracer = layer_trace.Tracer()
     tracer.install()
     try:
@@ -52,7 +56,9 @@ def test_layer_trace_counts_a_small_sweep(layer_trace, monkeypatch):
         tracer.uninstall()
     out = layer_trace.summarize(tracer.take(), wall_s=1.0)
     assert out["traj_core.normalize_to_canvas.calls"] == 2
-    assert out["error_sim.drift_points.calls"] == 4
+    # each glyph's two drifts come from one untraced perturb_row call
+    assert out["error_sim.drift_points.calls"] == 0
+    assert rows == [(1, 2), (1, 2)]
     # each glyph's ground truth and two predictions render in one untraced
     # rasterize_many call
     assert out["raster.rasterize.calls"] == 0

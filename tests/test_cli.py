@@ -201,7 +201,10 @@ def test_evaluate_preprocessing_flags_match_the_library_chain(flags, tmp_path, c
         for i in range(3):
             gt, pred = (chain(load_trajectory(d / f"g{i}.json"), flags)
                         for d in (gt_dir, pred_dir))
-            values, errors = bench.score_pair(gt, pred, metrics, 10, side=64)
+            # dedupe drops different points from each side, so RMSE is undefined
+            rmse_pred = ValueError(cli.DEDUPE_RMSE_REASON) if "--dedupe" in flags else None
+            values, errors = bench.score_pair(gt, pred, metrics, 10, side=64,
+                                              rmse_pred=rmse_pred)
             error = next((f"{name}: {exc}" for name, exc in errors.items()), "")
             rows.append({"sample": f"g{i}", "error": error,
                          **{m: bench._json_number(values[m]) for m in metrics}})
@@ -212,6 +215,9 @@ def test_evaluate_preprocessing_flags_match_the_library_chain(flags, tmp_path, c
     assert code == 0
     assert json.loads(out)["rows"] == library_rows(flags)
     assert library_rows(flags) != library_rows([])  # each flag changes a score
+    if "--dedupe" in flags:  # no RMSE from points paired by index after dedupe
+        assert all(row["rmse"] is None and row["error"] == f"rmse: {cli.DEDUPE_RMSE_REASON}"
+                   for row in json.loads(out)["rows"])
 
 
 # --- sensitivity / invariance ------------------------------------------------

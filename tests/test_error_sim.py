@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajeval import (change_sample_rate, delete_strokes, drift_points,
+from trajeval import (Trajectory, change_sample_rate, delete_strokes, drift_points,
                       drift_strokes, insert_strokes, make_synthetic_corpus, perturb,
-                      rasterize, resample, strokes_of, widen_strokes)
+                      perturb_row, rasterize, resample, stroke_bounds, strokes_of,
+                      widen_strokes)
 from trajeval.bench import DEFAULT_GRIDS, _check_run_inputs
 from trajeval.raster import dilate3x3
+from trajeval.traj_core import join_strokes
 
-from conftest import random_traj, traj_from_strokes
+from conftest import random_traj, traj_from_strokes, trajectories
 
 
 def coords(traj):
@@ -263,3 +265,117 @@ def test_generators_name_the_kind_of_a_rejected_magnitude(call, message):
     with pytest.raises(ValueError) as exc:
         call(_GLYPH)
     assert str(exc.value) == message
+
+
+# --- one set of draws per glyph row --------------------------------------------
+
+def _rng_of(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def _strokes(traj):
+    return [traj.xy[a:b] for a, b in stroke_bounds(traj)]
+
+
+def insert_reference(traj, k, seed):
+    """The per-magnitude generators as they were before `perturb_row`, kept
+    as the byte references of its rows (magnitudes already checked)."""
+    strokes = _strokes(traj)
+    if not strokes:
+        raise ValueError("trajectory has no strokes to copy")
+    side, rng, out = traj.canvas_side, _rng_of(seed), list(strokes)
+    for _ in range(int(k)):
+        src = strokes[int(rng.integers(len(strokes)))]
+        (min_x, min_y), (max_x, max_y) = src.min(axis=0).tolist(), src.max(axis=0).tolist()
+        new_min_x = rng.uniform(0.0, max(side - 1 - (max_x - min_x), 0.0))
+        new_min_y = rng.uniform(0.0, max(side - 1 - (max_y - min_y), 0.0))
+        moved = src + (new_min_x - min_x, new_min_y - min_y)
+        pos = int(rng.integers(len(out) + 1))
+        out.insert(pos, moved)
+    return join_strokes(out, traj)
+
+
+def delete_reference(traj, k, seed):
+    k, strokes = int(k), _strokes(traj)
+    if k >= len(strokes):
+        raise ValueError(
+            f"cannot delete {k} of {len(strokes)} strokes: at least one must remain")
+    order = _rng_of(seed).permutation(len(strokes))
+    doomed = set(int(i) for i in order[:k])
+    return join_strokes([s for i, s in enumerate(strokes) if i not in doomed], traj)
+
+
+def point_drift_reference(traj, d, seed, fraction=1.0):
+    rng = _rng_of(seed)
+    n_drawn = len(traj.drawn_xy())
+    m = math.ceil(fraction * n_drawn)
+    chosen = rng.permutation(n_drawn)[:m]
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=m).tolist()
+    step = d * np.array([(math.cos(t), math.sin(t)) for t in angles]).reshape(-1, 2)
+    xy = traj.xy.copy()
+    xy[chosen] = np.minimum(np.maximum(xy[chosen] + step, 0.0), traj.canvas_side - 1)
+    return Trajectory.from_arrays(xy, traj.state, traj.canvas_side)
+
+
+def stroke_drift_reference(traj, d, seed):
+    rng, hi, out = _rng_of(seed), traj.canvas_side - 1, []
+    for s in _strokes(traj):
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        ox, oy = d * math.cos(theta), d * math.sin(theta)
+        (min_x, min_y), (max_x, max_y) = s.min(axis=0).tolist(), s.max(axis=0).tolist()
+        ox = min(max(ox, -min_x), hi - max_x)
+        oy = min(max(oy, -min_y), hi - max_y)
+        out.append(s + (ox, oy))
+    return join_strokes(out, traj)
+
+
+REFERENCES = {"stroke-insert": insert_reference, "stroke-delete": delete_reference,
+              "point-drift": point_drift_reference, "stroke-drift": stroke_drift_reference}
+_COUNTS = st.integers(1, 7) | st.sampled_from([2.0, 6.0])
+_DISTANCES = st.floats(0.01, 12.0) | st.sampled_from([1, 3, 0.5])
+
+
+def _bytes_or_error(value):
+    if isinstance(value, ValueError):
+        return "ValueError", str(value)
+    return value.xy.tobytes(), value.state.tobytes(), value.canvas_side
+
+
+def _outcome(call):
+    try:
+        return _bytes_or_error(call())
+    except ValueError as exc:
+        return _bytes_or_error(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(trajectories(max_strokes=6, coord=st.sampled_from([0.0, 63.0]) | st.floats(0.0, 63.0)),
+       st.sampled_from(sorted(REFERENCES)), st.data(), st.integers(0, 2 ** 64 - 1))
+def test_perturb_row_matches_the_per_magnitude_references(traj, kind, data, seed):
+    """Grids may be unsorted and hold repeats, and counts above a glyph's
+    strokes; the single-magnitude generators are rows of one."""
+    counts = kind in ("stroke-insert", "stroke-delete")
+    grid = data.draw(st.lists(_COUNTS if counts else _DISTANCES, min_size=1, max_size=6))
+    row = perturb_row(traj, kind, grid, seed)
+    assert len(row) == len(grid)
+    for magnitude, got in zip(grid, row):
+        want = _outcome(lambda: REFERENCES[kind](traj, magnitude, seed))
+        assert _bytes_or_error(got) == want
+        assert _outcome(lambda: perturb(traj, kind, magnitude, seed)) == want
+    if kind == "point-drift":
+        fraction = data.draw(st.floats(0.01, 1.0))
+        assert _outcome(lambda: drift_points(traj, grid[0], seed, fraction)) == \
+            _outcome(lambda: point_drift_reference(traj, grid[0], seed, fraction))
+
+
+def test_perturb_row_checks_every_magnitude_before_drawing(rng):
+    traj = random_traj(rng, n_strokes=(3, 4))
+    with pytest.raises(ValueError, match="stroke-delete count must be a whole number, got 1.5"):
+        perturb_row(traj, "stroke-delete", (9, 1, 1.5), 0)
+    with pytest.raises(ValueError, match="unknown error kind"):
+        perturb_row(traj, "nope", (1,), 0)
+    row = perturb_row(traj, "stroke-delete", (1, 9), 0)
+    assert str(row[1]) == f"cannot delete 9 of {len(strokes_of(traj))} strokes: " \
+                          "at least one must remain"
+    # a one-pass grid is read for the checks and again for the draws
+    assert len(perturb_row(traj, "point-drift", iter([1.0, 2.0]), 0)) == 2

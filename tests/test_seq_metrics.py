@@ -55,6 +55,19 @@ def test_alignment_path_validation():
         AlignmentPath(((1, 1), (1, 1)))        # no progress
 
 
+def test_backtracked_paths_skip_checks_but_user_paths_keep_them(rng):
+    """dtw builds its paths unchecked; each equals the checked path of its
+    pairs, and the same pairs with a bad step still raise."""
+    result = dtw(random_traj(rng), random_traj(rng))
+    assert result.path == AlignmentPath(result.path.pairs)
+    assert all(type(pair) is tuple for pair in result.path.pairs)
+    (i, j), rest = result.path.pairs[-1], result.path.pairs[:-1]
+    with pytest.raises(ValueError, match="invalid alignment step"):
+        AlignmentPath(rest + ((i + 2, j),))
+    with pytest.raises(ValueError, match="must start at"):
+        AlignmentPath([list(pair) for pair in result.path.pairs[1:]])
+
+
 # --- DTW ---------------------------------------------------------------------
 
 def test_dtw_identical_trajectories_cost_zero(rng):

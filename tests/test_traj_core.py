@@ -16,7 +16,7 @@ from trajeval.traj_core import (_canvas_side_of, pixel_of, trajectory_from_obj,
                                 trajectory_to_points_obj,
                                 trajectory_to_strokes_obj)
 
-from conftest import random_traj, traj_from_strokes
+from conftest import random_traj, traj_from_strokes, trajectories
 
 
 # --- pen states and validation ----------------------------------------------
@@ -296,6 +296,42 @@ def test_resample_matches_pointwise_reference(rng):
             assert [s.state[-1] for s in strokes_of(out)] == \
                 [s.state[-1] for s in strokes_of(traj)]
             assert out.has_eos == traj.has_eos
+
+
+def resample_per_stroke(traj, factor):
+    """`resample` as it was computed one stroke at a time, kept as the byte
+    reference of the one-pass version."""
+    def rhu(v):
+        return np.floor(v + 0.5).astype(np.int64)
+
+    def one(pts):
+        n = len(pts)
+        if n == 1:
+            return pts
+        if factor < 1:
+            target = max(int(rhu(factor * (n - 1))) + 1, 2)
+            return pts[np.unique(rhu(np.arange(target) * (n - 1) / (target - 1)))]
+        pieces = np.maximum(np.diff(rhu(factor * np.arange(n))), 1)
+        seg = np.repeat(np.arange(n - 1), pieces)
+        j = np.arange(len(seg)) + 1 - np.repeat(np.cumsum(pieces) - pieces, pieces)
+        a, b = pts[seg], pts[seg + 1]
+        out = a + (b - a) * (j / pieces[seg])[:, None]
+        ends = j == pieces[seg]
+        out[ends] = b[ends]
+        return np.concatenate([pts[:1], out])
+
+    bounds = stroke_bounds(traj)
+    return traj_core.join_strokes([one(traj.xy[a:b]) for a, b in bounds], traj,
+                                  traj.state[[b - 1 for _, b in bounds]])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(trajectories(coord=st.floats(-100.0, 100.0)),
+       st.floats(0.01, 6.0) | st.sampled_from([0.5, 1.0, 1.5, 2, 3]))
+def test_resample_is_byte_identical_to_the_per_stroke_reference(traj, factor):
+    out, want = resample(traj, factor), resample_per_stroke(traj, factor)
+    assert (out.xy.tobytes(), out.state.tobytes(), out.canvas_side) == \
+        (want.xy.tobytes(), want.state.tobytes(), want.canvas_side)
 
 
 def test_preprocessing_preserves_eos(rng):
