@@ -11,8 +11,7 @@ from .traj_core import (PenState, TrajPoint, Trajectory, dedupe_points,
                         resample, save_trajectory, stroke_bounds, strokes_of)
 from .raster import (BinaryMask, DegenerateHistogramError, GrayImage,
                      OutOfCanvasError, binarize, dilate3x3, otsu_threshold,
-                     rasterize, rasterize_many, read_pgm, write_mask_pgm,
-                     write_pgm)
+                     rasterize, rasterize_many, read_pgm, write_pgm)
 from .glyph_metrics import AiouResult, aiou, iou
 from .seq_metrics import AlignmentPath, DtwResult, dtw, dtw_many, ldtw, rmse
 from .losses import (LossWeights, NonFiniteSdtwError, PredictedPoint, l1_loss,

@@ -3,8 +3,9 @@
 Runs a seeded error simulation over a trajectory corpus, averages the chosen
 metrics per error magnitude, and min-max normalizes each curve to [0, 1] for
 trend comparison.  `score_pair` is the one place a (ground truth, prediction)
-pair is scored; the runners and `trajeval evaluate` all go through it.  A seeded synthetic corpus generator ships here so the
-runners need no external datasets.
+pair is scored, and `_check_metrics` the one rule for a metric list; the
+runners and `trajeval evaluate` go through both.  A seeded synthetic corpus
+generator ships here so the runners need no external datasets.
 """
 
 from __future__ import annotations
@@ -72,6 +73,20 @@ def derive_seed(seed: int, index: int) -> int:
     return (seed ^ index) & 0xFFFFFFFFFFFFFFFF
 
 
+def _check_metrics(metrics) -> tuple[str, ...]:
+    """The names as a tuple; ValueError if one is unknown, none is given, or one repeats."""
+    names = tuple(metrics)
+    for name in names:
+        if name not in METRICS:
+            raise ValueError(f"unknown metric {name!r}; choose from {','.join(METRICS)}")
+    if not names:
+        raise ValueError("empty metric selection")
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"metric {name!r} given twice")
+    return names
+
+
 def score_pair(gt, pred, metrics, k_max: int = 10, side: int | None = None,
                gt_mask: BinaryMask | ValueError | None = None,
                pred_mask: BinaryMask | ValueError | None = None,
@@ -92,8 +107,9 @@ def score_pair(gt, pred, metrics, k_max: int = 10, side: int | None = None,
 
     Returns (values, errors) keyed by metric in metric order: a metric that
     raises ValueError gets value None and its exception in errors, and
-    leaves the other metrics alone.
+    leaves the other metrics alone; a bad metric list raises at once.
     """
+    metrics = _check_metrics(metrics)
     if isinstance(gt, BinaryMask):
         gt, gt_mask = None, gt
     if isinstance(pred, BinaryMask):
@@ -125,7 +141,7 @@ def score_pair(gt, pred, metrics, k_max: int = 10, side: int | None = None,
                 if isinstance(dtw_result, ValueError):
                     raise dtw_result
                 values[name] = dtw_result.cost if name == "dtw" else dtw_result.ldtw
-            elif name == "rmse":
+            else:  # rmse
                 if gt is None:
                     raise ValueError("RMSE needs a trajectory ground truth")
                 if pred is None:
@@ -133,8 +149,6 @@ def score_pair(gt, pred, metrics, k_max: int = 10, side: int | None = None,
                 if isinstance(rmse_pred, ValueError):
                     raise rmse_pred
                 values[name] = rmse(gt, pred if rmse_pred is None else rmse_pred)
-            else:
-                raise KeyError(f"unknown metric {name!r}")
         except ValueError as exc:
             values[name] = None
             errors[name] = exc
@@ -160,7 +174,7 @@ def _aggregate(grid, metrics, per_sample: list, seed: int) -> list[CurveReport]:
     return reports
 
 
-def _check_run_inputs(corpus, kind, grid):
+def _check_run_inputs(corpus, kind, grid, k_max):
     if not corpus:
         raise ValueError("corpus must be non-empty")
     if not grid:
@@ -172,6 +186,8 @@ def _check_run_inputs(corpus, kind, grid):
         raise ValueError("magnitude grid must be ascending")
     for value in grid:
         _check_magnitude(kind, value)
+    if k_max < 0:
+        raise ValueError("k_max must be non-negative")
 
 
 def _score_sweep(corpus, preds, metrics, k_max) -> list:
@@ -200,18 +216,20 @@ def _score_sweep(corpus, preds, metrics, k_max) -> list:
     return per_sample
 
 
-def sensitivity_run(corpus, kind: str, grid=None, metrics=("aiou", "ldtw"),
+def sensitivity_run(corpus, kind: str, grid=None, metrics=None,
                     seed: int = 0, k_max: int = 10) -> list[CurveReport]:
     """Error-sensitivity curves: mean metric value per error magnitude.
 
-    A magnitude no glyph can take (a drift <= 0, a stroke count < 1 or not a
-    whole number) is rejected up front; one a glyph cannot take (deleting
-    all its strokes) is counted as a skipped sample.
+    Metrics default to AIoU and LDTW.  A bad metric list, a negative k_max
+    and a magnitude no glyph can take (a drift <= 0, a stroke count < 1 or
+    not a whole number) are rejected up front; one a glyph cannot take
+    (deleting all its strokes) is counted as a skipped sample.
     """
     if kind not in SENSITIVITY_KINDS:
         raise ValueError(f"unknown error kind {kind!r}; expected one of {SENSITIVITY_KINDS}")
+    metrics = _check_metrics(metrics if metrics is not None else ("aiou", "ldtw"))
     grid = tuple(grid if grid is not None else DEFAULT_GRIDS[kind])
-    _check_run_inputs(corpus, kind, grid)
+    _check_run_inputs(corpus, kind, grid, k_max)
     preds = [[None if isinstance(pred, ValueError) else pred
               for pred in perturb_row(traj, kind, grid, derive_seed(seed, i))]
              for i, traj in enumerate(corpus)]
@@ -233,10 +251,10 @@ def invariance_run(corpus, transform: str, grid=None, metrics=None, seed: int = 
     if transform not in INVARIANCE_TRANSFORMS:
         raise ValueError(
             f"unknown transform {transform!r}; expected one of {INVARIANCE_TRANSFORMS}")
+    metrics = _check_metrics(metrics if metrics is not None else
+                             GLYPH_METRICS if transform == "stroke-width" else ("dtw", "ldtw"))
     grid = tuple(grid if grid is not None else DEFAULT_GRIDS[transform])
-    _check_run_inputs(corpus, transform, grid)
-    if metrics is None:
-        metrics = GLYPH_METRICS if transform == "stroke-width" else ("dtw", "ldtw")
+    _check_run_inputs(corpus, transform, grid, k_max)
     if transform == "sample-rate":
         drifted = [drift_points(traj, DEFAULT_BASE_DRIFT, derive_seed(seed, i))
                    for i, traj in enumerate(corpus)]

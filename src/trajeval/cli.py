@@ -22,22 +22,15 @@ import sys
 from pathlib import Path
 
 from . import bench
-from .raster import (dilate3x3, rasterize, read_pgm, binarize, write_mask_pgm)
+from .error_sim import widen_strokes
+from .raster import binarize, read_pgm, write_pgm
 from .traj_core import (Trajectory, dedupe_points, downsample_half, load_trajectory,
                         normalize_to_canvas, resample, save_trajectory, stroke_bounds)
 
 
 def _parse_metrics(spec: str) -> tuple[str, ...]:
-    names = tuple(s.strip() for s in spec.split(",") if s.strip())
-    for name in names:
-        if name not in bench.METRICS:
-            raise ValueError(f"unknown metric {name!r}; choose from {','.join(bench.METRICS)}")
-    if not names:
-        raise ValueError("empty metric selection")
-    for name in names:
-        if names.count(name) > 1:
-            raise ValueError(f"metric {name!r} given twice")
-    return names
+    """The names in a comma list; `bench._check_metrics` judges them."""
+    return tuple(s.strip() for s in spec.split(",") if s.strip())
 
 
 def _parse_grid(spec: str) -> tuple[float, ...]:
@@ -126,7 +119,7 @@ def _csv_text(text) -> str:
 
 
 def cmd_evaluate(args) -> int:
-    metrics = _parse_metrics(args.metrics)
+    metrics = bench._check_metrics(_parse_metrics(args.metrics))
     pairs = _collect_pairs(Path(args.gt), Path(args.pred))
     rows = sorted(((name, _evaluate_pair(gt_file, pred_file, metrics, args))
                    for name, gt_file, pred_file in pairs), key=lambda r: r[0])
@@ -194,8 +187,7 @@ def cmd_curves(args) -> int:
 
 
 def cmd_rasterize(args) -> int:
-    mask = rasterize(load_trajectory(args.input), args.side)
-    write_mask_pgm(dilate3x3(mask, args.dilate), args.out)
+    write_pgm(widen_strokes(load_trajectory(args.input), args.dilate, args.side), args.out)
     return 0
 
 
@@ -260,11 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, with_seed=False)
     p.set_defaults(func=cmd_evaluate)
 
-    for command, help_text, kind_flag, kinds, metrics in (
+    for command, help_text, kind_flag, kinds in (
             ("sensitivity", "error-sensitivity curves", "--error",
-             bench.SENSITIVITY_KINDS, "aiou,ldtw"),
+             bench.SENSITIVITY_KINDS),
             ("invariance", "stroke-width / sample-rate invariance curves",
-             "--transform", bench.INVARIANCE_TRANSFORMS, None)):
+             "--transform", bench.INVARIANCE_TRANSFORMS)):
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--corpus", help="directory of trajectory JSON files")
         p.add_argument("--synthetic", type=_int_at_least(1), default=None,
@@ -272,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(kind_flag, dest="kind", choices=kinds, required=True)
         p.add_argument("--grid", help="comma list of magnitudes "
                                       f"(default per {kind_flag[2:]} kind)")
-        p.add_argument("--metrics", default=metrics)
+        p.add_argument("--metrics", help=f"comma list from {{{','.join(bench.METRICS)}}}")
         _add_common(p)
         p.set_defaults(func=cmd_curves)
 

@@ -171,10 +171,9 @@ def drift_strokes(traj: Trajectory, d: float, seed: int) -> Trajectory:
 
 
 def widen_strokes(traj: Trajectory, k: int, side: int | None = None) -> GrayImage:
-    """Render the trajectory k-times dilated as an ink-is-dark grayscale image."""
+    """Render the trajectory k-times dilated as a dark-ink-on-white image."""
     _check_magnitude("stroke-width", k)
-    mask = dilate3x3(rasterize(traj, side), int(k))
-    return mask_to_gray(mask, foreground=0, background=255)
+    return mask_to_gray(dilate3x3(rasterize(traj, side), int(k)))
 
 
 def change_sample_rate(traj: Trajectory, factor: float) -> Trajectory:

@@ -19,7 +19,7 @@ class DegenerateHistogramError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class GrayImage:
-    """8-bit grayscale image, row-major, 0 = black ink under default polarity."""
+    """8-bit grayscale image, row-major: dark ink (0 at darkest) on a light ground."""
 
     pixels: np.ndarray
 
@@ -174,14 +174,9 @@ def otsu_threshold(img: GrayImage) -> int:
     return int(np.argmax(between))
 
 
-def binarize(img: GrayImage, polarity: str = "ink-is-dark") -> BinaryMask:
-    """Foreground = pixels on the ink side of the Otsu threshold."""
-    t = otsu_threshold(img)
-    if polarity == "ink-is-dark":
-        return BinaryMask(img.pixels <= t)
-    if polarity == "ink-is-light":
-        return BinaryMask(img.pixels > t)
-    raise ValueError(f"unknown polarity {polarity!r}")
+def binarize(img: GrayImage) -> BinaryMask:
+    """Foreground = dark ink: the pixels at or below the Otsu threshold."""
+    return BinaryMask(img.pixels <= otsu_threshold(img))
 
 
 def dilate3x3(mask: BinaryMask, k: int = 1) -> BinaryMask:
@@ -204,8 +199,9 @@ def dilate3x3(mask: BinaryMask, k: int = 1) -> BinaryMask:
     return BinaryMask(bits)
 
 
-def mask_to_gray(mask: BinaryMask, foreground: int = 255, background: int = 0) -> GrayImage:
-    return GrayImage(np.where(mask.bits, foreground, background).astype(np.uint8))
+def mask_to_gray(mask: BinaryMask) -> GrayImage:
+    """The mask as dark ink on white (0 on 255), the image `binarize` reads back."""
+    return GrayImage(np.where(mask.bits, 0, 255).astype(np.uint8))
 
 
 # --- binary PGM (P5, maxval 255) -------------------------------------------
@@ -252,7 +248,3 @@ def read_pgm(path) -> GrayImage:
     if len(raw) < width * height:
         raise ValueError("PGM pixel data shorter than promised by header")
     return GrayImage(np.frombuffer(raw, dtype=np.uint8).reshape(height, width))
-
-
-def write_mask_pgm(mask: BinaryMask, path) -> None:
-    write_pgm(mask_to_gray(mask), path)

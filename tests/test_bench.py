@@ -344,6 +344,62 @@ def test_invariance_rejects_unknown_transform(corpus):
         invariance_run(corpus, "rotation")
 
 
+# --- input rules: checked before any work ------------------------------------
+
+# name -> call of a runner (or of score_pair) on a corpus, with small grids
+RUNS = {
+    "sensitivity": lambda corpus, **kw: sensitivity_run(corpus, "point-drift", (1, 2), **kw),
+    "stroke-width": lambda corpus, **kw: invariance_run(corpus, "stroke-width", (0, 1), **kw),
+    "sample-rate": lambda corpus, **kw: invariance_run(corpus, "sample-rate", (1.0, 2.0), **kw),
+    "score_pair": lambda corpus, metrics=("aiou", "ldtw"), **kw:
+        score_pair(corpus[0], corpus[1], metrics, **kw),
+}
+RUNNERS = ("sensitivity", "stroke-width", "sample-rate")
+
+
+def _log_work(monkeypatch) -> list:
+    """Wrap every bench call that perturbs, renders or aligns; return the log."""
+    calls = []
+    for name in ("perturb_row", "drift_points", "rasterize", "rasterize_many", "dtw",
+                 "dtw_many"):
+        fn = getattr(bench, name)
+        monkeypatch.setattr(bench, name, lambda *args, _name=name, _fn=fn, **kwargs:
+                            calls.append(_name) or _fn(*args, **kwargs))
+    return calls
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_the_work_log_records_a_valid_run(corpus, monkeypatch, run):
+    calls = _log_work(monkeypatch)
+    RUNS[run](corpus[:2], metrics=("aiou", "ldtw"), k_max=0)
+    assert calls
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+@pytest.mark.parametrize("metrics, message", [
+    (("bogus", "aiou"), "unknown metric 'bogus'; choose from aiou,iou,ldtw,dtw,rmse"),
+    (("aiou", "aiou", "bogus"), "unknown metric 'bogus'; choose from aiou,iou,ldtw,dtw,rmse"),
+    ((), "empty metric selection"),
+    (("aiou", "ldtw", "aiou"), "metric 'aiou' given twice"),
+], ids=["unknown", "unknown-before-repeated", "empty", "repeated"])
+def test_bad_metric_lists_are_rejected_before_any_work(corpus, monkeypatch, run,
+                                                       metrics, message):
+    calls = _log_work(monkeypatch)
+    with pytest.raises(ValueError) as exc:
+        RUNS[run](corpus, metrics=metrics)
+    assert str(exc.value) == message
+    assert calls == []
+
+
+@pytest.mark.parametrize("run", RUNNERS)
+def test_runners_reject_a_negative_k_max_before_any_work(corpus, monkeypatch, run):
+    calls = _log_work(monkeypatch)
+    with pytest.raises(ValueError) as exc:
+        RUNS[run](corpus, k_max=-1)
+    assert str(exc.value) == "k_max must be non-negative"
+    assert calls == []
+
+
 # --- report serialization ----------------------------------------------------
 
 def test_csv_shape_and_header(corpus):

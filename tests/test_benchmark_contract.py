@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 import trajeval
-from trajeval import PenState, TrajPoint, Trajectory, strokes_of
+from trajeval import (PenState, TrajPoint, Trajectory, binarize, dilate3x3,
+                      make_synthetic_corpus, rasterize, read_pgm, strokes_of,
+                      widen_strokes, write_pgm)
 
 from conftest import traj_from_strokes
 
@@ -106,3 +108,17 @@ def test_point_api_the_benchmark_builds_with():
     shifted = Trajectory(tuple(points), canvas_side=gt.canvas_side)
     assert shifted.xy[3, 0] == p.x + 1e-4 and shifted.xy[3, 1] == p.y
     assert shifted.state.tolist() == gt.state.tolist()
+
+
+def test_evaluate_long_ground_truth_images_read_back_as_their_masks(tmp_path):
+    """evaluate-long writes some ground truths as `widen_strokes(gt, k)` PGMs,
+    k in 1..3, and `evaluate` reads them with `binarize(read_pgm(...))`."""
+    # the glyph shape of LONG_GLYPH in benchmarks/run.py
+    corpus = make_synthetic_corpus(3, seed=0, stroke_range=(7, 7), points_range=(34, 34),
+                                   step_range=(1.2, 2.5))
+    for k, gt in enumerate(corpus, start=1):
+        mask = dilate3x3(rasterize(gt), k)
+        image = widen_strokes(gt, k)
+        assert np.array_equal(image.pixels, np.where(mask.bits, 0, 255))
+        write_pgm(image, tmp_path / "gt.pgm")
+        assert binarize(read_pgm(tmp_path / "gt.pgm")).same_bits(mask)

@@ -433,6 +433,20 @@ def test_rasterize_dilate_flag(tmp_path, rng):
             == mask_to_gray(dilate3x3(rasterize(traj), 2)).pixels.tobytes())
 
 
+@pytest.mark.parametrize("dilate", ["0", "2"])
+def test_rasterized_glyph_is_a_ground_truth_for_its_own_trajectory(tmp_path, capsys, dilate):
+    save_trajectory(make_synthetic_corpus(1, seed=3)[0], tmp_path / "g.json")
+    assert main(["rasterize", str(tmp_path / "g.json"), str(tmp_path / "g.pgm"),
+                 "--dilate", dilate]) == 0
+    code, out = run_cli(["evaluate", str(tmp_path / "g.pgm"), str(tmp_path / "g.json"),
+                         "--metrics", "aiou,iou"], capsys)
+    assert code == 0
+    row = csv_rows(out)[0]
+    assert row["aiou"] == "1.000000" and row["error"] == ""
+    # a widened ground truth lowers plain IoU; AIoU widens the prediction to match
+    assert (row["iou"] == "1.000000") == (dilate == "0")
+
+
 def test_rasterize_reports_bad_input(tmp_path):
     (tmp_path / "bad.json").write_text("{not json")
     with pytest.raises(SystemExit) as exc:

@@ -232,7 +232,7 @@ def _generate(kind, traj, value):
        | st.sampled_from([math.inf, -math.inf, math.nan, 10**400, -10**400]))
 def test_generators_reject_exactly_the_magnitudes_the_runners_reject(kind, value):
     try:
-        _check_run_inputs([_GLYPH], kind, (value,))
+        _check_run_inputs([_GLYPH], kind, (value,), 10)
         runner_rejects = False
     except ValueError:
         runner_rejects = True

@@ -16,7 +16,7 @@ from trajeval import (BinaryMask, DegenerateHistogramError, GrayImage,
                       OutOfCanvasError, PenState, TrajPoint, Trajectory,
                       binarize, dedupe_points, dilate3x3, make_synthetic_corpus,
                       otsu_threshold, rasterize, rasterize_many, read_pgm, resample,
-                      write_mask_pgm, write_pgm)
+                      write_pgm)
 from trajeval.raster import _STACK_CELLS, mask_to_gray
 from trajeval.traj_core import DOWN, EOS, UP
 
@@ -293,12 +293,7 @@ def test_otsu_rejects_flat_image():
 
 def test_binarize_polarity():
     px = np.array([[0, 0, 255, 255]], dtype=np.uint8)
-    assert binarize(GrayImage(px), "ink-is-dark").bits.tolist() == \
-        [[True, True, False, False]]
-    assert binarize(GrayImage(px), "ink-is-light").bits.tolist() == \
-        [[False, False, True, True]]
-    with pytest.raises(ValueError):
-        binarize(GrayImage(px), "sideways")
+    assert binarize(GrayImage(px)).bits.tolist() == [[True, True, False, False]]
 
 
 # --- dilation ----------------------------------------------------------------
@@ -358,10 +353,10 @@ def test_pgm_round_trip(tmp_path, rng):
 
 
 def test_mask_pgm_round_trip(tmp_path, rng):
-    bits = rng.random((7, 7)) < 0.4
+    mask = BinaryMask(rng.random((7, 7)) < 0.4)
     path = tmp_path / "mask.pgm"
-    write_mask_pgm(BinaryMask(bits), path)
-    assert read_pgm(path).pixels.tobytes() == mask_to_gray(BinaryMask(bits)).pixels.tobytes()
+    write_pgm(mask_to_gray(mask), path)
+    assert binarize(read_pgm(path)).same_bits(mask)
 
 
 def test_pgm_reader_skips_comments(tmp_path):
@@ -435,6 +430,5 @@ def test_resample_mask_stays_within_one_dilation(rng):
 
 
 def test_mask_to_gray_polarity():
-    g = mask_to_gray(BinaryMask(np.array([[True, False]])), foreground=0,
-                     background=255)
+    g = mask_to_gray(BinaryMask(np.array([[True, False]])))
     assert g.pixels.tolist() == [[0, 255]]
