@@ -21,7 +21,7 @@ from .error_sim import (ERROR_KINDS, change_sample_rate, delete_strokes,
                         perturb_row, widen_strokes)
 from .bench import (CurveReport, invariance_run, make_synthetic_corpus,
                     normalize_curve, reports_to_csv, reports_to_json,
-                    score_pair, sensitivity_run)
+                    score_pair, score_pairs, sensitivity_run)
 
 __version__ = "0.1.0"
 

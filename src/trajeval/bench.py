@@ -2,9 +2,10 @@
 
 Runs a seeded error simulation over a trajectory corpus, averages the chosen
 metrics per error magnitude, and min-max normalizes each curve to [0, 1] for
-trend comparison.  `score_pair` is the one place a (ground truth, prediction)
-pair is scored, and `_check_metrics` the one rule for a metric list; the
-runners and `trajeval evaluate` go through both.  A seeded synthetic corpus
+trend comparison.  `score_pairs` is the one place (ground truth, prediction)
+pairs are scored, rendering and aligning each pair once, and `_check_metrics`
+the one rule for a metric list; the runners and `trajeval evaluate` (through
+`score_pair`, a batch of one) go through both.  A seeded synthetic corpus
 generator ships here so the runners need no external datasets.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from .error_sim import (ERROR_KINDS, _check_magnitude, _is_finite, change_sample
                         drift_points, perturb_row)
 from .glyph_metrics import aiou, iou
 from .raster import BinaryMask, dilate3x3, rasterize, rasterize_many
-from .seq_metrics import DtwResult, dtw, dtw_many, rmse
+from .seq_metrics import dtw_many, rmse
 from .traj_core import DOWN, EOS, UP, Trajectory, normalize_to_canvas
 
 GLYPH_METRICS = ("aiou", "iou")
@@ -87,72 +89,81 @@ def _check_metrics(metrics) -> tuple[str, ...]:
     return names
 
 
-def score_pair(gt, pred, metrics, k_max: int = 10, side: int | None = None,
-               gt_mask: BinaryMask | ValueError | None = None,
-               pred_mask: BinaryMask | ValueError | None = None,
-               rmse_pred: Trajectory | ValueError | None = None,
-               dtw_result: DtwResult | ValueError | None = None) -> tuple[dict, dict]:
-    """Score one (ground truth, prediction) pair on each named metric.
+def _ok(result):
+    """result, or raise it if it is the ValueError a batch gave in its place."""
+    if isinstance(result, ValueError):
+        raise result
+    return result
 
-    gt and pred are trajectories or binary masks; a mask (a PGM scan, a
-    widened image) scores glyph metrics only.  Glyph metrics render the
-    prediction first, then the ground truth, at `side` (default: each
-    trajectory's canvas; a mask ground truth sets it); with no glyph metric
-    nothing is rendered.  gt_mask and pred_mask are gt and pred already
-    rendered (say by one `rasterize_many` call for a ground truth and its
-    predictions), or the ValueError rendering gave; rmse_pred, if given,
-    replaces pred for RMSE, or is the ValueError RMSE records; dtw_result is
-    `dtw(gt, pred)` from a `dtw_many` batch, or the ValueError that batch gave
-    for the pair.
 
-    Returns (values, errors) keyed by metric in metric order: a metric that
-    raises ValueError gets value None and its exception in errors, and
-    leaves the other metrics alone; a bad metric list raises at once.
-    """
-    metrics = _check_metrics(metrics)
-    if isinstance(gt, BinaryMask):
-        gt, gt_mask = None, gt
-    if isinstance(pred, BinaryMask):
-        pred, pred_mask = None, pred
-    if isinstance(gt_mask, BinaryMask):
-        side = gt_mask.width
-    values: dict[str, float | None] = {}
-    errors: dict[str, ValueError] = {}
+def _render(items, side: int) -> list:
+    """items as masks: masks as they are, trajectories by one `rasterize_many` call."""
+    masks = iter(rasterize_many([x for x in items if not isinstance(x, BinaryMask)], side))
+    return [x if isinstance(x, BinaryMask) else next(masks) for x in items]
+
+
+def _score(gt, pred, metrics, k_max, gt_mask, pred_mask, aligned, rmse_pred):
+    """(values, errors) of one pair, from its renders and alignment (or their errors)."""
+    values, errors = {}, {}
     for name in metrics:
+        need = "RMSE needs" if name == "rmse" else "sequence metrics need"
         try:
             if name in GLYPH_METRICS:
-                if pred_mask is None:
-                    pred_mask = rasterize(pred, side)
-                if isinstance(pred_mask, ValueError):
-                    raise pred_mask
-                if gt_mask is None:
-                    gt_mask = rasterize(gt, side)
-                if isinstance(gt_mask, ValueError):
-                    raise gt_mask
+                pred_mask, gt_mask = _ok(pred_mask), _ok(gt_mask)  # the prediction's error first
                 values[name] = (aiou(gt_mask, pred_mask, k_max).score if name == "aiou"
                                 else iou(gt_mask, pred_mask))
-            elif name in DTW_METRICS:
-                if gt is None:
-                    raise ValueError("sequence metrics need a trajectory ground truth")
-                if pred is None:
-                    raise ValueError("sequence metrics need a trajectory prediction")
-                if dtw_result is None:
-                    dtw_result = dtw(gt, pred)
-                if isinstance(dtw_result, ValueError):
-                    raise dtw_result
-                values[name] = dtw_result.cost if name == "dtw" else dtw_result.ldtw
-            else:  # rmse
-                if gt is None:
-                    raise ValueError("RMSE needs a trajectory ground truth")
-                if pred is None:
-                    raise ValueError("RMSE needs a trajectory prediction")
-                if isinstance(rmse_pred, ValueError):
-                    raise rmse_pred
-                values[name] = rmse(gt, pred if rmse_pred is None else rmse_pred)
+            elif isinstance(gt, BinaryMask):
+                raise ValueError(f"{need} a trajectory ground truth")
+            elif isinstance(pred, BinaryMask):
+                raise ValueError(f"{need} a trajectory prediction")
+            elif name == "rmse":
+                values[name] = rmse(gt, pred if rmse_pred is None else _ok(rmse_pred))
+            else:
+                values[name] = _ok(aligned).cost if name == "dtw" else _ok(aligned).ldtw
         except ValueError as exc:
             values[name] = None
             errors[name] = exc
     return values, errors
+
+
+def score_pairs(pairs, metrics, k_max: int = 10, rmse_preds=None) -> list[tuple[dict, dict]]:
+    """Score each (ground truth, prediction) pair of a list on each named metric.
+
+    gt and pred are trajectories or binary masks; a mask scores glyph metrics
+    only.  Each render and alignment runs once per pair: one `dtw_many` batch
+    aligns every trajectory pair, and one `rasterize_many` call renders each
+    run of consecutive pairs sharing a ground-truth object, on its canvas (a
+    mask's width, else `canvas_side`), before the run is scored.  A non-None
+    rmse_preds[i] stands in for pred i in RMSE, or is the error RMSE records.
+
+    Returns one (values, errors) per pair, keyed by metric in metric order: a
+    metric that raises ValueError gets value None and its exception in errors
+    (a prediction's render error first); a bad metric list raises at once.
+    """
+    metrics = _check_metrics(metrics)
+    rmse_preds = [None] * len(pairs) if rmse_preds is None else list(rmse_preds)
+    dtw_asked = any(name in DTW_METRICS for name in metrics)
+    align = [dtw_asked and not isinstance(gt, BinaryMask) and not isinstance(pred, BinaryMask)
+             for gt, pred in pairs]
+    aligned = iter(dtw_many([pair for pair, a in zip(pairs, align) if a]) if any(align) else ())
+    glyph = any(name in GLYPH_METRICS for name in metrics)
+    scores = []
+    for _, run in groupby(range(len(pairs)), key=lambda i: id(pairs[i][0])):
+        run = list(run)
+        gt = pairs[run[0]][0]
+        gt_mask, *pred_masks = (
+            _render([gt] + [pairs[i][1] for i in run],
+                    gt.width if isinstance(gt, BinaryMask) else gt.canvas_side)
+            if glyph else [None] * (len(run) + 1))
+        scores.extend(_score(gt, pairs[i][1], metrics, k_max, gt_mask, pred_mask,
+                             next(aligned) if align[i] else None, rmse_preds[i])
+                      for i, pred_mask in zip(run, pred_masks))
+    return scores
+
+
+def score_pair(gt, pred, metrics, k_max: int = 10, rmse_pred=None) -> tuple[dict, dict]:
+    """`score_pairs` of the one pair (gt, pred), with rmse_pred its RMSE stand-in."""
+    return score_pairs([(gt, pred)], metrics, k_max, [rmse_pred])[0]
 
 
 def _aggregate(grid, metrics, per_sample: list, seed: int) -> list[CurveReport]:
@@ -162,10 +173,9 @@ def _aggregate(grid, metrics, per_sample: list, seed: int) -> list[CurveReport]:
         means, used, skipped = [], [], []
         for mi in range(len(grid)):
             vals = [row[mi][name] for row in per_sample if row[mi][name] is not None]
-            n_skip = len(per_sample) - len(vals)
             means.append(math.fsum(vals) / len(vals) if vals else math.nan)
             used.append(len(vals))
-            skipped.append(n_skip)
+            skipped.append(len(per_sample) - len(vals))
         norm = normalize_curve(means)
         reports.append(CurveReport(metric=name, grid=tuple(grid),
                                    raw_mean=tuple(means), normalized=tuple(norm),
@@ -190,30 +200,13 @@ def _check_run_inputs(corpus, kind, grid, k_max):
         raise ValueError("k_max must be non-negative")
 
 
-def _score_sweep(corpus, preds, metrics, k_max) -> list:
-    """Score each glyph against its row of predictions, one per magnitude.
-
-    A None prediction is a sample skipped at that magnitude.  Each glyph's
-    row (its ground truth, then its predictions) is rendered by one
-    `rasterize_many` call, and every pair's DTW comes from one `dtw_many`
-    batch for the whole sweep, handed back in the order the pairs were given.
-    """
-    results = iter(())
-    if any(name in DTW_METRICS for name in metrics):
-        results = iter(dtw_many([(traj, pred) for traj, row in zip(corpus, preds)
-                                 for pred in row if pred is not None]))
-    glyph = any(name in GLYPH_METRICS for name in metrics)
-    per_sample = []
-    for traj, row in zip(corpus, preds):
-        masks = iter(rasterize_many([traj] + [pred for pred in row if pred is not None])
-                     if glyph else ())
-        gt_mask = next(masks, None)
-        per_sample.append([
-            dict.fromkeys(metrics) if pred is None else
-            score_pair(traj, pred, metrics, k_max, gt_mask=gt_mask,
-                       pred_mask=next(masks, None), dtw_result=next(results, None))[0]
-            for pred in row])
-    return per_sample
+def _score_rows(corpus, rows, metrics, k_max) -> list:
+    """Score each glyph's row in one `score_pairs` call; a ValueError is a skipped sample."""
+    scores = iter(score_pairs([(traj, pred) for traj, row in zip(corpus, rows)
+                               for pred in row if not isinstance(pred, ValueError)],
+                              metrics, k_max))
+    return [[dict.fromkeys(metrics) if isinstance(pred, ValueError) else next(scores)[0]
+             for pred in row] for row in rows]
 
 
 def sensitivity_run(corpus, kind: str, grid=None, metrics=None,
@@ -230,10 +223,9 @@ def sensitivity_run(corpus, kind: str, grid=None, metrics=None,
     metrics = _check_metrics(metrics if metrics is not None else ("aiou", "ldtw"))
     grid = tuple(grid if grid is not None else DEFAULT_GRIDS[kind])
     _check_run_inputs(corpus, kind, grid, k_max)
-    preds = [[None if isinstance(pred, ValueError) else pred
-              for pred in perturb_row(traj, kind, grid, derive_seed(seed, i))]
+    preds = [perturb_row(traj, kind, grid, derive_seed(seed, i))
              for i, traj in enumerate(corpus)]
-    return _aggregate(grid, metrics, _score_sweep(corpus, preds, metrics, k_max), seed)
+    return _aggregate(grid, metrics, _score_rows(corpus, preds, metrics, k_max), seed)
 
 
 def invariance_run(corpus, transform: str, grid=None, metrics=None, seed: int = 0,
@@ -259,7 +251,7 @@ def invariance_run(corpus, transform: str, grid=None, metrics=None, seed: int = 
         drifted = [drift_points(traj, DEFAULT_BASE_DRIFT, derive_seed(seed, i))
                    for i, traj in enumerate(corpus)]
         preds = [[change_sample_rate(pred, factor) for factor in grid] for pred in drifted]
-        return _aggregate(grid, metrics, _score_sweep(corpus, preds, metrics, k_max), seed)
+        return _aggregate(grid, metrics, _score_rows(corpus, preds, metrics, k_max), seed)
     per_sample = []
     for traj in corpus:
         try:

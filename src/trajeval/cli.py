@@ -1,7 +1,8 @@
 """Command-line front end: evaluation, benchmarking, rasterization, conversion.
 
 Directory-mode evaluation pairs files by basename (gt/x.json <-> pred/x.json)
-and scores each pair with `bench.score_pair`.  One handler, `cmd_curves`,
+and scores each pair with `bench.score_pair`, on the ground truth's canvas
+(`--canvas` is only the `--normalize` target).  One handler, `cmd_curves`,
 serves `sensitivity` and `invariance` through the `bench` runner of the same
 name.  Everything runs serially in one process, and `bench._fmt` (CSV) and
 `bench._json_number` (JSON) write every number, so seeded output is stable.
@@ -104,8 +105,7 @@ def _evaluate_pair(gt_file: Path, pred_file: Path, metrics, args) -> dict:
         rmse_pred = _resample_to_count(pred, len(gt.drawn_xy()))
     elif args.dedupe:
         rmse_pred = ValueError(DEDUPE_RMSE_REASON)
-    values, errors = bench.score_pair(gt, pred, metrics, args.kmax, side=args.canvas,
-                                      rmse_pred=rmse_pred)
+    values, errors = bench.score_pair(gt, pred, metrics, args.kmax, rmse_pred=rmse_pred)
     row.update(values)
     if errors:
         name, exc = next(iter(errors.items()))
@@ -218,15 +218,12 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_common(parser, with_seed=True):
-    parser.add_argument("--canvas", type=_int_at_least(2), default=64,
-                        help="canvas side in pixels")
+def _add_common(parser, canvas_help):
+    parser.add_argument("--canvas", type=_int_at_least(2), default=64, help=canvas_help)
     parser.add_argument("--kmax", type=_int_at_least(0), default=10,
                         help="dilation sweep bound for AIoU")
     parser.add_argument("--out", default="-", help="output path, '-' for stdout")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    if with_seed:
-        parser.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="halve trajectory point density before scoring")
     p.add_argument("--rmse-resample", action="store_true",
                    help="resample predictions to the ground-truth length for RMSE")
-    _add_common(p, with_seed=False)
+    _add_common(p, "--normalize target side; glyphs render on the ground truth's canvas")
     p.set_defaults(func=cmd_evaluate)
 
     for command, help_text, kind_flag, kinds in (
@@ -265,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", help="comma list of magnitudes "
                                       f"(default per {kind_flag[2:]} kind)")
         p.add_argument("--metrics", help=f"comma list from {{{','.join(bench.METRICS)}}}")
-        _add_common(p)
+        p.add_argument("--seed", type=int, default=0)
+        _add_common(p, "canvas side of --synthetic glyphs in pixels")
         p.set_defaults(func=cmd_curves)
 
     p = sub.add_parser("rasterize", help="render a trajectory to a PGM mask")

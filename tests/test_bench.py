@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from trajeval import (CurveReport, DegenerateHistogramError, OutOfCanvasError, Trajectory,
-                      aiou, binarize, dtw, invariance_run, make_synthetic_corpus,
+                      aiou, binarize, dtw, invariance_run, iou, make_synthetic_corpus,
                       normalize_curve, rasterize, reports_to_csv, reports_to_json,
-                      score_pair, sensitivity_run, strokes_of, widen_strokes)
+                      rmse, score_pair, score_pairs, sensitivity_run, strokes_of,
+                      widen_strokes)
 from trajeval import bench
 from trajeval.bench import DEFAULT_GRIDS, derive_seed
 from trajeval.error_sim import change_sample_rate, drift_points, perturb
@@ -65,8 +66,17 @@ def test_score_pair_rasterizes_only_for_glyph_metrics(corpus, monkeypatch):
     def no_raster(*args):
         raise AssertionError("rasterized without a glyph metric")
     monkeypatch.setattr(bench, "rasterize", no_raster)
+    monkeypatch.setattr(bench, "rasterize_many", no_raster)
     values, errors = score_pair(corpus[0], corpus[1], ("ldtw", "dtw"))
     assert not errors and values["dtw"] > 0
+
+
+def test_score_pair_aligns_only_for_dtw_metrics(corpus, monkeypatch):
+    def no_dtw(*args):
+        raise AssertionError("aligned without a DTW metric")
+    monkeypatch.setattr(bench, "dtw_many", no_dtw)
+    values, errors = score_pair(corpus[0], corpus[1], ("aiou", "iou"))
+    assert not errors and 0 < values["iou"] <= values["aiou"] < 1
 
 
 def test_score_pair_mask_ground_truth_skips_sequence_metrics(corpus):
@@ -89,19 +99,111 @@ def test_score_pair_mask_prediction_skips_sequence_metrics(corpus):
     assert str(errors["rmse"]) == "RMSE needs a trajectory prediction"
 
 
-def test_score_pair_takes_rendered_masks_or_their_errors(corpus, monkeypatch):
-    gt, pred = corpus[0], corpus[1]
-    want = score_pair(gt, pred, ("aiou", "iou", "dtw"))
-    pred_mask, gt_mask = rasterize(pred), rasterize(gt)
-    monkeypatch.setattr(bench, "rasterize", lambda *args: pytest.fail("rendered again"))
-    assert score_pair(gt, pred, ("aiou", "iou", "dtw"), gt_mask=gt_mask,
-                      pred_mask=pred_mask) == want
-    error = OutOfCanvasError("point 0 is off the canvas")
-    for masks in ({"gt_mask": gt_mask, "pred_mask": error},
-                  {"gt_mask": error, "pred_mask": pred_mask}):
-        values, errors = score_pair(gt, pred, ("aiou", "iou", "dtw"), **masks)
-        assert values["aiou"] is None and values["iou"] is None and values["dtw"] > 0
-        assert errors == {"aiou": error, "iou": error}
+def test_score_pair_renders_and_aligns_a_failing_pair_once(monkeypatch):
+    """A render or an alignment that fails is done once, and every metric that
+    needs it gets the same error."""
+    rendered, aligned = [], []
+    rasterize_many, dtw_many = bench.rasterize_many, bench.dtw_many
+    monkeypatch.setattr(bench, "rasterize_many", lambda trajs, side=None:
+                        rendered.append(list(trajs)) or rasterize_many(trajs, side))
+    monkeypatch.setattr(bench, "dtw_many",
+                        lambda pairs: aligned.append(list(pairs)) or dtw_many(pairs))
+    gt = traj_from_strokes([[(30, 10), (20, 20)]])
+    off = traj_from_strokes([[(10, 90), (20, 20)]])
+    values, errors = score_pair(gt, off, ("aiou", "iou"))
+    assert len(rendered) == 1 and [id(t) for t in rendered[0]] == [id(gt), id(off)]
+    assert values == {"aiou": None, "iou": None} and aligned == []
+    assert isinstance(errors["aiou"], OutOfCanvasError) and errors["iou"] is errors["aiou"]
+
+    rendered.clear()
+    empty = Trajectory.from_arrays([(1.0, 1.0)], [EOS])
+    values, errors = score_pair(empty, gt, ("ldtw", "dtw"))
+    assert len(aligned) == 1 and [tuple(map(id, pair)) for pair in aligned[0]] == \
+        [(id(empty), id(gt))]
+    assert values == {"ldtw": None, "dtw": None} and rendered == []
+    assert str(errors["ldtw"]) == "trajectory has no drawn points to align"
+    assert errors["dtw"] is errors["ldtw"]
+
+
+def test_score_pair_renders_the_prediction_on_the_ground_truths_canvas():
+    strokes = [[(10, 20), (30, 25)], [(5, 28), (28, 3)]]
+    for gt in (traj_from_strokes(strokes, side=128), rasterize(traj_from_strokes(strokes), 32)):
+        values, errors = score_pair(gt, traj_from_strokes(strokes, side=64), ("aiou", "iou"))
+        assert values == {"aiou": 1.0, "iou": 1.0} and not errors
+
+
+def score_pair_reference(gt, pred, metrics, k_max=10, side=None, rmse_pred=None):
+    """The former `score_pair`: each metric renders and aligns on demand, each
+    trajectory on its own canvas (a mask ground truth sets the side)."""
+    gt_mask = pred_mask = dtw_result = None
+    if isinstance(gt, bench.BinaryMask):
+        gt, gt_mask = None, gt
+    if isinstance(pred, bench.BinaryMask):
+        pred, pred_mask = None, pred
+    if isinstance(gt_mask, bench.BinaryMask):
+        side = gt_mask.width
+    values, errors = {}, {}
+    for name in metrics:
+        try:
+            if name in bench.GLYPH_METRICS:
+                if pred_mask is None:
+                    pred_mask = rasterize(pred, side)
+                if gt_mask is None:
+                    gt_mask = rasterize(gt, side)
+                values[name] = (aiou(gt_mask, pred_mask, k_max).score if name == "aiou"
+                                else iou(gt_mask, pred_mask))
+            elif name in bench.DTW_METRICS:
+                if gt is None:
+                    raise ValueError("sequence metrics need a trajectory ground truth")
+                if pred is None:
+                    raise ValueError("sequence metrics need a trajectory prediction")
+                if dtw_result is None:
+                    dtw_result = dtw(gt, pred)
+                values[name] = dtw_result.cost if name == "dtw" else dtw_result.ldtw
+            else:  # rmse
+                if gt is None:
+                    raise ValueError("RMSE needs a trajectory ground truth")
+                if pred is None:
+                    raise ValueError("RMSE needs a trajectory prediction")
+                if isinstance(rmse_pred, ValueError):
+                    raise rmse_pred
+                values[name] = rmse(gt, pred if rmse_pred is None else rmse_pred)
+        except ValueError as exc:
+            values[name] = None
+            errors[name] = exc
+    return values, errors
+
+
+@pytest.mark.parametrize("metrics", [
+    ("aiou", "iou", "ldtw", "dtw", "rmse"),
+    ("rmse", "dtw", "iou"),
+    ("iou", "aiou"),
+    ("ldtw", "rmse"),
+])
+def test_score_pairs_matches_the_pair_at_a_time_reference(corpus, metrics):
+    a, b, c = corpus[:3]
+    off = traj_from_strokes([[(10, 90), (20, 20)]])
+    off_too = traj_from_strokes([[(70, 10), (20, 20)]])
+    empty = Trajectory.from_arrays([(1.0, 1.0)], [EOS])
+    mask_a, mask_b = rasterize(a), rasterize(b)
+    same_length = Trajectory.from_arrays(a.xy + 0.5, a.state)
+    no_rmse = ValueError("no point-to-point correspondence")
+    pairs = [(a, b), (a, c), (a, off), (a, mask_b),  # one ground truth, consecutive
+             (mask_a, b), (mask_a, mask_b), (mask_a, off),
+             (b, a), (a, same_length),  # a again, apart from its first run
+             (off_too, off), (off_too, a), (empty, a), (a, empty), (empty, empty),
+             (b, c), (c, b), (b, a)]
+    rmse_preds = [None] * len(pairs)
+    rmse_preds[1], rmse_preds[7], rmse_preds[14] = same_length, no_rmse, c
+    got = score_pairs(pairs, metrics, 3, rmse_preds)
+    assert len(got) == len(pairs)
+    for (gt, pred), rmse_pred, (values, errors) in zip(pairs, rmse_preds, got):
+        want_values, want_errors = score_pair_reference(gt, pred, metrics, 3,
+                                                        rmse_pred=rmse_pred)
+        assert list(values) == list(metrics) and values == want_values
+        assert [(name, type(exc), str(exc)) for name, exc in errors.items()] == \
+            [(name, type(exc), str(exc)) for name, exc in want_errors.items()]
+    assert score_pairs([], metrics) == []
 
 
 def test_score_pair_reports_the_prediction_error_first():
@@ -277,14 +379,9 @@ def test_invariance_width_mode_matches_the_binarized_reference():
 def sensitivity_reference(corpus, kind, grid, metrics, seed, k_max):
     """The sensitivity runner scoring one pair at a time, each with its own
     `dtw` call."""
-    glyph = any(name in bench.GLYPH_METRICS for name in metrics)
     per_sample = []
     for i, traj in enumerate(corpus):
         sseed = derive_seed(seed, i)
-        try:
-            gt_mask = rasterize(traj) if glyph else None
-        except ValueError:
-            gt_mask = None
         rows = []
         for magnitude in grid:
             try:
@@ -292,7 +389,7 @@ def sensitivity_reference(corpus, kind, grid, metrics, seed, k_max):
             except ValueError:
                 rows.append(dict.fromkeys(metrics))
                 continue
-            rows.append(score_pair(traj, pred, metrics, k_max, gt_mask=gt_mask)[0])
+            rows.append(score_pair(traj, pred, metrics, k_max)[0])
         per_sample.append(rows)
     return bench._aggregate(grid, metrics, per_sample, seed)
 
@@ -327,11 +424,13 @@ def test_runners_match_the_pair_at_a_time_reference(kind, grid, metrics, monkeyp
                         lambda pairs: batches.append(len(pairs)) or dtw_many(pairs))
     if kind == "sample-rate":
         got = invariance_run(corpus, kind, grid=grid, metrics=metrics, seed=4, k_max=3)
+        n_batches = len(batches)
         want = sample_rate_reference(corpus, grid, metrics, 4, 3)
     else:
         got = sensitivity_run(corpus, kind, grid=grid, metrics=metrics, seed=4, k_max=3)
+        n_batches = len(batches)
         want = sensitivity_reference(corpus, kind, grid, metrics, 4, 3)
-    assert len(batches) == (1 if {"dtw", "ldtw"} & set(metrics) else 0)
+    assert n_batches == (1 if {"dtw", "ldtw"} & set(metrics) else 0)
     assert reports_to_csv(got) == reports_to_csv(want)
     assert reports_to_json(got) == reports_to_json(want)
     if kind == "stroke-delete":  # 7 strokes skip some glyphs, 9 skip all
@@ -346,13 +445,15 @@ def test_invariance_rejects_unknown_transform(corpus):
 
 # --- input rules: checked before any work ------------------------------------
 
-# name -> call of a runner (or of score_pair) on a corpus, with small grids
+# name -> call of a runner (or of score_pair or score_pairs) on a corpus, with small grids
 RUNS = {
     "sensitivity": lambda corpus, **kw: sensitivity_run(corpus, "point-drift", (1, 2), **kw),
     "stroke-width": lambda corpus, **kw: invariance_run(corpus, "stroke-width", (0, 1), **kw),
     "sample-rate": lambda corpus, **kw: invariance_run(corpus, "sample-rate", (1.0, 2.0), **kw),
     "score_pair": lambda corpus, metrics=("aiou", "ldtw"), **kw:
         score_pair(corpus[0], corpus[1], metrics, **kw),
+    "score_pairs": lambda corpus, metrics=("aiou", "ldtw"), **kw:
+        score_pairs([(corpus[0], corpus[1]), (corpus[0], corpus[0])], metrics, **kw),
 }
 RUNNERS = ("sensitivity", "stroke-width", "sample-rate")
 
@@ -360,8 +461,7 @@ RUNNERS = ("sensitivity", "stroke-width", "sample-rate")
 def _log_work(monkeypatch) -> list:
     """Wrap every bench call that perturbs, renders or aligns; return the log."""
     calls = []
-    for name in ("perturb_row", "drift_points", "rasterize", "rasterize_many", "dtw",
-                 "dtw_many"):
+    for name in ("perturb_row", "drift_points", "rasterize", "rasterize_many", "dtw_many"):
         fn = getattr(bench, name)
         monkeypatch.setattr(bench, name, lambda *args, _name=name, _fn=fn, **kwargs:
                             calls.append(_name) or _fn(*args, **kwargs))

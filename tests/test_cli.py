@@ -146,6 +146,21 @@ def test_evaluate_pgm_ground_truth_gives_glyph_metrics_only(tmp_path, rng, capsy
     assert "ldtw" in row["error"]
 
 
+def test_evaluate_renders_on_the_ground_truths_canvas(tmp_path, capsys):
+    """Without --normalize, --canvas does not set the rendering canvas: a pair
+    of 128-canvas files is scored on 128 x 128, as `rasterize` renders them."""
+    strokes = {"canvas": [128, 128], "strokes": [[[10.0, 20.0], [100.0, 92.0]],
+                                                 [[40.0, 110.0], [60.0, 70.0]]]}
+    for name in ("g.json", "p.json"):
+        (tmp_path / name).write_text(json.dumps(strokes))
+    code, out = run_cli(["evaluate", str(tmp_path / "g.json"), str(tmp_path / "p.json"),
+                         "--metrics", "aiou,iou,ldtw"], capsys)
+    assert code == 0
+    row = csv_rows(out)[0]
+    assert (row["aiou"], row["iou"], row["ldtw"]) == ("1.000000", "1.000000", "0.000000")
+    assert row["error"] == ""
+
+
 def test_evaluate_json_format(sample_files, capsys):
     gt_dir, pred_dir = sample_files
     _, out = run_cli(["evaluate", str(gt_dir), str(pred_dir),
@@ -203,8 +218,7 @@ def test_evaluate_preprocessing_flags_match_the_library_chain(flags, tmp_path, c
                         for d in (gt_dir, pred_dir))
             # dedupe drops different points from each side, so RMSE is undefined
             rmse_pred = ValueError(cli.DEDUPE_RMSE_REASON) if "--dedupe" in flags else None
-            values, errors = bench.score_pair(gt, pred, metrics, 10, side=64,
-                                              rmse_pred=rmse_pred)
+            values, errors = bench.score_pair(gt, pred, metrics, 10, rmse_pred=rmse_pred)
             error = next((f"{name}: {exc}" for name, exc in errors.items()), "")
             rows.append({"sample": f"g{i}", "error": error,
                          **{m: bench._json_number(values[m]) for m in metrics}})
