@@ -92,7 +92,7 @@ def _point_drift_row(traj: Trajectory, ds, seed: int, fraction: float = 1.0) -> 
     for d in ds:
         xy = traj.xy.copy()
         xy[chosen] = np.minimum(np.maximum(base + d * unit, 0.0), traj.canvas_side - 1)
-        row.append(Trajectory.from_arrays(xy, traj.state, traj.canvas_side))
+        row.append(Trajectory._trusted(xy, traj.state, traj.canvas_side))
     return row
 
 
@@ -109,7 +109,7 @@ def _stroke_drift_row(traj: Trajectory, ds, seed: int) -> list:
                    for (cos, sin), ((min_x, min_y), (max_x, max_y)) in zip(units, boxes)]
         xy = joined.xy.copy()
         xy[:sum(lens)] += np.repeat(np.array(offsets).reshape(-1, 2), lens, axis=0)
-        row.append(Trajectory.from_arrays(xy, joined.state, traj.canvas_side))
+        row.append(Trajectory._trusted(xy, joined.state, traj.canvas_side))
     return row
 
 

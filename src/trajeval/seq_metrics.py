@@ -1,7 +1,8 @@
-"""Writing-order metrics: DTW with an explicit alignment path, LDTW, RMSE.
+"""Writing-order metrics: DTW, its alignment length T and path, LDTW, RMSE.
 
-`dtw_many` aligns a batch of pairs with one anti-diagonal sweep per chunk of
-them; `dtw` is a batch of one.  `_fill` is the one sweep; soft-DTW uses it too.
+`dtw_many` aligns a batch of pairs with one anti-diagonal sweep per chunk and
+`_walk`s back each pair's T; `dtw` is a batch of one and `.path` walks on demand.
+`_fill` is the one sweep; soft-DTW uses it too.
 
 Distances are Euclidean over (x, y) only; pen states never enter the
 distance, and the end-of-sequence marker is stripped before alignment.
@@ -10,7 +11,7 @@ distance, and the end-of-sequence marker is stripped before alignment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,12 +48,21 @@ class AlignmentPath:
 @dataclass(frozen=True)
 class DtwResult:
     cost: float
-    path: AlignmentPath
+    length: int  # T, the tie-broken path's length
+    _pair: tuple = field(repr=False, compare=False)  # (q, p), read by `path` only
 
     @property
     def ldtw(self) -> float:
         """The cost divided by the alignment length T: the LDTW score."""
-        return self.cost / len(self.path)
+        return self.cost / self.length
+
+    @property
+    def path(self) -> AlignmentPath:
+        """The tie-broken path, walked on each use through the pair's own sweep."""
+        qc, pc = map(_coords, self._pair)
+        pairs = [(len(qc), len(pc))]
+        _walk(memoryview(_forward([(qc, pc)]).reshape(-1)), len(pc) + 2, 1, 0, *pairs[0], pairs)
+        return AlignmentPath._walked(tuple(reversed(pairs)))
 
 
 def _coords(traj: Trajectory) -> np.ndarray:
@@ -173,29 +183,28 @@ def _forward(coords) -> np.ndarray:
     return r
 
 
-def _backtrack(table: np.ndarray, m: int, n: int) -> DtwResult:
-    """Cost and tie-broken path of the pair whose filled table is `table`."""
-    pairs = [(m, n)]
-    i, j = m, n
-    while i > 1 or j > 1:
-        if i == 1:
-            j -= 1
-        elif j == 1:
-            i -= 1
+def _walk(flat, w: int, g_count: int, g: int, m: int, n: int, pairs=None) -> tuple:
+    """(cost, T) of pair g, walked back from (m, n) through `flat`, a filled table of
+    G pairs flattened: cell (i, j) at (i*w + j)*G + g, its diagonal, up and left
+    predecessors (w+1)*G, w*G and G before it.  Ties prefer the diagonal, then up
+    (no cell is NaN); once i or j is 1 the rest is straight.  `pairs` gets each cell."""
+    i, j, diags = m, n, 0
+    left, up = g_count, w * g_count
+    diag, at = up + left, (m * w + n) * g_count + g
+    while i > 1 and j > 1:
+        d, u, l = flat[at - diag], flat[at - up], flat[at - left]
+        if d <= u and d <= l:
+            i, j = i - 1, j - 1
+            at, diags = at - diag, diags + 1
+        elif u <= l:
+            i, at = i - 1, at - up
         else:
-            diag, up, left = (table.item(i - 1, j - 1), table.item(i - 1, j),
-                              table.item(i, j - 1))
-            best = min(diag, up, left)
-            if diag == best:
-                i -= 1
-                j -= 1
-            elif up == best:
-                i -= 1
-            else:
-                j -= 1
-        pairs.append((i, j))
-    pairs.reverse()
-    return DtwResult(cost=table.item(m, n), path=AlignmentPath._walked(tuple(pairs)))
+            j, at = j - 1, at - left
+        if pairs is not None:
+            pairs.append((i, j))
+    if pairs is not None:
+        pairs += [(k, 1) for k in range(i - 1, 0, -1)] + [(1, k) for k in range(j - 1, 0, -1)]
+    return flat[(m * w + n) * g_count + g], m + n - 1 - diags
 
 
 def dtw_many(pairs) -> list[DtwResult | ValueError]:
@@ -228,22 +237,19 @@ def dtw_many(pairs) -> list[DtwResult | ValueError]:
             stop, n_max = stop + 1, max(n_max, n)
         chunk = jobs[start:stop]
         r = _forward([(qc, pc) for _, _, _, qc, pc in chunk])
+        flat, w, g_count = memoryview(r.reshape(-1)), r.shape[1], len(chunk)
         for g, (m, n, index, _, _) in enumerate(chunk):
-            out[index] = _backtrack(r[:, :, g], m, n)
+            out[index] = DtwResult(*_walk(flat, w, g_count, g, m, n), pairs[index])
         start = stop
     return out
 
 
 def dtw(q: Trajectory, p: Trajectory) -> DtwResult:
-    """Globally optimal alignment cost and one achieving path.
+    """Globally optimal alignment cost, its path length T and, as `.path`, the path.
 
-    A batch of one through `dtw_many`.  The accumulated-cost table is filled
-    one anti-diagonal at a time; min is exact and each cell adds the same two
-    doubles as a row-by-row fill, so the cost and the path do not depend on
-    the fill order.  Ties during backtracking prefer the diagonal step, then
-    the q-advance, then the p-advance, which pins the path length T (and
-    hence LDTW).
-    """
+    A batch of one through `dtw_many`.  min is exact and each cell adds the same
+    two doubles as a row-by-row fill, so cost, T and path depend on neither the
+    fill order nor the batch.  Ties prefer the diagonal, then the q-advance."""
     result = dtw_many([(q, p)])[0]
     if isinstance(result, ValueError):
         raise result

@@ -8,7 +8,9 @@ final end-of-sequence marker carries no ink.  Stroke boundaries are derived
 from `state` (`stroke_bounds`), never stored.  The file reader and writer
 go straight between JSON and the columns.  `TrajPoint` is a per-point view,
 built on each use of `.points`, for tests and benchmarks.  All types are
-immutable values and all operations are pure functions.
+immutable values and all operations are pure functions.  `join_strokes` and
+`error_sim`'s drift rows move checked rows, so `_trusted` checks only finiteness;
+other builders' input or arithmetic (scaling, interpolation) gets every check.
 """
 
 from __future__ import annotations
@@ -85,6 +87,12 @@ class Trajectory:
         traj._set(np.array(xy, dtype=np.float64), state, canvas_side)
         return traj
 
+    @classmethod
+    def _trusted(cls, xy: np.ndarray, state: np.ndarray, canvas_side: int) -> "Trajectory":
+        traj = cls.__new__(cls)  # float64/int8 columns a builder proved valid
+        traj._keep(xy, state, canvas_side)
+        return traj
+
     def _set(self, xy: np.ndarray, state, canvas_side: int) -> None:
         state = np.array(state)
         if len(state) == 0:
@@ -96,16 +104,17 @@ class Trajectory:
                              f"{len(state)} pen states")
         if not ((state == DOWN) | (state == UP) | (state == EOS)).all():
             raise ValueError("pen states must be 0 (down), 1 (up) or 2 (end of sequence)")
-        if not np.isfinite(xy).all():
-            _check_finite(*xy[~np.isfinite(xy).all(axis=1)][0].tolist())
         eos = np.flatnonzero(state == EOS)
         if len(eos) > 1:
             raise ValueError("at most one end-of-sequence point is allowed")
         if len(eos) and eos[0] != len(state) - 1:
             raise ValueError("the end-of-sequence point must be last")
-        xy.flags.writeable = False
-        state = state.astype(np.int8)
-        state.flags.writeable = False
+        self._keep(xy, state.astype(np.int8), canvas_side)
+
+    def _keep(self, xy: np.ndarray, state: np.ndarray, canvas_side: int) -> None:
+        if not np.isfinite(xy).all():  # kept for `_trusted` too: a moved row can overflow
+            _check_finite(*xy[~np.isfinite(xy).all(axis=1)][0].tolist())
+        xy.flags.writeable = state.flags.writeable = False
         for name, value in (("xy", xy), ("state", state), ("canvas_side", canvas_side)):
             object.__setattr__(self, name, value)
 
@@ -162,7 +171,7 @@ def join_strokes(parts, like: Trajectory, closing=UP) -> Trajectory:
     state = np.full(len(xy), DOWN, dtype=np.int8)
     state[np.cumsum([len(p) for p in parts], dtype=np.intp) - 1] = closing
     state[len(xy) - len(eos):] = EOS
-    return Trajectory.from_arrays(xy, state, like.canvas_side)
+    return Trajectory._trusted(xy, state, like.canvas_side)
 
 
 def _per_stroke(traj: Trajectory, fn) -> Trajectory:

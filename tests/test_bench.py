@@ -8,8 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from trajeval import (CurveReport, DegenerateHistogramError, OutOfCanvasError, Trajectory,
-                      aiou, binarize, dtw, invariance_run, iou, make_synthetic_corpus,
+from trajeval import (AlignmentPath, CurveReport, DegenerateHistogramError, OutOfCanvasError,
+                      Trajectory, aiou, binarize, dtw, invariance_run, iou, make_synthetic_corpus,
                       normalize_curve, rasterize, reports_to_csv, reports_to_json,
                       rmse, score_pair, score_pairs, sensitivity_run, strokes_of,
                       widen_strokes)
@@ -204,6 +204,24 @@ def test_score_pairs_matches_the_pair_at_a_time_reference(corpus, metrics):
         assert [(name, type(exc), str(exc)) for name, exc in errors.items()] == \
             [(name, type(exc), str(exc)) for name, exc in want_errors.items()]
     assert score_pairs([], metrics) == []
+
+
+def test_scoring_walks_no_alignment_path(corpus, monkeypatch):
+    """The scores read each alignment's cost and T only: no sweep or
+    `score_pairs` call builds an `AlignmentPath`."""
+    def refuse(cls, pairs):
+        raise AssertionError("a scoring call built an alignment path")
+
+    monkeypatch.setattr(AlignmentPath, "_walked", classmethod(refuse))
+    with pytest.raises(AssertionError, match="built an alignment path"):
+        dtw(corpus[0], corpus[1]).path  # the patch bites where a path is asked for
+    for kind in bench.SENSITIVITY_KINDS:
+        for report in sensitivity_run(corpus[:4], kind, metrics=("ldtw", "dtw"), seed=2):
+            assert all(n > 0 for n in report.samples_used)
+    for report in invariance_run(corpus[:4], "sample-rate", seed=2):
+        assert all(n == 4 for n in report.samples_used)
+    (values, errors), = score_pairs([(corpus[0], corpus[1])], ("ldtw", "dtw"))
+    assert not errors and values["ldtw"] == dtw(corpus[0], corpus[1]).ldtw
 
 
 def test_score_pair_reports_the_prediction_error_first():

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajeval import (Trajectory, change_sample_rate, delete_strokes, drift_points,
+from trajeval import (ERROR_KINDS, Trajectory, change_sample_rate, delete_strokes, drift_points,
                       drift_strokes, insert_strokes, make_synthetic_corpus, perturb,
                       perturb_row, rasterize, resample, stroke_bounds, strokes_of,
                       widen_strokes)
-from trajeval.bench import DEFAULT_GRIDS, _check_run_inputs
+from trajeval.bench import DEFAULT_GRIDS, _check_run_inputs, derive_seed
 from trajeval.raster import dilate3x3
 from trajeval.traj_core import join_strokes
 
@@ -366,6 +366,37 @@ def test_perturb_row_matches_the_per_magnitude_references(traj, kind, data, seed
         fraction = data.draw(st.floats(0.01, 1.0))
         assert _outcome(lambda: drift_points(traj, grid[0], seed, fraction)) == \
             _outcome(lambda: point_drift_reference(traj, grid[0], seed, fraction))
+
+
+def test_row_predictions_pass_every_check():
+    """The rows build their predictions without `from_arrays`' checks; each one
+    passes them, with equal columns, read-only float64 xy and int8 states."""
+    corpus = make_synthetic_corpus(10, seed=8) + make_synthetic_corpus(
+        10, seed=9, stroke_range=(1, 4), points_range=(1, 6))
+    built = refused = 0
+    for i, traj in enumerate(corpus):
+        for kind in ERROR_KINDS:
+            for pred in perturb_row(traj, kind, DEFAULT_GRIDS[kind], derive_seed(8, i)):
+                if isinstance(pred, ValueError):
+                    assert kind == "stroke-delete" and "at least one must remain" in str(pred)
+                    refused += 1
+                    continue
+                checked = Trajectory.from_arrays(pred.xy, pred.state, pred.canvas_side)
+                assert np.array_equal(checked.xy, pred.xy)
+                assert np.array_equal(checked.state, pred.state)
+                assert (pred.xy.dtype, pred.state.dtype) == (np.float64, np.int8)
+                assert not pred.xy.flags.writeable and not pred.state.flags.writeable
+                built += 1
+    assert built > 450 and refused > 10
+
+
+@pytest.mark.parametrize("kind", ["stroke-insert", "stroke-drift"])
+def test_a_stroke_wider_than_the_float_range_is_refused(kind):
+    """Moving a stroke that spans more than the float range overflows; the
+    unchecked row builders still refuse the non-finite row."""
+    traj = traj_from_strokes([[(-1e308, 5.0), (1e308, 5.0)]])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite coordinates"):
+        perturb(traj, kind, 1, 0)
 
 
 def test_perturb_row_checks_every_magnitude_before_drawing(rng):

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajeval import AlignmentPath, Trajectory, dtw, dtw_many, ldtw, rmse
 from trajeval import seq_metrics
@@ -341,6 +343,30 @@ def test_dtw_many_matches_row_loop_reference(monkeypatch):
         assert got.path.pairs == path
 
 
+_GRID_COORDS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12)
+_HUGE = st.sampled_from([-1e308, -1.0, 0.0, 1.0, 1e308])
+_HUGE_COORDS = st.lists(st.tuples(_HUGE, _HUGE), min_size=1, max_size=12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_GRID_COORDS, _GRID_COORDS), min_size=1, max_size=10),
+       st.lists(st.tuples(_HUGE_COORDS, _HUGE_COORDS), max_size=3), st.randoms())
+def test_dtw_many_length_and_path_match_the_reference(grid_pairs, huge_pairs, shuffler):
+    """A batch mixing pairs on a 4x4 integer grid (exact ties everywhere) with
+    pairs whose distances overflow to inf gives each pair the reference's cost,
+    its path's length as T, and its path."""
+    pairs = [(np.array(qc, dtype=float), np.array(pc, dtype=float))
+             for qc, pc in grid_pairs + huge_pairs]
+    shuffler.shuffle(pairs)
+    with np.errstate(over="ignore"):  # +-1e308 apart: the distance overflows to inf
+        results = dtw_many([(_polyline(qc), _polyline(pc)) for qc, pc in pairs])
+        for (qc, pc), got in zip(pairs, results):
+            cost, path = dtw_reference(qc, pc)
+            assert (got.cost, got.length) == (cost, len(path))
+            assert got.path.pairs == path
+            assert got.ldtw == cost / len(path)
+
+
 def test_dtw_many_of_nothing_is_empty():
     assert dtw_many([]) == []
 
@@ -348,8 +374,9 @@ def test_dtw_many_of_nothing_is_empty():
 def test_dtw_many_holds_one_chunk_at_a_time():
     """The working memory of a 1,600-pair batch stays within a small factor of
     a 100-pair batch's: chunks are filled one after another, never as one
-    table for the whole sweep.  The results themselves (one path per pair)
-    are kept, so the peak is taken above the memory they hold at the end."""
+    table for the whole sweep.  The results themselves are kept, so the peak
+    is taken above the memory they hold at the end; that holds each pair's
+    cost and T, no path and no chunk table (5.45 MiB when each held a path)."""
     corpus = make_synthetic_corpus(200, seed=0)
     pairs = [(gt, perturb(gt, "point-drift", magnitude, derive_seed(0, i)))
              for i, gt in enumerate(corpus) for magnitude in DEFAULT_GRIDS["point-drift"]]
@@ -363,9 +390,10 @@ def test_dtw_many_holds_one_chunk_at_a_time():
         finally:
             tracemalloc.stop()
         assert len(results) == len(batch)
-        return peak - held
+        return peak - held, held
 
-    small, large = working_peak(pairs[:100]), working_peak(pairs)
+    (small, _), (large, held) = working_peak(pairs[:100]), working_peak(pairs)
+    assert held < 1.5 * 2 ** 20
     assert large < 3 * small
     # a whole-sweep table would need 8 bytes for each of the sweep's cells
     cells = sum(len(_coords(q)) * len(_coords(p)) for q, p in pairs)
