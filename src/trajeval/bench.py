@@ -4,9 +4,9 @@ Runs a seeded error simulation over a trajectory corpus, averages the chosen
 metrics per error magnitude, and min-max normalizes each curve to [0, 1] for
 trend comparison.  `score_pairs` is the one place (ground truth, prediction)
 pairs are scored, rendering and aligning each pair once, and `_check_metrics`
-the one rule for a metric list; the runners and `trajeval evaluate` (through
-`score_pair`, a batch of one) go through both.  A seeded synthetic corpus
-generator ships here so the runners need no external datasets.
+the one rule for a metric list; every sweep (one call over each glyph's `_row`)
+and `trajeval evaluate` (`score_pair`, a batch of one) go through both.  A
+seeded synthetic corpus generator ships here so the runners need no datasets.
 """
 
 from __future__ import annotations
@@ -170,17 +170,13 @@ def _aggregate(grid, metrics, per_sample: list, seed: int) -> list[CurveReport]:
     """per_sample[i][mi] is a metric->value dict for sample i at magnitude mi."""
     reports = []
     for name in metrics:
-        means, used, skipped = [], [], []
-        for mi in range(len(grid)):
-            vals = [row[mi][name] for row in per_sample if row[mi][name] is not None]
-            means.append(math.fsum(vals) / len(vals) if vals else math.nan)
-            used.append(len(vals))
-            skipped.append(len(per_sample) - len(vals))
-        norm = normalize_curve(means)
-        reports.append(CurveReport(metric=name, grid=tuple(grid),
-                                   raw_mean=tuple(means), normalized=tuple(norm),
-                                   samples_used=tuple(used),
-                                   samples_skipped=tuple(skipped), seed=seed))
+        vals = [[row[mi][name] for row in per_sample if row[mi][name] is not None]
+                for mi in range(len(grid))]
+        means = [math.fsum(v) / len(v) if v else math.nan for v in vals]
+        reports.append(CurveReport(
+            metric=name, grid=tuple(grid), raw_mean=tuple(means),
+            normalized=tuple(normalize_curve(means)), samples_used=tuple(map(len, vals)),
+            samples_skipped=tuple(len(per_sample) - len(v) for v in vals), seed=seed))
     return reports
 
 
@@ -200,13 +196,37 @@ def _check_run_inputs(corpus, kind, grid, k_max):
         raise ValueError("k_max must be non-negative")
 
 
-def _score_rows(corpus, rows, metrics, k_max) -> list:
-    """Score each glyph's row in one `score_pairs` call; a ValueError is a skipped sample."""
-    scores = iter(score_pairs([(traj, pred) for traj, row in zip(corpus, rows)
-                               for pred in row if not isinstance(pred, ValueError)],
+def _row(traj, kind: str, grid, seed: int) -> list:
+    """One (gt, pred) pair per magnitude of grid, or the ValueError that skips it."""
+    if kind in SENSITIVITY_KINDS:
+        return [pred if isinstance(pred, ValueError) else (traj, pred)
+                for pred in perturb_row(traj, kind, grid, seed)]
+    if kind == "sample-rate":
+        pred = drift_points(traj, DEFAULT_BASE_DRIFT, seed)
+        return [(traj, change_sample_rate(pred, factor)) for factor in grid]
+    try:
+        pred_mask = gt_mask = rasterize(traj)
+    except ValueError as exc:  # a point outside the canvas: no width can be scored
+        return [exc] * len(grid)
+    row, done = [], 0
+    for k in map(int, grid):  # exact: _check_run_inputs proved it whole, ascending
+        gt_mask, done = dilate3x3(gt_mask, k - done), k
+        row.append(ValueError(f"stroke width {k} fills the canvas") if gt_mask.bits.all()
+                   else (gt_mask, pred_mask))
+    return row
+
+
+def _run(corpus, kind: str, grid, metrics, seed: int, k_max: int) -> list[CurveReport]:
+    """Curves of every glyph's `_row`, scored in one `score_pairs` call; a ValueError skips."""
+    metrics = _check_metrics(metrics)
+    grid = tuple(grid if grid is not None else DEFAULT_GRIDS[kind])
+    _check_run_inputs(corpus, kind, grid, k_max)
+    rows = [_row(traj, kind, grid, derive_seed(seed, i)) for i, traj in enumerate(corpus)]
+    scores = iter(score_pairs([p for row in rows for p in row if not isinstance(p, ValueError)],
                               metrics, k_max))
-    return [[dict.fromkeys(metrics) if isinstance(pred, ValueError) else next(scores)[0]
-             for pred in row] for row in rows]
+    per_sample = [[dict.fromkeys(metrics) if isinstance(p, ValueError) else next(scores)[0]
+                   for p in row] for row in rows]
+    return _aggregate(grid, metrics, per_sample, seed)
 
 
 def sensitivity_run(corpus, kind: str, grid=None, metrics=None,
@@ -220,12 +240,8 @@ def sensitivity_run(corpus, kind: str, grid=None, metrics=None,
     """
     if kind not in SENSITIVITY_KINDS:
         raise ValueError(f"unknown error kind {kind!r}; expected one of {SENSITIVITY_KINDS}")
-    metrics = _check_metrics(metrics if metrics is not None else ("aiou", "ldtw"))
-    grid = tuple(grid if grid is not None else DEFAULT_GRIDS[kind])
-    _check_run_inputs(corpus, kind, grid, k_max)
-    preds = [perturb_row(traj, kind, grid, derive_seed(seed, i))
-             for i, traj in enumerate(corpus)]
-    return _aggregate(grid, metrics, _score_rows(corpus, preds, metrics, k_max), seed)
+    return _run(corpus, kind, grid, ("aiou", "ldtw") if metrics is None else metrics,
+                seed, k_max)
 
 
 def invariance_run(corpus, transform: str, grid=None, metrics=None, seed: int = 0,
@@ -239,35 +255,14 @@ def invariance_run(corpus, transform: str, grid=None, metrics=None, seed: int = 
     glyph scores to the width axis, and the ground truth is that mask dilated
     k times (so sequence metrics are skipped).  A sample is skipped at a width
     whose mask fills the canvas, and at every width if it cannot be rendered.
+    The stroke-width sweep holds every widened mask until its `score_pairs` call.
     """
     if transform not in INVARIANCE_TRANSFORMS:
         raise ValueError(
             f"unknown transform {transform!r}; expected one of {INVARIANCE_TRANSFORMS}")
-    metrics = _check_metrics(metrics if metrics is not None else
-                             GLYPH_METRICS if transform == "stroke-width" else ("dtw", "ldtw"))
-    grid = tuple(grid if grid is not None else DEFAULT_GRIDS[transform])
-    _check_run_inputs(corpus, transform, grid, k_max)
-    if transform == "sample-rate":
-        drifted = [drift_points(traj, DEFAULT_BASE_DRIFT, derive_seed(seed, i))
-                   for i, traj in enumerate(corpus)]
-        preds = [[change_sample_rate(pred, factor) for factor in grid] for pred in drifted]
-        return _aggregate(grid, metrics, _score_rows(corpus, preds, metrics, k_max), seed)
-    per_sample = []
-    for traj in corpus:
-        try:
-            pred_mask = gt_mask = rasterize(traj)
-        except ValueError:  # a point outside the canvas: no width can be scored
-            per_sample.append([dict.fromkeys(metrics) for _ in grid])
-            continue
-        rows, done = [], 0
-        for k in map(int, grid):  # exact: _check_run_inputs proved it whole, ascending
-            gt_mask, done = dilate3x3(gt_mask, k - done), k
-            if gt_mask.bits.all():  # the widened glyph fills the canvas
-                rows.append(dict.fromkeys(metrics))
-            else:
-                rows.append(score_pair(gt_mask, pred_mask, metrics, k_max)[0])
-        per_sample.append(rows)
-    return _aggregate(grid, metrics, per_sample, seed)
+    if metrics is None:
+        metrics = GLYPH_METRICS if transform == "stroke-width" else ("dtw", "ldtw")
+    return _run(corpus, transform, grid, metrics, seed, k_max)
 
 
 # --- report serialization ---------------------------------------------------

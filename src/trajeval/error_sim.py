@@ -128,7 +128,8 @@ def perturb_row(traj: Trajectory, kind: str, grid, seed: int) -> list:
     grid = tuple(grid)  # read twice: checked, then drawn for
     for magnitude in grid:
         _check_magnitude(kind, magnitude)
-    return ERROR_KINDS[kind](traj, grid, seed)
+    with np.errstate(over="ignore"):  # a coordinate past the float range: inf, refused or clamped
+        return ERROR_KINDS[kind](traj, grid, seed)
 
 
 def perturb(traj: Trajectory, kind: str, magnitude, seed: int) -> Trajectory:
@@ -158,7 +159,8 @@ def drift_points(traj: Trajectory, d: float, seed: int,
     _check_magnitude("point-drift", d)
     if not (0 < fraction <= 1):
         raise ValueError("fraction must lie in (0, 1]")
-    return _point_drift_row(traj, (d,), seed, fraction)[0]
+    with np.errstate(over="ignore"):  # as in perturb_row
+        return _point_drift_row(traj, (d,), seed, fraction)[0]
 
 
 def drift_strokes(traj: Trajectory, d: float, seed: int) -> Trajectory:

@@ -343,6 +343,8 @@ def test_invariance_skips_a_width_that_fills_the_canvas(corpus):
         assert rep.samples_used == (len(corpus), 0)
         assert rep.samples_skipped == (0, len(corpus))
         assert math.isnan(rep.raw_mean[1])
+    skip = bench._row(corpus[0], "stroke-width", (0, 63), 0)[1]
+    assert isinstance(skip, ValueError) and str(skip) == "stroke width 63 fills the canvas"
 
 
 def test_invariance_skips_a_glyph_outside_the_canvas_at_every_width(corpus):
@@ -353,6 +355,10 @@ def test_invariance_skips_a_glyph_outside_the_canvas_at_every_width(corpus):
         assert rep.raw_mean == want.raw_mean
         assert rep.samples_used == (3, 3)
         assert rep.samples_skipped == (1, 1)
+    with pytest.raises(OutOfCanvasError) as exc:
+        rasterize(outside)
+    row = bench._row(outside, "stroke-width", (0, 1), 0)
+    assert [(type(skip), str(skip)) for skip in row] == [(OutOfCanvasError, str(exc.value))] * 2
 
 
 def invariance_width_reference(corpus, grid, metrics, seed, k_max):
@@ -454,6 +460,26 @@ def test_runners_match_the_pair_at_a_time_reference(kind, grid, metrics, monkeyp
     if kind == "stroke-delete":  # 7 strokes skip some glyphs, 9 skip all
         skipped = got[0].samples_skipped
         assert skipped[0] < skipped[2] < skipped[3] == len(corpus)
+
+
+@pytest.mark.parametrize("kind", DEFAULT_GRIDS)
+def test_each_sweep_scores_in_one_score_pairs_call(corpus, monkeypatch, kind):
+    """Every runner call passes all its pairs to one `score_pairs` call, even
+    with a glyph outside the canvas and a width that fills it."""
+    calls = []
+    for name in ("score_pairs", "score_pair"):
+        fn = getattr(bench, name)
+        monkeypatch.setattr(bench, name, lambda *args, _name=name, _fn=fn, **kwargs:
+                            calls.append(_name) or _fn(*args, **kwargs))
+    glyphs = corpus[:3] + [traj_from_strokes([[(10, 10), (70, 20), (30, 30)]])]
+    metrics = ("aiou", "iou", "ldtw", "dtw", "rmse")
+    if kind == "stroke-width":
+        invariance_run(glyphs, kind, grid=(0, 2, 63), metrics=metrics)
+    elif kind == "sample-rate":
+        invariance_run(glyphs, kind, metrics=metrics)
+    else:
+        sensitivity_run(glyphs, kind, metrics=metrics)
+    assert calls == ["score_pairs"]
 
 
 def test_invariance_rejects_unknown_transform(corpus):

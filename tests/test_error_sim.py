@@ -399,6 +399,23 @@ def test_a_stroke_wider_than_the_float_range_is_refused(kind):
         perturb(traj, kind, 1, 0)
 
 
+@pytest.mark.parametrize("kind, strokes, magnitude", [
+    ("stroke-insert", [[(-1e308, 5.0), (1e308, 5.0)]], 1),
+    ("stroke-drift", [[(-1e308, 5.0), (1e308, 5.0)]], 1),
+    ("point-drift", [[(1e308, 5.0), (1.5e308, 5.0)]], 1e308),
+])
+def test_an_overflowing_move_warns_nothing(kind, strokes, magnitude):
+    """With warnings as errors, a move past the float range still ends as it
+    does without them: a stroke move is refused, a point drift is clamped."""
+    traj = traj_from_strokes(strokes)
+    if kind == "point-drift":
+        drawn = perturb(traj, kind, magnitude, 0).drawn_xy()
+        assert ((drawn >= 0) & (drawn <= traj.canvas_side - 1)).all()
+    else:
+        with pytest.raises(ValueError, match="non-finite coordinates"):
+            perturb(traj, kind, magnitude, 0)
+
+
 def test_perturb_row_checks_every_magnitude_before_drawing(rng):
     traj = random_traj(rng, n_strokes=(3, 4))
     with pytest.raises(ValueError, match="stroke-delete count must be a whole number, got 1.5"):
