@@ -23,7 +23,7 @@ from .error_sim import (ERROR_KINDS, _check_magnitude, _is_finite, change_sample
 from .glyph_metrics import aiou, iou
 from .raster import BinaryMask, dilate3x3, rasterize, rasterize_many
 from .seq_metrics import dtw_many, rmse
-from .traj_core import DOWN, EOS, UP, Trajectory, normalize_to_canvas
+from .traj_core import DOWN, EOS, UP, Trajectory, _ok, normalize_to_canvas
 
 GLYPH_METRICS = ("aiou", "iou")
 DTW_METRICS = ("ldtw", "dtw")
@@ -87,13 +87,6 @@ def _check_metrics(metrics) -> tuple[str, ...]:
         if names.count(name) > 1:
             raise ValueError(f"metric {name!r} given twice")
     return names
-
-
-def _ok(result):
-    """result, or raise it if it is the ValueError a batch gave in its place."""
-    if isinstance(result, ValueError):
-        raise result
-    return result
 
 
 def _render(items, side: int) -> list:
@@ -271,36 +264,32 @@ def _fmt(v) -> str:
     return "" if v is None else f"{float(v):.6f}"
 
 
-def reports_to_csv(reports) -> str:
-    """Deterministic CSV, one row per (metric, magnitude)."""
-    lines = ["metric,magnitude,raw_mean,normalized,samples_used,samples_skipped"]
-    for rep in sorted(reports, key=lambda r: r.metric):
-        for mi, magnitude in enumerate(rep.grid):
-            lines.append(",".join([
-                rep.metric, _fmt(magnitude), _fmt(rep.raw_mean[mi]),
-                _fmt(rep.normalized[mi]), str(rep.samples_used[mi]),
-                str(rep.samples_skipped[mi])]))
-    return "\n".join(lines) + "\n"
-
-
 def _json_number(v) -> float | None:
     return None if v is None or math.isnan(v) else round(float(v), 6)
 
 
+_COLUMNS = ("metric", "magnitude", "raw_mean", "normalized", "samples_used", "samples_skipped")
+
+
+def _report_rows(reports, number) -> list[tuple]:
+    """One row of `_COLUMNS` per (metric, magnitude), sorted by metric, the
+    magnitude, mean and normalized value written by `number`."""
+    return [(rep.metric, number(magnitude), number(rep.raw_mean[mi]), number(rep.normalized[mi]),
+             rep.samples_used[mi], rep.samples_skipped[mi])
+            for rep in sorted(reports, key=lambda r: r.metric)
+            for mi, magnitude in enumerate(rep.grid)]
+
+
+def reports_to_csv(reports) -> str:
+    """Deterministic CSV, one row per (metric, magnitude)."""
+    rows = [",".join(map(str, row)) for row in _report_rows(reports, _fmt)]
+    return "\n".join([",".join(_COLUMNS)] + rows) + "\n"
+
+
 def reports_to_json(reports) -> str:
-    """JSON mirror of the CSV content."""
-    rows = []
-    for rep in sorted(reports, key=lambda r: r.metric):
-        for mi, magnitude in enumerate(rep.grid):
-            rows.append({
-                "metric": rep.metric,
-                "magnitude": _json_number(magnitude),
-                # a magnitude with no usable samples has no mean: null, not NaN
-                "raw_mean": _json_number(rep.raw_mean[mi]),
-                "normalized": _json_number(rep.normalized[mi]),
-                "samples_used": rep.samples_used[mi],
-                "samples_skipped": rep.samples_skipped[mi],
-            })
+    """JSON mirror of the CSV content; a magnitude with no usable samples has
+    no mean, written null, not NaN, so the JSON stays valid."""
+    rows = [dict(zip(_COLUMNS, row)) for row in _report_rows(reports, _json_number)]
     return json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n"
 
 

@@ -6,7 +6,7 @@ state is touched.  With a fixed seed the random draws do not depend on the
 magnitude, so growing the magnitude yields nested perturbations (useful for
 monotone sensitivity curves).  `perturb_row` therefore makes a glyph's draws
 once for a whole grid of magnitudes and builds each prediction from them; the
-single-magnitude generators are rows of one through the same bodies.
+four single-magnitude generators are `perturb`, a row of one.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .raster import GrayImage, dilate3x3, mask_to_gray, rasterize
-from .traj_core import Trajectory, join_strokes, resample, stroke_bounds
+from .traj_core import Trajectory, _ok, join_strokes, resample, stroke_bounds
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -83,9 +83,9 @@ def _delete_row(traj: Trajectory, ks, seed: int) -> list:
             for k in map(int, ks)]
 
 
-def _point_drift_row(traj: Trajectory, ds, seed: int, fraction: float = 1.0) -> list:
-    rng, n_drawn = _rng(seed), len(traj.drawn_xy())
-    chosen = rng.permutation(n_drawn)[:math.ceil(fraction * n_drawn)]
+def _point_drift_row(traj: Trajectory, ds, seed: int) -> list:
+    rng = _rng(seed)
+    chosen = rng.permutation(len(traj.drawn_xy()))  # every drawn point; the order deals the angles
     angles = rng.uniform(0.0, 2.0 * math.pi, size=len(chosen)).tolist()
     unit = np.array([(math.cos(t), math.sin(t)) for t in angles]).reshape(-1, 2)
     base, row = traj.xy[chosen], []
@@ -134,10 +134,7 @@ def perturb_row(traj: Trajectory, kind: str, grid, seed: int) -> list:
 
 def perturb(traj: Trajectory, kind: str, magnitude, seed: int) -> Trajectory:
     """Apply the named error kind at `magnitude` under a fixed seed: a row of one."""
-    pred = perturb_row(traj, kind, (magnitude,), seed)[0]
-    if isinstance(pred, ValueError):
-        raise pred
-    return pred
+    return _ok(perturb_row(traj, kind, (magnitude,), seed)[0])
 
 
 def insert_strokes(traj: Trajectory, k: int, seed: int) -> Trajectory:
@@ -150,17 +147,12 @@ def delete_strokes(traj: Trajectory, k: int, seed: int) -> Trajectory:
     return perturb(traj, "stroke-delete", k, seed)
 
 
-def drift_points(traj: Trajectory, d: float, seed: int,
-                 fraction: float = 1.0) -> Trajectory:
-    """Displace a random subset of drawn points by exactly d at random angles.
+def drift_points(traj: Trajectory, d: float, seed: int) -> Trajectory:
+    """Displace every drawn point by exactly d at an independent random angle.
 
     Displaced coordinates are clamped to the canvas; pen states are unchanged.
     """
-    _check_magnitude("point-drift", d)
-    if not (0 < fraction <= 1):
-        raise ValueError("fraction must lie in (0, 1]")
-    with np.errstate(over="ignore"):  # as in perturb_row
-        return _point_drift_row(traj, (d,), seed, fraction)[0]
+    return perturb(traj, "point-drift", d, seed)
 
 
 def drift_strokes(traj: Trajectory, d: float, seed: int) -> Trajectory:

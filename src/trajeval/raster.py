@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traj_core import DOWN, Trajectory, pixel_of
+from .traj_core import DOWN, Trajectory, _ok, pixel_of
 
 
 class OutOfCanvasError(ValueError):
@@ -148,10 +148,7 @@ def rasterize(traj: Trajectory, side: int | None = None) -> BinaryMask:
     p0 + round-half-up((p1 - p0) * i / n) for each i in 0..n, where
     n = max(|dx|, |dy|), all segments in one pass.
     """
-    mask = rasterize_many([traj], side)[0]
-    if isinstance(mask, OutOfCanvasError):
-        raise mask
-    return mask
+    return _ok(rasterize_many([traj], side)[0])
 
 
 def otsu_threshold(img: GrayImage) -> int:

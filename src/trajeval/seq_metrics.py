@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .traj_core import Trajectory
+from .traj_core import Trajectory, _ok
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,6 @@ class AlignmentPath:
             if (i1 - i0, j1 - j0) not in ((1, 0), (0, 1), (1, 1)):
                 raise ValueError(
                     f"invalid alignment step ({i0}, {j0}) -> ({i1}, {j1})")
-
-    @classmethod
-    def _walked(cls, pairs: tuple) -> "AlignmentPath":  # valid by construction: no re-check
-        path = cls.__new__(cls)
-        object.__setattr__(path, "pairs", pairs)
-        return path
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -62,7 +56,7 @@ class DtwResult:
         qc, pc = map(_coords, self._pair)
         pairs = [(len(qc), len(pc))]
         _walk(memoryview(_forward([(qc, pc)]).reshape(-1)), len(pc) + 2, 1, 0, *pairs[0], pairs)
-        return AlignmentPath._walked(tuple(reversed(pairs)))
+        return AlignmentPath(tuple(reversed(pairs)))
 
 
 def _coords(traj: Trajectory) -> np.ndarray:
@@ -250,10 +244,7 @@ def dtw(q: Trajectory, p: Trajectory) -> DtwResult:
     A batch of one through `dtw_many`.  min is exact and each cell adds the same
     two doubles as a row-by-row fill, so cost, T and path depend on neither the
     fill order nor the batch.  Ties prefer the diagonal, then the q-advance."""
-    result = dtw_many([(q, p)])[0]
-    if isinstance(result, ValueError):
-        raise result
-    return result
+    return _ok(dtw_many([(q, p)])[0])
 
 
 def ldtw(q: Trajectory, p: Trajectory) -> float:

@@ -56,6 +56,13 @@ def _check_finite(x, y) -> None:
         raise ValueError(f"non-finite coordinates ({x}, {y})")
 
 
+def _ok(result):
+    """result, or raise it if it is the ValueError a batch gave in its place."""
+    if isinstance(result, ValueError):
+        raise result
+    return result
+
+
 @dataclass(frozen=True)
 class TrajPoint:
     x: float

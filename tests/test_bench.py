@@ -209,10 +209,10 @@ def test_score_pairs_matches_the_pair_at_a_time_reference(corpus, metrics):
 def test_scoring_walks_no_alignment_path(corpus, monkeypatch):
     """The scores read each alignment's cost and T only: no sweep or
     `score_pairs` call builds an `AlignmentPath`."""
-    def refuse(cls, pairs):
+    def refuse(self):
         raise AssertionError("a scoring call built an alignment path")
 
-    monkeypatch.setattr(AlignmentPath, "_walked", classmethod(refuse))
+    monkeypatch.setattr(AlignmentPath, "__post_init__", refuse)
     with pytest.raises(AssertionError, match="built an alignment path"):
         dtw(corpus[0], corpus[1]).path  # the patch bites where a path is asked for
     for kind in bench.SENSITIVITY_KINDS:
@@ -580,3 +580,33 @@ def test_report_dataclass_round_trip():
                       seed=1)
     text = reports_to_csv([rep])
     assert "ldtw,1.000000,0.500000,0.000000,3,0" in text
+    header = "metric,magnitude,raw_mean,normalized,samples_used,samples_skipped\n"
+    assert reports_to_csv([]) == header
+    assert reports_to_json([]) == '{\n  "rows": []\n}\n'
+    # an undefined mean: the CSV cell as `_fmt` writes NaN, JSON null (JSON has no NaN)
+    undefined = CurveReport(metric="aiou", grid=(1, 2.5), raw_mean=(math.nan, 0.25),
+                            normalized=(math.nan, 0.0), samples_used=(0, 2),
+                            samples_skipped=(2, 0), seed=1)
+    assert reports_to_csv([undefined]) == (
+        header + "aiou,1.000000,nan,nan,0,2\naiou,2.500000,0.250000,0.000000,2,0\n")
+    assert reports_to_json([undefined]) == """{
+  "rows": [
+    {
+      "magnitude": 1.0,
+      "metric": "aiou",
+      "normalized": null,
+      "raw_mean": null,
+      "samples_skipped": 2,
+      "samples_used": 0
+    },
+    {
+      "magnitude": 2.5,
+      "metric": "aiou",
+      "normalized": 0.0,
+      "raw_mean": 0.25,
+      "samples_skipped": 0,
+      "samples_used": 2
+    }
+  ]
+}
+"""

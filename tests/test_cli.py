@@ -74,19 +74,23 @@ def test_evaluate_directory_pairs_by_basename(sample_files, capsys):
 
 
 def test_evaluate_csv_keeps_columns_for_a_comma_in_the_sample_name(tmp_path, rng, capsys):
-    gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
-    gt_dir.mkdir()
-    pred_dir.mkdir()
+    """A comma or a line break in a sample name neither adds a column nor splits
+    the row; JSON keeps the name as it is."""
     traj = random_traj(rng)
-    save_trajectory(traj, gt_dir / "a,b.json")
-    save_trajectory(drift_points(traj, 1.5, seed=0), pred_dir / "a,b.json")
-    code, out = run_cli(["evaluate", str(gt_dir), str(pred_dir)], capsys)
-    assert code == 0
-    row = csv_rows(out)[0]
-    assert row["sample"] == "a;b" and row["error"] == "" and None not in row
-    assert 0.0 < float(row["aiou"]) <= 1.0 and float(row["ldtw"]) > 0.0
-    _, out = run_cli(["evaluate", str(gt_dir), str(pred_dir), "--format", "json"], capsys)
-    assert json.loads(out)["rows"][0]["sample"] == "a,b"
+    for name, cell in (("a,b", "a;b"), ("a\nb", "a b")):
+        gt_dir, pred_dir = tmp_path / cell / "gt", tmp_path / cell / "pred"
+        gt_dir.mkdir(parents=True)
+        pred_dir.mkdir()
+        save_trajectory(traj, gt_dir / f"{name}.json")
+        save_trajectory(drift_points(traj, 1.5, seed=0), pred_dir / f"{name}.json")
+        code, out = run_cli(["evaluate", str(gt_dir), str(pred_dir)], capsys)
+        assert code == 0
+        assert [len(r) for r in csv.reader(io.StringIO(out))] == [4] * 4
+        row = csv_rows(out)[0]
+        assert row["sample"] == cell and row["error"] == "" and None not in row
+        assert 0.0 < float(row["aiou"]) <= 1.0 and float(row["ldtw"]) > 0.0
+        _, out = run_cli(["evaluate", str(gt_dir), str(pred_dir), "--format", "json"], capsys)
+        assert json.loads(out)["rows"][0]["sample"] == name
 
 
 def test_evaluate_aggregate_rows_are_consistent(sample_files, capsys):

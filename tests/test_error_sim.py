@@ -127,16 +127,6 @@ def test_point_drift_directions_are_magnitude_independent():
         assert l.y - base.y == pytest.approx(2 * (s.y - base.y))
 
 
-def test_point_drift_fraction_limits_moved_points():
-    traj = traj_from_strokes([[(20 + i, 30) for i in range(10)]])
-    out = drift_points(traj, 2.0, seed=2, fraction=0.5)
-    moved = sum(1 for b, a in zip(traj.drawn_points(), out.drawn_points())
-                if (b.x, b.y) != (a.x, a.y))
-    assert moved == 5
-    with pytest.raises(ValueError):
-        drift_points(traj, 2.0, seed=2, fraction=0.0)
-
-
 def test_point_drift_preserves_states(rng):
     traj = random_traj(rng, n_strokes=(2, 3))
     out = drift_points(traj, 2.0, seed=0)
@@ -363,9 +353,8 @@ def test_perturb_row_matches_the_per_magnitude_references(traj, kind, data, seed
         assert _bytes_or_error(got) == want
         assert _outcome(lambda: perturb(traj, kind, magnitude, seed)) == want
     if kind == "point-drift":
-        fraction = data.draw(st.floats(0.01, 1.0))
-        assert _outcome(lambda: drift_points(traj, grid[0], seed, fraction)) == \
-            _outcome(lambda: point_drift_reference(traj, grid[0], seed, fraction))
+        assert _outcome(lambda: drift_points(traj, grid[0], seed)) == \
+            _outcome(lambda: point_drift_reference(traj, grid[0], seed))
 
 
 def test_row_predictions_pass_every_check():

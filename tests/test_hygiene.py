@@ -1,0 +1,100 @@
+"""Static checks that stand in for a linter: no unused import and no dead
+private helper in the package modules.  Standard-library `ast` only."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "trajeval"
+MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _reads(node) -> Counter:
+    """How often each bare name is read, or each attribute looked up, under node."""
+    reads = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            reads[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            reads[sub.attr] += 1
+    return reads
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import (other than `from __future__`) that are never read."""
+    used = _reads(tree)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    return [name for name in bound if name not in used]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(name, defining node) of each private module-level function, class or
+    constant, and of each private method or field of a module-level class."""
+    found = []
+
+    def scan(body):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            found.extend((name, node) for name in names if _private(name))
+
+    scan(tree.body)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            scan(node.body)
+    return found
+
+
+def dead_privates(name: str, trees: dict[str, ast.Module]) -> list[str]:
+    """Private definitions of module `name` that nothing in the package reads
+    (or imports) outside the definition itself."""
+    elsewhere = set()
+    for other, tree in trees.items():
+        if other != name:
+            elsewhere |= set(_reads(tree)) | {a.name for node in ast.walk(tree)
+                                              if isinstance(node, ast.ImportFrom)
+                                              for a in node.names}
+    here = _reads(trees[name])
+    return [private for private, node in private_definitions(trees[name])
+            if here[private] == _reads(node)[private] and private not in elsewhere]
+
+
+@pytest.fixture(scope="module")
+def trees():
+    return {p.name: ast.parse(p.read_text(), filename=p.name) for p in SRC.glob("*.py")}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module, trees):
+    assert unused_imports(trees[module]) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_private_name_is_read_outside_its_definition(module, trees):
+    assert dead_privates(module, trees) == []
+
+
+def test_the_checks_catch_a_planted_import_and_helper():
+    planted = ast.parse("from __future__ import annotations\nimport os\nimport math\n"
+                        "def _dead():\n    return _dead()\n"
+                        "class _Kept:\n    def _gone(self):\n        return math.pi\n"
+                        "X = _Kept()\n")
+    assert unused_imports(planted) == ["os"]
+    assert dead_privates("m.py", {"m.py": planted}) == ["_dead", "_gone"]

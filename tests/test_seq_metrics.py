@@ -57,9 +57,9 @@ def test_alignment_path_validation():
         AlignmentPath(((1, 1), (1, 1)))        # no progress
 
 
-def test_backtracked_paths_skip_checks_but_user_paths_keep_them(rng):
-    """dtw builds its paths unchecked; each equals the checked path of its
-    pairs, and the same pairs with a bad step still raise."""
+def test_walked_paths_and_user_paths_pass_the_same_checks(rng):
+    """A path walked by `.path` is checked like one built from user pairs: it
+    equals the path of its own pairs, and those pairs with a bad step raise."""
     result = dtw(random_traj(rng), random_traj(rng))
     assert result.path == AlignmentPath(result.path.pairs)
     assert all(type(pair) is tuple for pair in result.path.pairs)
