@@ -310,6 +310,9 @@ def make_synthetic_corpus(n: int, seed: int = 0, side: int = 64,
         raise ValueError(f"seed must be non-negative for synthetic glyphs, got {seed}")
     if side < 9:  # strokes start at least 4 px inside every edge
         raise ValueError(f"side must be at least 9 for synthetic glyphs, got {side}")
+    # (low, high) columns of a stroke's one uniform draw: x, y, heading, then turn, step per point
+    bounds = np.array([(4.0, side - 5.0)] * 2 + [(0.0, 2.0 * math.pi)]
+                      + [(-wiggle, wiggle), step_range] * max(points_range[1] - 1, 0)).T
     corpus = []
     for i in range(n):
         rng = np.random.Generator(np.random.PCG64(
@@ -319,13 +322,10 @@ def make_synthetic_corpus(n: int, seed: int = 0, side: int = 64,
         state: list[int] = []
         for _ in range(n_strokes):
             m = int(rng.integers(points_range[0], points_range[1] + 1))
-            x = float(rng.uniform(4.0, side - 5.0))
-            y = float(rng.uniform(4.0, side - 5.0))
-            heading = float(rng.uniform(0.0, 2.0 * math.pi))
+            x, y, heading, *walk = rng.uniform(*bounds[:, :1 + 2 * max(m, 1)]).tolist()
             xy.append((x, y))
-            for _ in range(m - 1):
-                heading += float(rng.uniform(-wiggle, wiggle))
-                step = float(rng.uniform(step_range[0], step_range[1]))
+            for turn, step in zip(walk[::2], walk[1::2]):
+                heading += turn
                 x = min(max(x + step * math.cos(heading), 0.0), side - 1.0)
                 y = min(max(y + step * math.sin(heading), 0.0), side - 1.0)
                 xy.append((x, y))

@@ -114,9 +114,9 @@ def _evaluate_pair(gt_file: Path, pred_file: Path, metrics, args) -> dict:
 
 
 def _csv_text(text) -> str:
-    """A free-text CSV cell: commas become semicolons and CR/LF spaces, so
-    columns and rows stay aligned."""
-    return str(text).replace(",", ";").replace("\r", " ").replace("\n", " ")
+    """A free-text CSV cell: commas become semicolons, double quotes single
+    quotes and CR/LF spaces, so columns and rows stay aligned."""
+    return str(text).replace(",", ";").replace('"', "'").replace("\r", " ").replace("\n", " ")
 
 
 def cmd_evaluate(args) -> int:

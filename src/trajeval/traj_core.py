@@ -43,6 +43,7 @@ class PenState(Enum):
 
 _STATES = tuple(PenState)  # indexed by value
 _ONE_HOT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # indexed by value
+_STATE_OF = {vec: value for value, vec in enumerate(_ONE_HOT)}  # the parser's fast path
 DOWN, UP, EOS = (s.value for s in _STATES)
 
 
@@ -51,9 +52,9 @@ def pixel_of(x: float, y: float) -> tuple[int, int]:
     return (math.floor(x + 0.5), math.floor(y + 0.5))
 
 
-def _check_finite(x, y) -> None:
+def _check_finite(x, y, where: str = "") -> None:
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"non-finite coordinates ({x}, {y})")
+        raise ValueError(f"{where}non-finite coordinates ({x}, {y})")
 
 
 def _ok(result):
@@ -297,8 +298,17 @@ def _canvas_side_of(obj) -> int:
     return int(max(sides))
 
 
+def _finite_rows(xy, where) -> np.ndarray:
+    """The rows as an (n, 2) array, or ValueError at `where(row)` of the first non-finite."""
+    rows = np.array(xy, dtype=np.float64).reshape(-1, 2)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if len(bad):
+        _check_finite(*xy[bad[0]], f"{where(int(bad[0]))}: ")
+    return rows
+
+
 def trajectory_from_obj(obj) -> Trajectory:
-    """Parse either canonical form (points or strokes) from a JSON object."""
+    """Parse either canonical form (points or strokes); the first faulty row's error wins."""
     if not isinstance(obj, dict):
         raise ValueError("trajectory file must contain a JSON object")
     side = _canvas_side_of(obj)
@@ -306,37 +316,46 @@ def trajectory_from_obj(obj) -> Trajectory:
     if "points" in obj:
         if not isinstance(obj["points"], list):
             raise ValueError("'points' must be a list of point records")
-        for i, rec in enumerate(obj["points"]):
-            try:
-                s = PenState.from_one_hot(rec["s"]).value
-                x, y = float(rec["x"]), float(rec["y"])
-                _check_finite(x, y)
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"invalid point at index {i}: {exc}") from exc
-            xy.append((x, y))
-            state.append(s)
+        where = "invalid point at index {}".format
+        try:
+            for rec in obj["points"]:
+                s = rec["s"]
+                try:
+                    state.append(_STATE_OF[tuple(s)])
+                except (KeyError, TypeError):  # not a one-hot vector: its own error
+                    state.append(PenState.from_one_hot(s).value)
+                xy.append((float(rec["x"]), float(rec["y"])))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            _finite_rows(xy, where)
+            raise ValueError(f"{where(len(xy))}: {exc}") from exc
     elif "strokes" in obj:
         strokes = obj["strokes"]
         if not isinstance(strokes, list) or not strokes:
             raise ValueError("strokes form must contain a list of at least one stroke")
+        starts = []  # first row of each stroke, to name a row in an error
+        def where(row):
+            si = int(np.searchsorted(starts, row, side="right")) - 1
+            return f"invalid stroke {si} point {row - starts[si]}"
         for si, stroke in enumerate(strokes):
+            starts.append(len(xy))
             if not isinstance(stroke, list) or not stroke:
+                _finite_rows(xy, where)
                 raise ValueError(f"stroke {si} must be a non-empty list of points")
             for j, p in enumerate(stroke):
                 if not isinstance(p, (list, tuple)) or len(p) != 2:
+                    _finite_rows(xy, where)
                     raise ValueError(f"stroke {si} point {j} must be an [x, y] pair")
                 try:
-                    x, y = float(p[0]), float(p[1])
-                    _check_finite(x, y)
+                    xy.append((float(p[0]), float(p[1])))
                 except (TypeError, ValueError, OverflowError) as exc:
+                    _finite_rows(xy, where)
                     raise ValueError(f"invalid stroke {si} point {j}: {exc}") from exc
-                xy.append((x, y))
             state += [DOWN] * (len(stroke) - 1) + [UP]
         xy.append(xy[-1])
         state.append(EOS)
     else:
         raise ValueError("trajectory object needs a 'points' or 'strokes' key")
-    return Trajectory.from_arrays(xy, state, side)
+    return Trajectory.from_arrays(_finite_rows(xy, where), state, side)
 
 
 def load_trajectory(path) -> Trajectory:
@@ -353,8 +372,9 @@ def save_trajectory(traj: Trajectory, path, form: str = "points") -> None:
         obj = trajectory_to_points_obj(traj)
     elif form == "strokes":
         obj = trajectory_to_strokes_obj(traj)
+        if not obj["strokes"]:  # the reader rejects a strokes file without strokes
+            raise ValueError("strokes form needs at least one drawn point")
     else:
         raise ValueError(f"unknown trajectory form {form!r}")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
+        fh.write(json.dumps(obj) + "\n")  # json.dump's bytes, from the C one-shot encoder

@@ -10,13 +10,13 @@ import pytest
 
 from trajeval import (AlignmentPath, CurveReport, DegenerateHistogramError, OutOfCanvasError,
                       Trajectory, aiou, binarize, dtw, invariance_run, iou, make_synthetic_corpus,
-                      normalize_curve, rasterize, reports_to_csv, reports_to_json,
-                      rmse, score_pair, score_pairs, sensitivity_run, strokes_of,
-                      widen_strokes)
+                      normalize_curve, normalize_to_canvas, rasterize, reports_to_csv,
+                      reports_to_json, rmse, score_pair, score_pairs, sensitivity_run,
+                      strokes_of, widen_strokes)
 from trajeval import bench
 from trajeval.bench import DEFAULT_GRIDS, derive_seed
 from trajeval.error_sim import change_sample_rate, drift_points, perturb
-from trajeval.traj_core import EOS
+from trajeval.traj_core import DOWN, EOS, UP
 
 from conftest import traj_from_strokes
 
@@ -268,6 +268,48 @@ def test_synthetic_corpus_rejects_empty():
         make_synthetic_corpus(1, side=8)
     with pytest.raises(ValueError, match="seed"):
         make_synthetic_corpus(1, seed=-1)
+
+
+def synthetic_corpus_reference(n, seed=0, side=64, stroke_range=(6, 8), points_range=(5, 9),
+                               step_range=(5.0, 11.0), wiggle=0.9):
+    """The generator drawing one value per `rng.uniform` call, point by point."""
+    corpus = []
+    for i in range(n):
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(entropy=seed, spawn_key=(i,))))
+        xy, state = [], []
+        for _ in range(int(rng.integers(stroke_range[0], stroke_range[1] + 1))):
+            m = int(rng.integers(points_range[0], points_range[1] + 1))
+            x = float(rng.uniform(4.0, side - 5.0))
+            y = float(rng.uniform(4.0, side - 5.0))
+            heading = float(rng.uniform(0.0, 2.0 * math.pi))
+            xy.append((x, y))
+            for _ in range(m - 1):
+                heading += float(rng.uniform(-wiggle, wiggle))
+                step = float(rng.uniform(step_range[0], step_range[1]))
+                x = min(max(x + step * math.cos(heading), 0.0), side - 1.0)
+                y = min(max(y + step * math.sin(heading), 0.0), side - 1.0)
+                xy.append((x, y))
+            state.extend([DOWN] * (m - 1) + [UP])
+        xy.append(xy[-1])
+        state.append(EOS)
+        corpus.append(normalize_to_canvas(Trajectory.from_arrays(xy, state, side)))
+    return corpus
+
+
+@pytest.mark.parametrize("shape", [
+    {},
+    {"stroke_range": (7, 7), "points_range": (7, 7)},
+    {"stroke_range": (7, 7), "points_range": (34, 34), "step_range": (1.2, 2.5)},
+    {"points_range": (1, 1)},
+    {"points_range": (1, 4), "side": 9, "wiggle": 3.0},
+])
+@pytest.mark.parametrize("seed", [0, 1, 13, 2 ** 40 + 7])
+def test_synthetic_corpus_matches_the_per_point_reference(shape, seed):
+    got = make_synthetic_corpus(6, seed=seed, **shape)
+    want = synthetic_corpus_reference(6, seed=seed, **shape)
+    assert [(t.xy.tobytes(), t.state.tobytes(), t.canvas_side) for t in got] == \
+        [(t.xy.tobytes(), t.state.tobytes(), t.canvas_side) for t in want]
 
 
 # --- sensitivity -------------------------------------------------------------

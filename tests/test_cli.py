@@ -93,6 +93,25 @@ def test_evaluate_csv_keeps_columns_for_a_comma_in_the_sample_name(tmp_path, rng
         assert json.loads(out)["rows"][0]["sample"] == name
 
 
+def test_evaluate_csv_keeps_columns_for_a_double_quote_in_the_sample_name(tmp_path, rng,
+                                                                        capsys):
+    """A double quote opening a sample name would start a quoted CSV field that
+    swallows the rest of the output; it is written as a single quote."""
+    traj = random_traj(rng)
+    gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
+    gt_dir.mkdir()
+    pred_dir.mkdir()
+    for name in ('"a', "b"):
+        save_trajectory(traj, gt_dir / f"{name}.json")
+        save_trajectory(drift_points(traj, 1.5, seed=0), pred_dir / f"{name}.json")
+    code, out = run_cli(["evaluate", str(gt_dir), str(pred_dir)], capsys)
+    assert code == 0
+    assert [len(r) for r in csv.reader(io.StringIO(out))] == [4] * 5
+    assert [r["sample"] for r in csv_rows(out)] == ["'a", "b", "mean", "median"]
+    _, out = run_cli(["evaluate", str(gt_dir), str(pred_dir), "--format", "json"], capsys)
+    assert json.loads(out)["rows"][0]["sample"] == '"a'
+
+
 def test_evaluate_aggregate_rows_are_consistent(sample_files, capsys):
     gt_dir, pred_dir = sample_files
     _, out = run_cli(["evaluate", str(gt_dir), str(pred_dir)], capsys)
@@ -491,6 +510,22 @@ def test_convert_round_trip(tmp_path, rng):
     back = load_trajectory(tmp_path / "p2.json")
     assert [(p.x, p.y) for p in back.drawn_points()] == \
            [(p.x, p.y) for p in traj.drawn_points()]
+
+
+def test_convert_to_strokes_rejects_a_file_with_no_drawn_points(tmp_path):
+    """An end-of-sequence marker alone has no stroke to write; the strokes form
+    it would give cannot be read back, so `convert` fails before writing."""
+    (tmp_path / "p.json").write_text(json.dumps(
+        {"canvas": [64, 64], "points": [{"x": 3, "y": 4, "s": [0, 0, 1]}]}))
+    out = tmp_path / "s.json"
+    code = "import sys; sys.path.insert(0, sys.argv[1]); from trajeval.cli import main; " \
+           "sys.exit(main(sys.argv[2:]))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code, src, "convert", str(tmp_path / "p.json"),
+                           str(out), "--to", "strokes"], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 1 and not out.exists()
+    assert done.stderr == "error: strokes form needs at least one drawn point\n"
 
 
 def test_readme_names_every_option_of_every_command():

@@ -1,5 +1,6 @@
-"""Static checks that stand in for a linter: no unused import and no dead
-private helper in the package modules.  Standard-library `ast` only."""
+"""Static checks that stand in for a linter: no unused import, no dead
+private helper and no chunked `json.dump` write in the package modules.
+Standard-library `ast` only."""
 
 import ast
 from collections import Counter
@@ -76,6 +77,17 @@ def dead_privates(name: str, trees: dict[str, ast.Module]) -> list[str]:
             if here[private] == _reads(node)[private] and private not in elsewhere]
 
 
+def json_dump_calls(tree: ast.Module) -> list[int]:
+    """Lines that call `json.dump` or import `dump` from `json`: it encodes in
+    pure-Python chunks, where `json.dumps` takes the C one-shot encoder."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "dump" and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id == "json"
+                  or isinstance(node, ast.ImportFrom) and node.module == "json"
+                  and any(a.name == "dump" for a in node.names))
+
+
 @pytest.fixture(scope="module")
 def trees():
     return {p.name: ast.parse(p.read_text(), filename=p.name) for p in SRC.glob("*.py")}
@@ -91,6 +103,11 @@ def test_every_private_name_is_read_outside_its_definition(module, trees):
     assert dead_privates(module, trees) == []
 
 
+def test_no_module_writes_with_json_dump(trees):
+    assert {name: json_dump_calls(tree) for name, tree in trees.items()
+            if json_dump_calls(tree)} == {}
+
+
 def test_the_checks_catch_a_planted_import_and_helper():
     planted = ast.parse("from __future__ import annotations\nimport os\nimport math\n"
                         "def _dead():\n    return _dead()\n"
@@ -98,3 +115,10 @@ def test_the_checks_catch_a_planted_import_and_helper():
                         "X = _Kept()\n")
     assert unused_imports(planted) == ["os"]
     assert dead_privates("m.py", {"m.py": planted}) == ["_dead", "_gone"]
+
+
+def test_the_json_dump_check_catches_a_planted_write():
+    planted = ast.parse("import json\nfrom json import dump as d\n"
+                        "def save(obj, fh):\n    json.dump(obj, fh)\n"
+                        "    fh.write(json.dumps(obj))\n")
+    assert json_dump_calls(planted) == [2, 4]

@@ -530,6 +530,61 @@ def test_parser_matches_reference_on_edge_cases(obj):
         _parse_outcome(trajectory_from_obj_reference, obj)
 
 
+@pytest.mark.parametrize("obj", [
+    {"points": [_rec(), _rec(math.inf, 0.0), _rec(s=(1, 1, 0))]},
+    {"points": [_rec(), _rec(0.0, "nan"), {"x": 1, "s": [1, 0, 0]}]},
+    {"points": [_rec(math.nan), _rec(s="abc"), {"y": 1, "s": [1, 0, 0]}]},
+    {"points": [_rec(math.nan), _rec(s=[[1], 0, 0]), _rec(None)]},
+    {"points": [_rec(1.0, -math.inf), [1, 0, 0], _rec()]},
+    {"points": [_rec(s=(0, 0, 0)), _rec(math.nan)]},
+    {"points": [_rec(math.inf, s=(2, 0, 0))]},
+    {"points": [_rec(math.inf, None)]},
+    {"strokes": [[[0, 0], [math.inf, 1]], [[1, None]]]},
+    {"strokes": [[[0, 0]], [[1, 1], ["nan", 0]], []]},
+    {"strokes": [[[0, 0], [1, "-inf"], [1, 2, 3]]]},
+    {"strokes": [[[0, 0], [1, "-inf"]], "not a stroke"]},
+])
+def test_parser_reports_an_earlier_non_finite_row_first(obj):
+    """A non-finite coordinate before a bad state, a missing key or a bad
+    stroke is the error reported, as in the point-by-point reference."""
+    got = _parse_outcome(trajectory_from_obj, obj)
+    assert got == _parse_outcome(trajectory_from_obj_reference, obj)
+    assert got[0] == "ValueError"
+
+
+def _dump_reference(obj, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+        fh.write("\n")
+
+
+@pytest.mark.parametrize("form", ["points", "strokes"])
+def test_save_writes_the_bytes_of_json_dump(tmp_path, rng, form):
+    """`save_trajectory` encodes in one piece; its bytes are what the chunked
+    `json.dump` writes, extreme and signed-zero floats included."""
+    extremes = [[-0.0, 5e-324], [1.7976931348623157e308, -1.7976931348623157e308],
+                [0.1, 1e-7], [123456789.125, -0.0]]
+    trajs = [Trajectory.from_arrays(extremes, [0, 1, 0, 2], 64),
+             Trajectory.from_arrays(extremes, [0, 0, 1, 1], 7),
+             random_traj(rng, eos=True), random_traj(rng, eos=False)]
+    to_obj = trajectory_to_points_obj if form == "points" else trajectory_to_strokes_obj
+    for traj in trajs:
+        save_trajectory(traj, tmp_path / "got.json", form=form)
+        _dump_reference(to_obj(traj), tmp_path / "want.json")
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+        back = load_trajectory(tmp_path / "got.json")
+        assert back.drawn_xy().tobytes() == traj.drawn_xy().tobytes()
+
+
+def test_save_refuses_a_strokes_file_with_no_strokes(tmp_path):
+    eos_only = Trajectory.from_arrays([[3.0, 4.0]], [2], 64)
+    with pytest.raises(ValueError, match="strokes form needs at least one drawn point"):
+        save_trajectory(eos_only, tmp_path / "s.json", form="strokes")
+    assert not (tmp_path / "s.json").exists()
+    save_trajectory(eos_only, tmp_path / "p.json")
+    assert load_trajectory(tmp_path / "p.json").xy.tolist() == [[3.0, 4.0]]
+
+
 def test_file_io_builds_no_points(tmp_path, monkeypatch):
     def no_points(*args, **kwargs):
         raise AssertionError("file I/O built a TrajPoint")
