@@ -78,13 +78,13 @@ def _collect_pairs(gt_path: Path, pred_path: Path):
     """(name, gt_file, pred_file) triples; directory mode pairs by basename."""
     if gt_path.is_file():
         return [(gt_path.stem, gt_path, pred_path)]
-    pairs = []
-    gt_files = sorted(p for p in gt_path.iterdir() if p.suffix in (".json", ".pgm"))
-    if not gt_files:
+    gt_of = {}
+    for path in sorted(p for p in gt_path.iterdir() if p.suffix in (".json", ".pgm")):
+        if gt_of.setdefault(path.stem, path) is not path:  # one prediction for both
+            raise ValueError(f"ground-truth files {gt_of[path.stem]} and {path} share a name")
+    if not gt_of:
         raise ValueError(f"no trajectory or PGM files in {gt_path}")
-    for gt_file in gt_files:
-        pairs.append((gt_file.stem, gt_file, pred_path / (gt_file.stem + ".json")))
-    return pairs
+    return [(name, gt_file, pred_path / (name + ".json")) for name, gt_file in gt_of.items()]
 
 
 def _evaluate_pair(gt_file: Path, pred_file: Path, metrics, args) -> dict:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,22 +204,8 @@ def mask_to_gray(mask: BinaryMask) -> GrayImage:
 
 # --- binary PGM (P5, maxval 255) -------------------------------------------
 
-def _pgm_header_fields(data: bytes):
-    """Yield whitespace-separated header tokens, skipping '#' comments."""
-    i = 0
-    while i < len(data):
-        c = data[i:i + 1]
-        if c.isspace():
-            i += 1
-        elif c == b"#":
-            while i < len(data) and data[i:i + 1] not in (b"\n", b"\r"):
-                i += 1
-        else:
-            j = i
-            while j < len(data) and not data[j:j + 1].isspace():
-                j += 1
-            yield data[i:j], j
-            i = j
+# a header token, or a comment from a '#' that starts a token to the end of its line
+_PGM_TOKEN = re.compile(rb"#[^\r\n]*|(\S+)")
 
 
 def write_pgm(img: GrayImage, path) -> None:
@@ -230,18 +217,19 @@ def write_pgm(img: GrayImage, path) -> None:
 def read_pgm(path) -> GrayImage:
     with open(path, "rb") as fh:
         data = fh.read()
-    fields = _pgm_header_fields(data)
+    fields = (m for m in _PGM_TOKEN.finditer(data) if m[1])
     try:
-        magic, _ = next(fields)
+        magic = next(fields)[1]
         if magic != b"P5":
             raise ValueError(f"unsupported PGM magic {magic!r}, expected P5")
-        (w_tok, _), (h_tok, _), (max_tok, end) = next(fields), next(fields), next(fields)
+        w_tok, h_tok, max_tok = next(fields), next(fields), next(fields)
     except StopIteration:
         raise ValueError("truncated PGM header") from None
-    width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
+    width, height, maxval = int(w_tok[1]), int(h_tok[1]), int(max_tok[1])
     if maxval != 255:
         raise ValueError(f"unsupported PGM maxval {maxval}, expected 255")
-    raw = data[end + 1:end + 1 + width * height]
+    end = max_tok.end() + 1  # one whitespace byte ends the header
+    raw = data[end:end + width * height]
     if len(raw) < width * height:
         raise ValueError("PGM pixel data shorter than promised by header")
     return GrayImage(np.frombuffer(raw, dtype=np.uint8).reshape(height, width))

@@ -38,7 +38,7 @@ class PenState(Enum):
         vec = list(s)
         if len(vec) != 3 or sorted(vec) != [0, 0, 1]:
             raise ValueError(f"state vector must be one-hot over 3 classes, got {s!r}")
-        return _STATES[vec.index(1)]
+        return cls(vec.index(1))
 
 
 _STATES = tuple(PenState)  # indexed by value
@@ -52,9 +52,9 @@ def pixel_of(x: float, y: float) -> tuple[int, int]:
     return (math.floor(x + 0.5), math.floor(y + 0.5))
 
 
-def _check_finite(x, y, where: str = "") -> None:
+def _check_finite(x, y) -> None:
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"{where}non-finite coordinates ({x}, {y})")
+        raise ValueError(f"non-finite coordinates ({x}, {y})")
 
 
 def _ok(result):
@@ -202,13 +202,13 @@ def normalize_to_canvas(traj: Trajectory, side: int | None = None) -> Trajectory
     drawn = traj.drawn_xy()
     if not len(drawn):
         raise ValueError("trajectory has no drawn points to normalize")
-    lo, hi = drawn.min(axis=0), drawn.max(axis=0)
-    span = max(hi[0] - lo[0], hi[1] - lo[1])
-    if span == 0.0:
-        mapped = traj.xy - lo + (side - 1) / 2.0
-    else:
-        mapped = (traj.xy - lo) * ((side - 1) / span)
-    return Trajectory.from_arrays(mapped, traj.state, side)
+    lo, hi = drawn.min(axis=0).tolist(), drawn.max(axis=0).tolist()
+    span = max(hi[0] - lo[0], hi[1] - lo[1])  # Python floats: an overflow is inf, no warning
+    if span == math.inf:
+        raise ValueError("drawn points span more than the float range")
+    with np.errstate(over="ignore", invalid="ignore"):  # a far EOS row, a subnormal span
+        mapped = (traj.xy - lo) * ((side - 1) / span) if span else traj.xy - lo + (side - 1) / 2.0
+    return Trajectory.from_arrays(mapped, traj.state, side)  # ValueError on an overflowed row
 
 
 def dedupe_points(traj: Trajectory) -> Trajectory:
@@ -251,6 +251,8 @@ def resample(traj: Trajectory, factor: float) -> Trajectory:
         keep = np.diff(rows, prepend=-1) != 0
         out, stroke = xy[rows[keep]], stroke[keep]
     else:
+        if factor * (lens.max(initial=1) - 1) >= 2 ** 53:  # counts past it are not exact
+            raise ValueError(f"resample factor {factor} gives a stroke over 2**53 points")
         # a stroke's row i > 0 ends max(rhu(factor*i) - rhu(factor*(i-1)), 1) pieces
         # interpolated from row i-1, its row 0 one; every row is kept exactly
         local = np.arange(len(xy)) - np.repeat(starts, lens)
@@ -258,7 +260,8 @@ def resample(traj: Trajectory, factor: float) -> Trajectory:
         end = np.repeat(np.arange(len(xy)), pieces)
         j = np.arange(len(end)) + 1 - np.repeat(np.cumsum(pieces) - pieces, pieces)
         a, b = xy[end - (local[end] > 0)], xy[end]
-        out = a + (b - a) * (j / pieces[end])[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow: a non-finite row
+            out = a + (b - a) * (j / pieces[end])[:, None]
         ends = j == pieces[end]
         out[ends] = b[ends]
         stroke = np.repeat(np.arange(len(lens)), lens)[end]
@@ -298,17 +301,8 @@ def _canvas_side_of(obj) -> int:
     return int(max(sides))
 
 
-def _finite_rows(xy, where) -> np.ndarray:
-    """The rows as an (n, 2) array, or ValueError at `where(row)` of the first non-finite."""
-    rows = np.array(xy, dtype=np.float64).reshape(-1, 2)
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-    if len(bad):
-        _check_finite(*xy[bad[0]], f"{where(int(bad[0]))}: ")
-    return rows
-
-
 def trajectory_from_obj(obj) -> Trajectory:
-    """Parse either canonical form (points or strokes); the first faulty row's error wins."""
+    """Parse either canonical form (points or strokes), checking each row as it is read."""
     if not isinstance(obj, dict):
         raise ValueError("trajectory file must contain a JSON object")
     side = _canvas_side_of(obj)
@@ -316,7 +310,6 @@ def trajectory_from_obj(obj) -> Trajectory:
     if "points" in obj:
         if not isinstance(obj["points"], list):
             raise ValueError("'points' must be a list of point records")
-        where = "invalid point at index {}".format
         try:
             for rec in obj["points"]:
                 s = rec["s"]
@@ -324,38 +317,35 @@ def trajectory_from_obj(obj) -> Trajectory:
                     state.append(_STATE_OF[tuple(s)])
                 except (KeyError, TypeError):  # not a one-hot vector: its own error
                     state.append(PenState.from_one_hot(s).value)
-                xy.append((float(rec["x"]), float(rec["y"])))
+                x, y = float(rec["x"]), float(rec["y"])
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    _check_finite(x, y)
+                xy.append((x, y))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            _finite_rows(xy, where)
-            raise ValueError(f"{where(len(xy))}: {exc}") from exc
+            raise ValueError(f"invalid point at index {len(xy)}: {exc}") from exc
     elif "strokes" in obj:
         strokes = obj["strokes"]
         if not isinstance(strokes, list) or not strokes:
             raise ValueError("strokes form must contain a list of at least one stroke")
-        starts = []  # first row of each stroke, to name a row in an error
-        def where(row):
-            si = int(np.searchsorted(starts, row, side="right")) - 1
-            return f"invalid stroke {si} point {row - starts[si]}"
         for si, stroke in enumerate(strokes):
-            starts.append(len(xy))
             if not isinstance(stroke, list) or not stroke:
-                _finite_rows(xy, where)
                 raise ValueError(f"stroke {si} must be a non-empty list of points")
             for j, p in enumerate(stroke):
                 if not isinstance(p, (list, tuple)) or len(p) != 2:
-                    _finite_rows(xy, where)
                     raise ValueError(f"stroke {si} point {j} must be an [x, y] pair")
                 try:
-                    xy.append((float(p[0]), float(p[1])))
+                    x, y = float(p[0]), float(p[1])
+                    if not (math.isfinite(x) and math.isfinite(y)):
+                        _check_finite(x, y)
                 except (TypeError, ValueError, OverflowError) as exc:
-                    _finite_rows(xy, where)
                     raise ValueError(f"invalid stroke {si} point {j}: {exc}") from exc
+                xy.append((x, y))
             state += [DOWN] * (len(stroke) - 1) + [UP]
         xy.append(xy[-1])
         state.append(EOS)
     else:
         raise ValueError("trajectory object needs a 'points' or 'strokes' key")
-    return Trajectory.from_arrays(_finite_rows(xy, where), state, side)
+    return Trajectory.from_arrays(xy, state, side)
 
 
 def load_trajectory(path) -> Trajectory:

@@ -155,6 +155,20 @@ def test_evaluate_reports_missing_ground_truth_path(tmp_path):
     assert exc.value.code.startswith("error: ") and str(missing) in exc.value.code
 
 
+def test_evaluate_rejects_two_ground_truths_sharing_a_name(sample_files, tmp_path, rng,
+                                                          capsys):
+    """gt/g1.json and gt/g1.pgm would both be scored against pred/g1.json, giving
+    two rows named g1 and counting that prediction twice in the aggregates."""
+    gt_dir, pred_dir = sample_files
+    write_pgm(widen_strokes(random_traj(rng), 1), gt_dir / "g1.pgm")
+    out = tmp_path / "scores.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", str(gt_dir), str(pred_dir), "--out", str(out)])
+    assert exc.value.code == (f"error: ground-truth files {gt_dir / 'g1.json'} and "
+                              f"{gt_dir / 'g1.pgm'} share a name")
+    assert not out.exists() and capsys.readouterr().out == ""
+
+
 def test_evaluate_pgm_ground_truth_gives_glyph_metrics_only(tmp_path, rng, capsys):
     traj = random_traj(rng)
     write_pgm(widen_strokes(traj, 1), tmp_path / "g.pgm")
@@ -428,6 +442,8 @@ def test_out_of_range_numeric_flags_fail_cleanly(argv, message, tmp_path, rng,
      "error: stroke-insert count must be a whole number, got 1.5"),
     (["invariance", "--transform", "stroke-width", "--grid", "0,0.5,1"],
      "error: stroke-width dilation must be a whole number, got 0.5"),
+    (["invariance", "--transform", "sample-rate", "--grid", "1,1e20"],
+     "error: resample factor 1e+20 gives a stroke over 2**53 points"),
 ])
 def test_bench_commands_reject_bad_grid_or_seed(argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,6 @@
 """Static checks that stand in for a linter: no unused import, no dead
-private helper and no chunked `json.dump` write in the package modules.
-Standard-library `ast` only."""
+private helper, no unread parameter and no chunked `json.dump` write in the
+package modules.  Standard-library `ast` only."""
 
 import ast
 from collections import Counter
@@ -77,6 +77,26 @@ def dead_privates(name: str, trees: dict[str, ast.Module]) -> list[str]:
             if here[private] == _reads(node)[private] and private not in elsewhere]
 
 
+def unread_parameters(tree: ast.Module) -> list[str]:
+    """`line:function:parameter` for each parameter that a function or lambda
+    never reads.  Dunder methods, whose signatures the language fixes, are exempt."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store)}
+        found += [f"{node.lineno}:{name}:{p}" for p in params if p not in read]
+    return found
+
+
 def json_dump_calls(tree: ast.Module) -> list[int]:
     """Lines that call `json.dump` or import `dump` from `json`: it encodes in
     pure-Python chunks, where `json.dumps` takes the C one-shot encoder."""
@@ -101,6 +121,22 @@ def test_every_import_is_used(module, trees):
 @pytest.mark.parametrize("module", MODULES)
 def test_every_private_name_is_read_outside_its_definition(module, trees):
     assert dead_privates(module, trees) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_parameter_is_read(module, trees):
+    assert unread_parameters(trees[module]) == []
+
+
+def test_the_parameter_check_catches_planted_unread_parameters():
+    planted = ast.parse("class C:\n"
+                        "    def __setattr__(self, name, value):\n        raise name\n"
+                        "    @classmethod\n    def make(cls, a, *rest, b=1, **kw):\n"
+                        "        return [a, kw, lambda c, d: c]\n"
+                        "def outer(e, f):\n    def inner(g):\n        return e\n"
+                        "    f = 2\n    return inner\n")
+    assert sorted(unread_parameters(planted)) == ["5:make:b", "5:make:cls", "5:make:rest",
+                                                  "6:<lambda>:d", "7:outer:f", "8:inner:g"]
 
 
 def test_no_module_writes_with_json_dump(trees):

@@ -408,6 +408,83 @@ def test_pgm_reader_fuzz_raises_only_value_error(fuzz_path, data):
     assert img.pixels.size == img.width * img.height > 0
 
 
+def _pgm_header_fields_reference(data: bytes):
+    """Yield whitespace-separated header tokens, skipping '#' comments: the
+    byte-at-a-time scanner `read_pgm`'s one regex replaced."""
+    i = 0
+    while i < len(data):
+        c = data[i:i + 1]
+        if c.isspace():
+            i += 1
+        elif c == b"#":
+            while i < len(data) and data[i:i + 1] not in (b"\n", b"\r"):
+                i += 1
+        else:
+            j = i
+            while j < len(data) and not data[j:j + 1].isspace():
+                j += 1
+            yield data[i:j], j
+            i = j
+
+
+def read_pgm_reference(path) -> GrayImage:
+    """`read_pgm` over the byte-at-a-time header scanner."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    fields = _pgm_header_fields_reference(data)
+    try:
+        magic, _ = next(fields)
+        if magic != b"P5":
+            raise ValueError(f"unsupported PGM magic {magic!r}, expected P5")
+        (w_tok, _), (h_tok, _), (max_tok, end) = next(fields), next(fields), next(fields)
+    except StopIteration:
+        raise ValueError("truncated PGM header") from None
+    width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
+    if maxval != 255:
+        raise ValueError(f"unsupported PGM maxval {maxval}, expected 255")
+    raw = data[end + 1:end + 1 + width * height]
+    if len(raw) < width * height:
+        raise ValueError("PGM pixel data shorter than promised by header")
+    return GrayImage(np.frombuffer(raw, dtype=np.uint8).reshape(height, width))
+
+
+# the six bytes `bytes.isspace` accepts, and CR-only, LF and CRLF line ends
+_pgm_space = st.sampled_from([b" ", b"\t", b"\n", b"\x0b", b"\x0c", b"\r", b"\r\n"])
+_pgm_comment = st.builds(lambda body, end: b"#" + body + end,
+                         st.sampled_from([b"", b" c", b"#", b"2 3 255", b"\x0b\x0c", b"\xff"]),
+                         st.sampled_from([b"\n", b"\r", b"\r\n", b"\n", b"\r", b""]))
+_pgm_token = st.sampled_from([b"P5", b"P2", b"P5#c", b"2", b"3", b"2#4", b"255", b"255#",
+                              b"0", b"-1", b"x", b"#"])
+
+
+@st.composite
+def _pgm_headers(draw):
+    """The header tokens and pixel bytes of a 2 x 3 image, each replaced by
+    another token one time in eight and each after whitespace bytes that may
+    open a comment; the file is cut short one time in eight."""
+    data, pixels = b"", draw(st.binary(min_size=6, max_size=8))
+    for i, token in enumerate((b"P5", b"2", b"3", b"255", pixels)):
+        for _ in range(draw(st.integers(i > 0, 2))):
+            data += draw(_pgm_space) + (draw(_pgm_comment) if draw(st.booleans()) else b"")
+        data += token if draw(st.integers(0, 7)) else draw(_pgm_token)
+    return data if draw(st.integers(0, 7)) else data[:draw(st.integers(0, len(data)))]
+
+
+def _pgm_outcome(read, path):
+    try:
+        img = read(path)
+    except Exception as exc:  # noqa: BLE001 - the outcome includes the error type
+        return type(exc).__name__, str(exc)
+    return img.pixels.shape, img.pixels.tobytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_pgm_headers() | _pgm_like | st.binary(max_size=32))
+def test_pgm_reader_matches_the_byte_scanner_reference(fuzz_path, data):
+    fuzz_path.write_bytes(data)
+    assert _pgm_outcome(read_pgm, fuzz_path) == _pgm_outcome(read_pgm_reference, fuzz_path)
+
+
 # --- preprocessing / raster interaction --------------------------------------
 
 def test_dedupe_is_mask_invariant(rng):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 from trajeval import traj_core
 from trajeval import (PenState, TrajPoint, Trajectory, dedupe_points,
-                      downsample_half, load_trajectory, normalize_to_canvas,
-                      resample, save_trajectory, stroke_bounds, strokes_of)
+                      downsample_half, load_trajectory, make_synthetic_corpus,
+                      normalize_to_canvas, resample, save_trajectory, stroke_bounds,
+                      strokes_of)
 from trajeval.traj_core import (_canvas_side_of, pixel_of, trajectory_from_obj,
                                 trajectory_to_points_obj,
                                 trajectory_to_strokes_obj)
@@ -186,6 +188,26 @@ def test_normalize_names_a_trajectory_with_no_drawn_points():
     assert str(exc.value) == "trajectory has no drawn points to normalize"
 
 
+# a stroke whose x span, 2e308, is past the float range though both ends are finite
+_FLOAT_RANGE_STROKE = traj_from_strokes([[(-1e308, 0.0), (1e308, 5.0)]])
+
+
+@pytest.mark.parametrize("traj,message", [
+    (_FLOAT_RANGE_STROKE, "drawn points span more than the float range"),
+    # 63 / 5e-324 is inf, and the origin point maps to 0 * inf
+    (traj_from_strokes([[(0.0, 0.0), (5e-324, 0.0)]]), "non-finite coordinates (nan, nan)"),
+    # an end-of-sequence row far from the ink scales past the float range
+    (Trajectory.from_arrays([(0.0, 0.0), (1.0, 1.0), (1e308, 0.0)], [0, 1, 2]),
+     "non-finite coordinates (inf, 0.0)"),
+])
+def test_normalize_refuses_an_overflow_without_a_warning(traj, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            normalize_to_canvas(traj)
+    assert str(exc.value) == message
+
+
 # --- dedupe / downsample / resample ------------------------------------------
 
 def test_dedupe_collapses_same_pixel_runs():
@@ -249,6 +271,27 @@ def test_resample_downsamples_keeping_endpoints():
 def test_resample_rejects_a_non_positive_or_non_finite_factor(factor, rng):
     with pytest.raises(ValueError, match=f"must be positive and finite, got {factor}"):
         resample(random_traj(rng), factor)
+
+
+def test_resample_rejects_a_factor_past_exact_point_counts():
+    """Past 2**53 a stroke's point count is no longer an exact rounding: the
+    44-row glyph came back with 44 rows and a numpy cast warning at 1e20."""
+    glyph = make_synthetic_corpus(1, seed=1)[0]
+    longest = max(b - a for a, b in stroke_bounds(glyph))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for factor in (1e20, 2.0 ** 53 / (longest - 1)):
+            with pytest.raises(ValueError) as exc:
+                resample(glyph, factor)
+            assert str(exc.value) == f"resample factor {factor} gives a stroke over 2**53 points"
+
+
+def test_resample_reports_an_overflowing_segment_as_non_finite():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            resample(_FLOAT_RANGE_STROKE, 2.0)
+    assert str(exc.value) == "non-finite coordinates (inf, 2.5)"
 
 
 def test_resample_identity_factor_is_noop(rng):
