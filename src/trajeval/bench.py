@@ -113,6 +113,8 @@ def _score(gt, pred, metrics, k_max, gt_mask, pred_mask, aligned, rmse_pred):
                 values[name] = rmse(gt, pred if rmse_pred is None else _ok(rmse_pred))
             else:
                 values[name] = _ok(aligned).cost if name == "dtw" else _ok(aligned).ldtw
+            if not math.isfinite(values[name]):  # squared distances past the float range
+                raise ValueError(f"{name} overflows float64: the points lie too far apart")
         except ValueError as exc:
             values[name] = None
             errors[name] = exc
@@ -131,7 +133,8 @@ def score_pairs(pairs, metrics, k_max: int = 10, rmse_preds=None) -> list[tuple[
 
     Returns one (values, errors) per pair, keyed by metric in metric order: a
     metric that raises ValueError gets value None and its exception in errors
-    (a prediction's render error first); a bad metric list raises at once.
+    (a prediction's render error first), and so does a sequence score that
+    overflows to inf; a bad metric list raises at once.
     """
     metrics = _check_metrics(metrics)
     rmse_preds = [None] * len(pairs) if rmse_preds is None else list(rmse_preds)
@@ -315,8 +318,7 @@ def make_synthetic_corpus(n: int, seed: int = 0, side: int = 64,
                       + [(-wiggle, wiggle), step_range] * max(points_range[1] - 1, 0)).T
     corpus = []
     for i in range(n):
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(entropy=seed, spawn_key=(i,))))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         n_strokes = int(rng.integers(stroke_range[0], stroke_range[1] + 1))
         xy: list[tuple[float, float]] = []
         state: list[int] = []

@@ -101,8 +101,11 @@ def _evaluate_pair(gt_file: Path, pred_file: Path, metrics, args) -> dict:
         row["error"] = str(exc)
         return row
     rmse_pred = None
-    if args.rmse_resample and isinstance(gt, Trajectory):
-        rmse_pred = _resample_to_count(pred, len(gt.drawn_xy()))
+    if "rmse" in metrics and args.rmse_resample and isinstance(gt, Trajectory):
+        try:
+            rmse_pred = _resample_to_count(pred, len(gt.drawn_xy()))
+        except ValueError as exc:  # recorded as this pair's RMSE error
+            rmse_pred = exc
     elif args.dedupe:
         rmse_pred = ValueError(DEDUPE_RMSE_REASON)
     values, errors = bench.score_pair(gt, pred, metrics, args.kmax, rmse_pred=rmse_pred)

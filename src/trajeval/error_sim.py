@@ -20,10 +20,6 @@ from .raster import GrayImage, dilate3x3, mask_to_gray, rasterize
 from .traj_core import Trajectory, _ok, join_strokes, resample, stroke_bounds
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
-
-
 def _stroke_xy(traj: Trajectory) -> list[np.ndarray]:
     return [traj.xy[a:b] for a, b in stroke_bounds(traj)]
 
@@ -62,7 +58,7 @@ def _insert_row(traj: Trajectory, ks, seed: int) -> list:
     ks = [int(k) for k in ks]
     if not strokes:
         return [ValueError("trajectory has no strokes to copy") for _ in ks]
-    side, rng, out, joined = traj.canvas_side, _rng(seed), list(strokes), {}
+    side, rng, out, joined = traj.canvas_side, np.random.default_rng(seed), list(strokes), {}
     for count in range(1, max(ks) + 1):
         src = strokes[int(rng.integers(len(strokes)))]
         (min_x, min_y), (max_x, max_y) = src.min(axis=0).tolist(), src.max(axis=0).tolist()
@@ -76,15 +72,15 @@ def _insert_row(traj: Trajectory, ks, seed: int) -> list:
 
 def _delete_row(traj: Trajectory, ks, seed: int) -> list:
     strokes = _stroke_xy(traj)
-    order = _rng(seed).permutation(len(strokes)).tolist()  # the first k are deleted
     n = len(strokes)
+    order = np.random.default_rng(seed).permutation(n).tolist()  # the first k are deleted
     return [join_strokes([strokes[i] for i in sorted(order[k:])], traj) if k < n
             else ValueError(f"cannot delete {k} of {n} strokes: at least one must remain")
             for k in map(int, ks)]
 
 
 def _point_drift_row(traj: Trajectory, ds, seed: int) -> list:
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     chosen = rng.permutation(len(traj.drawn_xy()))  # every drawn point; the order deals the angles
     angles = rng.uniform(0.0, 2.0 * math.pi, size=len(chosen)).tolist()
     unit = np.array([(math.cos(t), math.sin(t)) for t in angles]).reshape(-1, 2)
@@ -98,7 +94,7 @@ def _point_drift_row(traj: Trajectory, ds, seed: int) -> list:
 
 def _stroke_drift_row(traj: Trajectory, ds, seed: int) -> list:
     strokes = _stroke_xy(traj)
-    angles = _rng(seed).uniform(0.0, 2.0 * math.pi, size=len(strokes)).tolist()
+    angles = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, len(strokes)).tolist()
     units = [(math.cos(t), math.sin(t)) for t in angles]
     boxes = [(st.min(axis=0).tolist(), st.max(axis=0).tolist()) for st in strokes]
     # every magnitude moves the same rows: add its per-stroke offsets to them

@@ -21,12 +21,14 @@ from .raster import BinaryMask, dilate3x3
 
 
 def _overlap(g: BinaryMask, p: BinaryMask) -> tuple[int, int]:
-    """|g ∩ p| and |g ∪ p| of two same-sized masks whose union is not empty."""
+    """|g ∩ p| and |g ∪ p| of two same-sized masks whose union is not empty, as
+    Python ints: a score is then a Python float, which `round` rounds as the
+    reports do (numpy's `round` can take the other side of a decimal tie)."""
     if g.bits.shape != p.bits.shape:
         raise ValueError(
             f"mask dimensions differ: {g.width}x{g.height} vs {p.width}x{p.height}")
-    inter = np.count_nonzero(g.bits & p.bits)
-    union = np.count_nonzero(g.bits | p.bits)
+    inter = int(np.count_nonzero(g.bits & p.bits))
+    union = int(np.count_nonzero(g.bits | p.bits))
     if union == 0:
         raise ValueError("undefined IoU: both masks are empty")
     return inter, union
@@ -55,16 +57,13 @@ def aiou(g: BinaryMask, p: BinaryMask, k_max: int = 10) -> AiouResult:
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
     g_count = np.count_nonzero(g.bits)
-    empty_p = not p.bits.any()
-    best, best_k = 0.0, 0
-    widened = p
-    for k in range(k_max + 1):
-        if k > 0:
-            widened = dilate3x3(widened, 1)
-        inter, union = _overlap(g, widened)
-        score = inter / union
-        if score > best:  # strictly greater: the smallest k keeps a tie
-            best, best_k = score, k
-        if empty_p or g_count / union <= best:
+    inter, union = _overlap(g, p)
+    best, best_k, widened = inter / union, 0, p
+    for k in range(1, k_max + 1 if p.bits.any() else 1):  # no dilation widens an empty mask
+        if g_count / union <= best:
             break
+        widened = dilate3x3(widened, 1)
+        inter, union = _overlap(g, widened)
+        if inter / union > best:  # strictly greater: the smallest k keeps a tie
+            best, best_k = inter / union, k
     return AiouResult(best, best_k)

@@ -169,8 +169,10 @@ def _fill(d: np.ndarray, r: np.ndarray, gamma: float | None = None):
 
 def _forward(coords) -> np.ndarray:
     """Accumulated-cost tables of a chunk of (qc, pc) pairs in
-    `_sq_dist_tables`' layout under an infinite border, filled by one `_fill`."""
-    r = _sq_dist_tables(coords, math.inf)
+    `_sq_dist_tables`' layout under an infinite border, filled by one `_fill`.
+    A distance past the float range is inf, and so is every cost through it."""
+    with np.errstate(over="ignore"):
+        r = _sq_dist_tables(coords, math.inf)
     np.sqrt(r, out=r)  # the whole table: numpy buffers a ufunc over its inner view
     r[0, 0] = 0.0
     _fill(r, r)
@@ -253,10 +255,12 @@ def ldtw(q: Trajectory, p: Trajectory) -> float:
 
 
 def rmse(q: Trajectory, p: Trajectory) -> float:
-    """Root mean squared pointwise distance; requires equal lengths."""
+    """Root mean squared pointwise distance; requires equal lengths.  inf when
+    the squared distances overflow."""
     qc, pc = _coords(q), _coords(p)
     if len(qc) != len(pc):
         raise ValueError(
             f"length mismatch: {len(qc)} vs {len(pc)} points "
             "(RMSE needs a strict one-to-one correspondence)")
-    return math.sqrt(float(((qc - pc) ** 2).sum(axis=1).mean()))
+    with np.errstate(over="ignore"):
+        return math.sqrt(float(((qc - pc) ** 2).sum(axis=1).mean()))

@@ -257,7 +257,10 @@ def resample(traj: Trajectory, factor: float) -> Trajectory:
         # interpolated from row i-1, its row 0 one; every row is kept exactly
         local = np.arange(len(xy)) - np.repeat(starts, lens)
         pieces = np.where(local > 0, np.maximum(np.diff(_rhu(factor * local), prepend=0), 1), 1)
-        end = np.repeat(np.arange(len(xy)), pieces)
+        try:
+            end = np.repeat(np.arange(len(xy)), pieces)
+        except MemoryError:  # more rows than the address space: numpy refuses them
+            raise ValueError(f"resample factor {factor} gives too many points to hold") from None
         j = np.arange(len(end)) + 1 - np.repeat(np.cumsum(pieces) - pieces, pieces)
         a, b = xy[end - (local[end] > 0)], xy[end]
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: a non-finite row

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,31 @@ def test_score_pair_reports_the_prediction_error_first():
     assert values["aiou"] is None and values["iou"] is None and values["dtw"] > 0
     assert isinstance(errors["aiou"], OutOfCanvasError)
     assert "(10, 90)" in str(errors["aiou"])
+
+
+def test_score_pair_records_an_overflowing_sequence_score_as_its_error():
+    gt = traj_from_strokes([[(1, 1), (3, 3)]])
+    pred = traj_from_strokes([[(-1e200, 0), (1e200, 5)]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, errors = score_pair(gt, pred, ("dtw", "ldtw", "rmse"), rmse_pred=gt)
+        assert values["rmse"] == 0.0 and list(errors) == ["dtw", "ldtw"]
+        values, errors = score_pair(gt, pred, ("dtw", "ldtw", "rmse"))
+    assert values == {"dtw": None, "ldtw": None, "rmse": None}
+    assert {name: str(exc) for name, exc in errors.items()} == {
+        name: f"{name} overflows float64: the points lie too far apart"
+        for name in ("dtw", "ldtw", "rmse")}
+
+
+def test_a_sweep_skips_a_sample_whose_score_overflows():
+    """The ground truth spans past the float range; the drifted prediction is
+    clamped to the canvas, so every distance between them overflows."""
+    glyph = Trajectory.from_arrays([[-1e200, 0], [1e200, 5]], [DOWN, UP])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = sensitivity_run([glyph], "point-drift", grid=(1.0,), metrics=("ldtw",))
+    assert (reports[0].samples_used, reports[0].samples_skipped) == ((0,), (1,))
+    assert json.loads(reports_to_json(reports))["rows"][0]["raw_mean"] is None
 
 
 # --- synthetic corpus --------------------------------------------------------
@@ -583,6 +609,17 @@ def test_runners_reject_a_negative_k_max_before_any_work(corpus, monkeypatch, ru
     with pytest.raises(ValueError) as exc:
         RUNS[run](corpus, k_max=-1)
     assert str(exc.value) == "k_max must be non-negative"
+    assert calls == []
+
+
+@pytest.mark.parametrize("run, kind", [(sensitivity_run, "point-drift"),
+                                       (invariance_run, "stroke-width"),
+                                       (invariance_run, "sample-rate")])
+def test_runners_reject_an_empty_grid_before_any_work(corpus, monkeypatch, run, kind):
+    calls = _log_work(monkeypatch)
+    with pytest.raises(ValueError) as exc:
+        run(corpus, kind, grid=())
+    assert str(exc.value) == "magnitude grid must be non-empty"
     assert calls == []
 
 

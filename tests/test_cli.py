@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,13 @@ def test_evaluate_reports_missing_ground_truth_path(tmp_path):
     assert exc.value.code.startswith("error: ") and str(missing) in exc.value.code
 
 
+def test_evaluate_reports_a_directory_without_trajectory_or_pgm_files(tmp_path):
+    (tmp_path / "notes.txt").write_text("not a trajectory")
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", str(tmp_path), str(tmp_path)])
+    assert exc.value.code == f"error: no trajectory or PGM files in {tmp_path}"
+
+
 def test_evaluate_rejects_two_ground_truths_sharing_a_name(sample_files, tmp_path, rng,
                                                           capsys):
     """gt/g1.json and gt/g1.pgm would both be scored against pred/g1.json, giving
@@ -223,6 +231,73 @@ def test_evaluate_rmse_resample_matches_lengths(tmp_path, rng, capsys):
                          "--rmse-resample"], capsys)
     assert code == 0
     assert csv_rows(out)[0]["rmse"] != ""
+
+
+@pytest.fixture
+def far_pairs(tmp_path):
+    """gt/a.json and gt/b.json hold the same three points; pred/a.json is their
+    two-point diagonal, pred/b.json a stroke from x = -1e308 to 1e308, whose
+    squared distances to the ground truth pass the float64 range."""
+    gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
+    gt_dir.mkdir()
+    pred_dir.mkdir()
+    for name in ("a", "b"):
+        (gt_dir / f"{name}.json").write_text('{"strokes": [[[1, 1], [2, 2], [3, 3]]]}')
+    (pred_dir / "a.json").write_text('{"strokes": [[[1, 1], [3, 3]]]}')
+    (pred_dir / "b.json").write_text('{"strokes": [[[-1e308, 0], [1e308, 5]]]}')
+    return gt_dir, pred_dir
+
+
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-finite JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_evaluate_records_an_overflowing_distance_as_the_metrics_error(far_pairs, capsys):
+    """b's DTW costs overflow to inf: its cells are empty with the reason, so
+    JSON never holds Infinity and CSV never inf, and no overflow warning is raised."""
+    argv = ["evaluate", *map(str, far_pairs), "--metrics", "ldtw,dtw"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli(argv + ["--format", "json"], capsys)
+        _, csv_out = run_cli(argv, capsys)
+    assert code == 0
+    payload = strict_json(text)
+    assert payload["rows"][1] == {
+        "sample": "b", "ldtw": None, "dtw": None,
+        "error": "ldtw: ldtw overflows float64: the points lie too far apart"}
+    assert payload["rows"][0]["dtw"] == 1.414214
+    assert payload["aggregates"]["dtw"] == {"mean": 1.414214, "median": 1.414214}
+    assert "inf" not in csv_out
+
+
+def test_evaluate_records_a_failed_rmse_resample_as_that_pairs_rmse_error(far_pairs,
+                                                                          capsys):
+    """Resampling pred/b to three points overflows; the run goes on, and that
+    error is b's RMSE error."""
+    for metrics in ("rmse,ldtw", "ldtw,rmse"):
+        code, out = run_cli(["evaluate", *map(str, far_pairs), "--metrics", metrics,
+                             "--rmse-resample"], capsys)
+        assert code == 0
+        rows = {row["sample"]: row for row in csv_rows(out)}
+        assert rows["a"] == {"sample": "a", "rmse": "0.000000", "ldtw": "0.471405",
+                             "error": ""}
+        assert (rows["b"]["rmse"], rows["b"]["ldtw"]) == ("", "")
+    assert rows["b"]["error"] == "ldtw: ldtw overflows float64: the points lie too far apart"
+    code, out = run_cli(["evaluate", *map(str, far_pairs), "--metrics", "rmse",
+                         "--rmse-resample"], capsys)
+    assert csv_rows(out)[1] == {"sample": "b", "rmse": "",
+                                "error": "rmse: non-finite coordinates (inf; 2.5)"}
+
+
+def test_evaluate_resamples_only_when_rmse_is_asked_for(far_pairs, monkeypatch, capsys):
+    calls, resample = [], cli.resample
+    monkeypatch.setattr(cli, "resample", lambda *args: calls.append(args) or resample(*args))
+    argv = ["evaluate", *map(str, far_pairs), "--metrics", "ldtw"]
+    plain = run_cli(argv, capsys)
+    assert run_cli(argv + ["--rmse-resample"], capsys) == plain
+    assert plain[0] == 0 and calls == []
 
 
 @pytest.mark.parametrize("flags", [["--normalize"], ["--dedupe"], ["--downsample-half"],
@@ -360,6 +435,24 @@ def test_curve_commands_skip_a_corpus_glyph_outside_the_canvas(tmp_path, capsys)
             [("3", "1"), ("3", "1")]
 
 
+def test_curve_commands_warn_of_a_bad_corpus_file_and_skip_it(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "bad.json").write_text('{"strokes": []}')
+    argv = ["sensitivity", "--error", "point-drift", "--grid", "1", "--corpus", str(corpus),
+            "--metrics", "ldtw"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == f"error: no valid trajectory files in {corpus}"
+    warning = f"warning: skipping {corpus / 'bad.json'}: "
+    assert capsys.readouterr().err.startswith(warning)
+    save_trajectory(make_synthetic_corpus(1, seed=0)[0], corpus / "good.json")
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err.startswith(warning) and err.count("\n") == 1
+    assert [(r["samples_used"], r["samples_skipped"]) for r in csv_rows(out)] == [("1", "0")]
+
+
 def test_bench_commands_demand_one_corpus_source(capsys):
     for argv in (["sensitivity", "--error", "point-drift"],
                  ["sensitivity", "--synthetic", "4", "--corpus", "x",
@@ -444,6 +537,11 @@ def test_out_of_range_numeric_flags_fail_cleanly(argv, message, tmp_path, rng,
      "error: stroke-width dilation must be a whole number, got 0.5"),
     (["invariance", "--transform", "sample-rate", "--grid", "1,1e20"],
      "error: resample factor 1e+20 gives a stroke over 2**53 points"),
+    # 5.3e16 rows (376 PiB), past any address space: numpy refuses before allocating
+    (["invariance", "--transform", "sample-rate", "--grid", "1,1e15"],
+     "error: resample factor 1000000000000000.0 gives too many points to hold"),
+    (["sensitivity", "--error", "point-drift", "--grid", "1,x"], "error: bad grid '1,x'"),
+    (["invariance", "--transform", "sample-rate", "--grid", ","], "error: empty grid"),
 ])
 def test_bench_commands_reject_bad_grid_or_seed(argv, message):
     with pytest.raises(SystemExit) as exc:

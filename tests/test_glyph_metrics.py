@@ -21,6 +21,17 @@ def test_iou_hand_computed():
     assert iou(g, p) == pytest.approx(1 / 3)
 
 
+def test_glyph_scores_round_as_the_reports_write_them():
+    """49 / 640 lies just above the decimal tie 0.0765625: Python's `round` and
+    the reports give 0.076563, numpy's `round` of an np.float64 0.076562.  The
+    evaluate-long benchmark check met this pair at seed 192."""
+    g, p = np.zeros((32, 32), bool), np.zeros((32, 32), bool)
+    g.flat[:640], p.flat[:49] = True, True
+    g, p = BinaryMask(g), BinaryMask(p)
+    for score in (iou(g, p), aiou(g, p, 0).score):
+        assert type(score) is float and round(score, 6) == 0.076563
+
+
 def test_iou_bounds_and_identity(rng):
     bits = rng.random((16, 16)) < 0.3
     m = BinaryMask(bits)

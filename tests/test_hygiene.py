@@ -1,6 +1,7 @@
 """Static checks that stand in for a linter: no unused import, no dead
-private helper, no unread parameter and no chunked `json.dump` write in the
-package modules.  Standard-library `ast` only."""
+private helper, no unread parameter, no chunked `json.dump` write and no
+randomness but a seeded `np.random.default_rng` in the package modules.
+Standard-library `ast` only."""
 
 import ast
 from collections import Counter
@@ -108,6 +109,34 @@ def json_dump_calls(tree: ast.Module) -> list[int]:
                   and any(a.name == "dump" for a in node.names))
 
 
+# the numpy random names a module may use: each generator is built from its own seed
+SEEDED_RANDOM = {"default_rng", "SeedSequence"}
+
+
+def _unseeded(dotted: str) -> bool:
+    """True for the `random` module and anything in it, for `numpy.random` bound
+    whole (its uses are then out of sight) and for its names but `SEEDED_RANDOM`."""
+    parts = dotted.split(".")
+    if parts[0] == "random":
+        return True
+    return parts[0] in ("np", "numpy") and parts[1:2] == ["random"] \
+        and (len(parts) == 2 or parts[2] not in SEEDED_RANDOM)
+
+
+def unseeded_randomness(tree: ast.Module) -> list[str]:
+    """`line:name` of each import or `np.random.<name>` lookup that `_unseeded` refuses."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found += [(node.lineno, f"{node.module}.{a.name}") for a in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute) \
+                and isinstance(node.value.value, ast.Name):
+            found.append((node.lineno, f"{node.value.value.id}.{node.value.attr}.{node.attr}"))
+    return [f"{line}:{name}" for line, name in sorted(found) if _unseeded(name)]
+
+
 @pytest.fixture(scope="module")
 def trees():
     return {p.name: ast.parse(p.read_text(), filename=p.name) for p in SRC.glob("*.py")}
@@ -158,3 +187,23 @@ def test_the_json_dump_check_catches_a_planted_write():
                         "def save(obj, fh):\n    json.dump(obj, fh)\n"
                         "    fh.write(json.dumps(obj))\n")
     assert json_dump_calls(planted) == [2, 4]
+
+
+def test_randomness_comes_from_a_seeded_default_rng(trees):
+    """Every generator is `np.random.default_rng(seed)` or one built from a
+    `SeedSequence`, so no module touches a global random state."""
+    assert {name: unseeded_randomness(tree) for name, tree in trees.items()
+            if unseeded_randomness(tree)} == {}
+
+
+def test_the_randomness_check_catches_planted_generators():
+    planted = ast.parse("import random\nimport numpy as np\nimport numpy.random as npr\n"
+                        "from numpy import random as r\n"
+                        "from numpy.random import PCG64, default_rng\nfrom random import shuffle\n"
+                        "g = np.random.Generator(np.random.PCG64(np.random.SeedSequence(1)))\n"
+                        "x = numpy.random.rand(3) + np.random.default_rng(0).random()\n"
+                        "np.random.seed(0)\n")
+    assert unseeded_randomness(planted) == [
+        "1:random", "3:numpy.random", "4:numpy.random", "5:numpy.random.PCG64",
+        "6:random.shuffle", "7:np.random.Generator", "7:np.random.PCG64", "8:numpy.random.rand",
+        "9:np.random.seed"]

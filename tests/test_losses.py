@@ -506,6 +506,20 @@ def test_l1_loss_requires_equal_lengths():
         l1_loss([PredictedPoint(0, 0, (1, 0, 0))], gt)
 
 
+def test_wce_requires_equal_lengths():
+    gt = traj_from_strokes([[(0, 0), (2, 2)]], eos=False)
+    with pytest.raises(ValueError) as exc:
+        wce_loss([PredictedPoint(0, 0, (1, 0, 0))], gt)
+    assert str(exc.value) == "length mismatch: 1 predictions vs 2 ground-truth points"
+
+
+@pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+def test_predicted_point_rejects_non_finite_coordinates(x, y):
+    with pytest.raises(ValueError) as exc:
+        PredictedPoint(x, y, (1, 0, 0))
+    assert str(exc.value) == "non-finite predicted coordinates"
+
+
 def test_wce_uniform_probs_give_weighted_log3():
     gt = Trajectory((TrajPoint(0, 0, PenState.UP),))
     assert wce_loss(uniform_pred(gt), gt) == pytest.approx(5.0 * math.log(3.0))

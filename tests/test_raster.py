@@ -352,6 +352,14 @@ def test_pgm_round_trip(tmp_path, rng):
     assert np.array_equal(back.pixels, px)
 
 
+@pytest.mark.parametrize("bits", [np.zeros((0, 3)), np.zeros((3, 0)), np.zeros(4),
+                                  np.zeros((2, 2, 2)), True])
+def test_binary_mask_rejects_an_empty_or_non_2d_array(bits):
+    with pytest.raises(ValueError) as exc:
+        BinaryMask(bits)
+    assert str(exc.value) == "mask must be a non-empty 2-D array"
+
+
 def test_mask_pgm_round_trip(tmp_path, rng):
     mask = BinaryMask(rng.random((7, 7)) < 0.4)
     path = tmp_path / "mask.pgm"

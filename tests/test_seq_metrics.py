@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,17 @@ def test_rmse_requires_equal_lengths():
     p = traj_from_strokes([[(0, 0), (1, 1), (2, 2)]])
     with pytest.raises(ValueError, match="length mismatch"):
         rmse(q, p)
+
+
+def test_distances_past_the_float_range_give_inf_without_a_warning():
+    """The library's DTW, LDTW and RMSE stay inf here; `bench.score_pairs`
+    turns such a value into the metric's error."""
+    q = traj_from_strokes([[(-1e200, 0.0), (1e200, 5.0)]])
+    p = traj_from_strokes([[(1e200, 0.0), (-1e200, 5.0)]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = dtw(q, p)
+        assert (result.cost, result.ldtw, rmse(q, p)) == (math.inf, math.inf, math.inf)
 
 
 def test_rmse_upper_bounds_mean_dtw_step(rng):

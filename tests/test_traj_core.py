@@ -286,6 +286,17 @@ def test_resample_rejects_a_factor_past_exact_point_counts():
             assert str(exc.value) == f"resample factor {factor} gives a stroke over 2**53 points"
 
 
+def test_resample_refuses_more_rows_than_the_address_space_holds():
+    """1e15 passes the 2**53 rule for this glyph's 9-point strokes but asks for
+    about 3.7e16 rows (263 PiB), which numpy refuses before allocating."""
+    glyph = make_synthetic_corpus(1, seed=1)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            resample(glyph, 1e15)
+    assert str(exc.value) == "resample factor 1000000000000000.0 gives too many points to hold"
+
+
 def test_resample_reports_an_overflowing_segment_as_non_finite():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -617,6 +628,13 @@ def test_save_writes_the_bytes_of_json_dump(tmp_path, rng, form):
         assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
         back = load_trajectory(tmp_path / "got.json")
         assert back.drawn_xy().tobytes() == traj.drawn_xy().tobytes()
+
+
+def test_save_refuses_an_unknown_form_before_writing(tmp_path, rng):
+    with pytest.raises(ValueError) as exc:
+        save_trajectory(random_traj(rng), tmp_path / "t.json", form="svg")
+    assert str(exc.value) == "unknown trajectory form 'svg'"
+    assert not (tmp_path / "t.json").exists()
 
 
 def test_save_refuses_a_strokes_file_with_no_strokes(tmp_path):
