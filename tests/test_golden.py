@@ -1,8 +1,9 @@
 """Golden-output guard: exact bytes of seeded CLI runs.
 
 The stored files under tests/golden/ hold the output of the four
-criterion-9 commands and of `evaluate` over a small generated pair
-directory.  The directory mixes ground truths in points form, strokes form
+criterion-9 commands, of the stroke-insert and stroke-drift sensitivity
+sweeps (the two sweeps criterion 9 leaves out), and of `evaluate` over a
+small generated pair directory.  The directory mixes ground truths in points form, strokes form
 and PGM with a missing prediction, a broken JSON file and an out-of-canvas
 prediction, so the error column is exercised too.  Any change to the
 seeded output of these commands fails here.
@@ -25,6 +26,11 @@ GOLDEN = Path(__file__).parent / "golden"
 SEEDED_COMMANDS = {
     "sensitivity_point_drift.csv":
         ["sensitivity", "--synthetic", "30", "--error", "point-drift", "--seed", "17"],
+    "sensitivity_stroke_insert.csv":
+        ["sensitivity", "--synthetic", "30", "--error", "stroke-insert", "--seed", "17"],
+    "sensitivity_stroke_drift.json":
+        ["sensitivity", "--synthetic", "30", "--error", "stroke-drift",
+         "--seed", "17", "--format", "json"],
     "sensitivity_stroke_delete.json":
         ["sensitivity", "--synthetic", "30", "--error", "stroke-delete",
          "--seed", "17", "--format", "json"],
