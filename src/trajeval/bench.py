@@ -3,7 +3,7 @@
 Runs a seeded error simulation over a trajectory corpus, averages the chosen
 metrics per error magnitude, and min-max normalizes each curve to [0, 1] for
 trend comparison.  `score_pairs` is the one place (ground truth, prediction)
-pairs are scored, rendering and aligning each pair once, and `_check_metrics`
+pairs are scored, each render and alignment done once, and `_check_metrics`
 the one rule for a metric list; every sweep (one call over each glyph's `_row`)
 and `trajeval evaluate` (`score_pair`, a batch of one) go through both.  A
 seeded synthetic corpus generator ships here so the runners need no datasets.
@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -89,21 +88,14 @@ def _check_metrics(metrics) -> tuple[str, ...]:
     return names
 
 
-def _render(items, side: int) -> list:
-    """items as masks: masks as they are, trajectories by one `rasterize_many` call."""
-    masks = iter(rasterize_many([x for x in items if not isinstance(x, BinaryMask)], side))
-    return [x if isinstance(x, BinaryMask) else next(masks) for x in items]
-
-
-def _score(gt, pred, metrics, gt_mask, pred_mask, glyph, k_error, aligned, rmse_pred):
-    """(values, errors) of one pair, from its renders, glyph scores and alignment."""
+def _score(gt, pred, metrics, glyph, aligned, rmse_pred):
+    """(values, errors) of one pair, from its glyph scores and alignment."""
     values, errors = {}, {}
     for name in metrics:
         need = "RMSE needs" if name == "rmse" else "sequence metrics need"
         try:
             if name in GLYPH_METRICS:
-                _ok(pred_mask), _ok(gt_mask)  # the prediction's render error first
-                first, result = _ok(k_error if name == "aiou" and k_error else glyph)
+                first, result = _ok(glyph)
                 values[name] = result.score if name == "aiou" else first
             elif isinstance(gt, BinaryMask):
                 raise ValueError(f"{need} a trajectory ground truth")
@@ -125,40 +117,42 @@ def score_pairs(pairs, metrics, k_max: int = 10, rmse_preds=None) -> list[tuple[
     """Score each (ground truth, prediction) pair of a list on each named metric.
 
     gt and pred are trajectories or binary masks; a mask scores glyph metrics
-    only.  Each render and alignment runs once per pair: one `dtw_many` batch
-    aligns every trajectory pair, one `rasterize_many` call renders each run
-    of consecutive pairs sharing a ground-truth object, on its canvas (a
-    mask's width, else `canvas_side`), and one `_aiou_many` call gives IoU
-    and AIoU of every rendered pair.  A non-None rmse_preds[i] stands in for
-    pred i in RMSE, or is the error RMSE records.
+    only.  Each layer runs once per call, whatever the order of the pairs: one
+    `dtw_many` batch aligns every trajectory pair, one `rasterize_many` call
+    per canvas side renders each trajectory object once on the canvas of its
+    pair's ground truth (a mask's width, else `canvas_side`), and one
+    `_aiou_many` call gives IoU and AIoU of every pair.  A non-None
+    rmse_preds[i] stands in for pred i in RMSE, or is the error RMSE records.
 
     Returns one (values, errors) per pair, keyed by metric in metric order: a
     metric that raises ValueError gets value None and its exception in errors
-    (a prediction's render error first, then AIoU's k_max error), and so does
-    a sequence score that overflows to inf; a bad metric list raises at once.
+    (for a glyph metric the prediction's render error first, then the ground
+    truth's), and so does a sequence score that overflows to inf.  A bad
+    metric list, a k_max that is not a whole number >= 0 and an rmse_preds
+    whose length is not the number of pairs raise before any work.
     """
     metrics = _check_metrics(metrics)
+    k_max = _whole_count(k_max, "k_max")
     rmse_preds = [None] * len(pairs) if rmse_preds is None else list(rmse_preds)
+    if len(rmse_preds) != len(pairs):
+        raise ValueError(f"rmse_preds has {len(rmse_preds)} entries for {len(pairs)} pairs")
     dtw_asked = any(name in DTW_METRICS for name in metrics)
     align = [dtw_asked and not isinstance(gt, BinaryMask) and not isinstance(pred, BinaryMask)
              for gt, pred in pairs]
     aligned = iter(dtw_many([pair for pair, a in zip(pairs, align) if a]) if any(align) else ())
     glyph = any(name in GLYPH_METRICS for name in metrics)
-    masks = [] if glyph else [(None, None)] * len(pairs)  # (gt, pred) masks or render errors
-    for _, run in groupby(pairs, key=lambda pair: id(pair[0])) if glyph else ():
-        (gt, *_), preds = zip(*run)
-        gt_mask, *pred_masks = _render((gt,) + preds, gt.width if isinstance(gt, BinaryMask)
-                                       else gt.canvas_side)
-        masks.extend((gt_mask, pred_mask) for pred_mask in pred_masks)
-    try:
-        k_max, k_error = (_whole_count(k_max, "k_max") if "aiou" in metrics else 0), None
-    except ValueError as exc:  # AIoU's error, after the render errors
-        k_max, k_error = 0, exc
-    rendered = [i for i, pair in enumerate(masks) if all(isinstance(m, BinaryMask) for m in pair)]
-    glyph_scores = dict(zip(rendered, _aiou_many([masks[i] for i in rendered], k_max)))
-    return [_score(gt, pred, metrics, *masks[i], glyph_scores.get(i), k_error,
-                   next(aligned) if align[i] else None, rmse_preds[i])
-            for i, (gt, pred) in enumerate(pairs)]
+    sides = [gt.width if isinstance(gt, BinaryMask) else gt.canvas_side
+             for gt, _ in pairs] if glyph else []
+    trajs: dict[int, dict[int, Trajectory]] = {}  # side -> id -> each trajectory drawn on it
+    for side, pair in zip(sides, pairs):
+        trajs.setdefault(side, {}).update((id(x), x) for x in pair if not isinstance(x, BinaryMask))
+    masks = {(side, key): mask for side, by_id in trajs.items() if by_id
+             for key, mask in zip(by_id, rasterize_many(list(by_id.values()), side))}
+    glyph_scores = _aiou_many([[x if isinstance(x, BinaryMask) else masks[side, id(x)]
+                                for x in pair] for side, pair in zip(sides, pairs)],
+                              k_max if "aiou" in metrics else 0) if glyph else [None] * len(pairs)
+    return [_score(gt, pred, metrics, glyph_scores[i], next(aligned) if align[i] else None,
+                   rmse_preds[i]) for i, (gt, pred) in enumerate(pairs)]
 
 
 def score_pair(gt, pred, metrics, k_max: int = 10, rmse_pred=None) -> tuple[dict, dict]:

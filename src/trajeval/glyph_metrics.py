@@ -28,11 +28,14 @@ class AiouResult:
 
 
 def _aiou_many(pairs, k_max: int) -> list[tuple[float, AiouResult] | ValueError]:
-    """(IoU, AIoU) of each (g, p) mask pair, or its ValueError.  The pairs of each
-    `_stacks` stack sweep together on `_pack`ed rows, each to its own stop; the
-    counts are exact int64s, so each ratio is the Python int division's."""
-    out = [None if g.bits.shape == p.bits.shape else ValueError(
-        f"mask dimensions differ: {g.width}x{g.height} vs {p.width}x{p.height}") for g, p in pairs]
+    """(IoU, AIoU) of each (g, p) mask pair, or its ValueError: one given for p,
+    else for g (a render error), else a shape or both-empty error.  The pairs of
+    each `_stacks` stack sweep together on `_pack`ed rows, each to its own stop;
+    the counts are exact int64s, so each ratio is the Python int division's."""
+    out = [p if isinstance(p, ValueError) else g if isinstance(g, ValueError)
+           else None if g.bits.shape == p.bits.shape else ValueError(
+               f"mask dimensions differ: {g.width}x{g.height} vs {p.width}x{p.height}")
+           for g, p in pairs]
     for (_, width), stack in _stacks((i, pair[0].bits.shape) for i, pair in enumerate(pairs)
                                      if out[i] is None):
         g, widened = (_pack(np.array([pairs[i][side].bits for i in stack])) for side in (0, 1))

@@ -207,6 +207,78 @@ def test_score_pairs_matches_the_pair_at_a_time_reference(corpus, metrics):
     assert score_pairs([], metrics) == []
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_score_pairs_in_any_order_matches_score_pair(corpus, seed):
+    """Ground truths shared by pairs that are not adjacent, masks, off-canvas
+    and empty glyphs, and a 128-px ground truth: every pair of a shuffled
+    call gets what `score_pair` gives it alone, message for message."""
+    a, b, c = corpus[:3]
+    off = traj_from_strokes([[(10, 90), (20, 20)]])
+    empty = Trajectory.from_arrays([(1.0, 1.0)], [EOS])
+    big = traj_from_strokes([[(10, 20), (100, 25)], [(5, 120), (60, 64)]], side=128)
+    mask_a, wide = rasterize(a), rasterize(big)
+    pairs = [(a, b), (a, c), (a, off), (a, a), (b, a), (b, c), (c, a), (mask_a, b),
+             (mask_a, off), (wide, a), (wide, big), (big, a), (big, b), (off, a), (off, off),
+             (empty, a), (a, empty), (empty, empty), (a, mask_a), (b, wide)]
+    order = np.random.default_rng(seed).permutation(len(pairs))
+    shuffled = [pairs[i] for i in order]
+    # some ground truth comes back after a pair of another one
+    apart = [i for i in range(1, len(shuffled)) if shuffled[i][0] is not shuffled[i - 1][0]]
+    assert any(shuffled[i][0] is shuffled[j][0] for i in apart for j in range(i - 1))
+    metrics = ("aiou", "iou", "ldtw", "dtw", "rmse")
+    for pair, (values, errors) in zip(shuffled, score_pairs(shuffled, metrics, 3)):
+        want_values, want_errors = score_pair(*pair, metrics, 3)
+        assert values == want_values
+        assert [(name, type(exc), str(exc)) for name, exc in errors.items()] == \
+            [(name, type(exc), str(exc)) for name, exc in want_errors.items()]
+
+
+def test_score_pairs_renders_each_trajectory_once_per_canvas_side(corpus, monkeypatch):
+    """One `rasterize_many` call per canvas side, each trajectory object once
+    in it: a prediction of a 128-px mask ground truth renders at 128, and at
+    64 for its 64-px ground truths."""
+    rendered = []
+    rasterize_many = bench.rasterize_many
+    monkeypatch.setattr(bench, "rasterize_many", lambda trajs, side=None:
+                        rendered.append((side, list(trajs))) or rasterize_many(trajs, side))
+    a, b, c = corpus[:3]
+    wide = rasterize(traj_from_strokes([[(10, 20), (100, 25)]], side=128))
+    pairs = [(a, b), (b, c), (wide, a), (a, c), (wide, b), (c, a), (a, b), (wide, wide)]
+    got = score_pairs(pairs, ("iou", "aiou"))
+    assert sorted(side for side, _ in rendered) == [64, 128]
+    assert {side: [id(t) for t in trajs] for side, trajs in rendered} == \
+        {64: [id(a), id(b), id(c)], 128: [id(a), id(b)]}
+    assert got == [score_pair(gt, pred, ("iou", "aiou")) for gt, pred in pairs]
+    rendered.clear()
+    sensitivity_run(corpus[:4], "point-drift", grid=(1, 2), metrics=("aiou",))
+    (side, trajs), = rendered
+    assert side == 64 and len(trajs) == len({id(t) for t in trajs}) == 4 * 3
+
+
+def test_a_render_error_is_the_error_of_both_glyph_metrics(monkeypatch):
+    """The prediction's render error comes first, also when the ground truth
+    is off the canvas too, and IoU and AIoU hold that one error object."""
+    rendered = []
+    rasterize_many = bench.rasterize_many
+
+    def spy(trajs, side=None):
+        masks = rasterize_many(trajs, side)
+        rendered.extend(masks)
+        return masks
+
+    monkeypatch.setattr(bench, "rasterize_many", spy)
+    gt = traj_from_strokes([[(1, 1), (5, 5)]])
+    gt_off = traj_from_strokes([[(70, 10), (20, 20)]])
+    off_canvas = traj_from_strokes([[(1, 1), (90, 1)]])
+    for ground_truth in (gt, gt_off):
+        rendered.clear()
+        values, errors = score_pair(ground_truth, off_canvas, ("aiou", "iou"))
+        assert values == {"aiou": None, "iou": None}
+        assert isinstance(errors["aiou"], OutOfCanvasError)
+        assert errors["aiou"] is errors["iou"] is rendered[1]
+        assert "(90, 1)" in str(errors["aiou"])
+
+
 def test_scoring_walks_no_alignment_path(corpus, monkeypatch):
     """The scores read each alignment's cost and T only: no sweep or
     `score_pairs` call builds an `AlignmentPath`."""
@@ -567,7 +639,6 @@ RUNS = {
     "score_pairs": lambda corpus, metrics=("aiou", "ldtw"), **kw:
         score_pairs([(corpus[0], corpus[1]), (corpus[0], corpus[0])], metrics, **kw),
 }
-RUNNERS = ("sensitivity", "stroke-width", "sample-rate")
 
 
 def _log_work(monkeypatch) -> list:
@@ -603,7 +674,7 @@ def test_bad_metric_lists_are_rejected_before_any_work(corpus, monkeypatch, run,
     assert calls == []
 
 
-@pytest.mark.parametrize("run", RUNNERS)
+@pytest.mark.parametrize("run", sorted(RUNS))
 def test_runners_reject_a_negative_k_max_before_any_work(corpus, monkeypatch, run):
     calls = _log_work(monkeypatch)
     with pytest.raises(ValueError) as exc:
@@ -612,7 +683,7 @@ def test_runners_reject_a_negative_k_max_before_any_work(corpus, monkeypatch, ru
     assert calls == []
 
 
-@pytest.mark.parametrize("run", RUNNERS)
+@pytest.mark.parametrize("run", sorted(RUNS))
 @pytest.mark.parametrize("k_max", [2.5, math.nan, math.inf])
 def test_runners_reject_a_k_max_that_is_not_whole_before_any_work(corpus, monkeypatch, run,
                                                                   k_max):
@@ -623,19 +694,15 @@ def test_runners_reject_a_k_max_that_is_not_whole_before_any_work(corpus, monkey
     assert calls == []
 
 
-def test_a_bad_k_max_is_an_aiou_error_after_render_errors_and_before_mask_errors():
-    empty = bench.BinaryMask(np.zeros((8, 8), bool))
-    off_canvas = traj_from_strokes([[(1, 1), (90, 1)]])
-    gt = traj_from_strokes([[(1, 1), (5, 5)]])
-    values, errors = score_pair(empty, empty, ("aiou", "iou"), k_max=-1)
-    assert values == {"aiou": None, "iou": None}
-    assert str(errors["aiou"]) == "k_max must be non-negative"
-    assert str(errors["iou"]) == "undefined IoU: both masks are empty"
-    values, errors = score_pair(gt, off_canvas, ("aiou", "iou"), k_max=2.5)
-    assert isinstance(errors["aiou"], OutOfCanvasError) and errors["aiou"] is errors["iou"]
-    values, errors = score_pair(gt, gt, ("iou", "aiou"), k_max=math.nan)
-    assert values == {"iou": 1.0, "aiou": None}
-    assert str(errors["aiou"]) == "k_max must be a whole number, got nan"
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_score_pairs_rejects_rmse_preds_of_another_length_before_any_work(corpus, monkeypatch,
+                                                                          n):
+    calls = _log_work(monkeypatch)
+    pairs = [(corpus[0], corpus[1]), (corpus[0], corpus[0])]
+    with pytest.raises(ValueError) as exc:
+        score_pairs(pairs, ("aiou", "ldtw", "rmse"), rmse_preds=[None] * n)
+    assert str(exc.value) == f"rmse_preds has {n} entries for 2 pairs"
+    assert calls == []
 
 
 @pytest.mark.parametrize("run, kind", [(sensitivity_run, "point-drift"),

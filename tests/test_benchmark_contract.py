@@ -61,8 +61,8 @@ def test_layer_trace_counts_a_small_sweep(layer_trace, monkeypatch):
     # each glyph's two drifts come from one untraced perturb_row call
     assert out["error_sim.drift_points.calls"] == 0
     assert rows == [(1, 2), (1, 2)]
-    # each glyph's ground truth and two predictions render in one untraced
-    # rasterize_many call
+    # every ground truth and prediction of the sweep renders in one untraced
+    # rasterize_many call (one per canvas side)
     assert out["raster.rasterize.calls"] == 0
     assert out["raster.rasterize.repeat_share"] == 0.0
     # the sweep's four alignments run in one untraced dtw_many batch
