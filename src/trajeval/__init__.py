@@ -8,7 +8,8 @@ error-simulation harness for sensitivity / invariance benchmarks.
 
 from .traj_core import (PenState, TrajPoint, Trajectory, dedupe_points,
                         downsample_half, load_trajectory, normalize_to_canvas,
-                        resample, save_trajectory, stroke_bounds, strokes_of)
+                        resample, resample_many, save_trajectory, stroke_bounds,
+                        strokes_of)
 from .raster import (BinaryMask, DegenerateHistogramError, GrayImage,
                      OutOfCanvasError, binarize, dilate3x3, otsu_threshold,
                      rasterize, rasterize_many, read_pgm, write_pgm)

@@ -4,7 +4,7 @@ Runs a seeded error simulation over a trajectory corpus, averages the chosen
 metrics per error magnitude, and min-max normalizes each curve to [0, 1] for
 trend comparison.  `score_pairs` is the one place (ground truth, prediction)
 pairs are scored, each render and alignment done once, and `_check_metrics`
-the one rule for a metric list; every sweep (one call over each glyph's `_row`)
+the one rule for a metric list; every sweep (one call over its glyphs' `_rows`)
 and `trajeval evaluate` (`score_pair`, a batch of one) go through both.  A
 seeded synthetic corpus generator ships here so the runners need no datasets.
 """
@@ -17,12 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .error_sim import (ERROR_KINDS, _check_magnitude, _is_finite, change_sample_rate,
-                        drift_points, perturb_row)
+from .error_sim import ERROR_KINDS, _check_magnitude, _is_finite, drift_points, perturb_row
 from .glyph_metrics import _aiou_many
-from .raster import BinaryMask, _whole_count, dilate3x3, rasterize, rasterize_many
+from .raster import BinaryMask, _whole_count, dilate3x3, rasterize_many
 from .seq_metrics import dtw_many, rmse
-from .traj_core import DOWN, EOS, UP, Trajectory, _ok, normalize_to_canvas
+from .traj_core import DOWN, EOS, UP, Trajectory, _ok, normalize_to_canvas, resample_many
 
 GLYPH_METRICS = ("aiou", "iou")
 DTW_METRICS = ("ldtw", "dtw")
@@ -189,32 +188,38 @@ def _check_run_inputs(corpus, kind, grid, k_max):
     _whole_count(k_max, "k_max")
 
 
-def _row(traj, kind: str, grid, seed: int) -> list:
-    """One (gt, pred) pair per magnitude of grid, or the ValueError that skips it."""
+def _rows(corpus, kind: str, grid, seed: int) -> list[list]:
+    """Per glyph, one (gt, pred) pair per magnitude of grid, or the ValueError
+    that skips it.  A sensitivity kind makes one `perturb_row` call per glyph;
+    an invariance transform resamples or renders the whole corpus in one call."""
+    seeds = [derive_seed(seed, i) for i in range(len(corpus))]
     if kind in SENSITIVITY_KINDS:
-        return [pred if isinstance(pred, ValueError) else (traj, pred)
-                for pred in perturb_row(traj, kind, grid, seed)]
+        return [[pred if isinstance(pred, ValueError) else (traj, pred)
+                 for pred in perturb_row(traj, kind, grid, s)] for traj, s in zip(corpus, seeds)]
     if kind == "sample-rate":
-        pred = drift_points(traj, DEFAULT_BASE_DRIFT, seed)
-        return [(traj, change_sample_rate(pred, factor)) for factor in grid]
-    try:
-        pred_mask = gt_mask = rasterize(traj)
-    except ValueError as exc:  # a point outside the canvas: no width can be scored
-        return [exc] * len(grid)
-    row, done = [], 0
-    for k in map(int, grid):  # exact: _check_run_inputs proved it whole, ascending
-        gt_mask, done = dilate3x3(gt_mask, k - done), k
-        row.append(ValueError(f"stroke width {k} fills the canvas") if gt_mask.bits.all()
-                   else (gt_mask, pred_mask))
-    return row
+        drifted = [drift_points(traj, DEFAULT_BASE_DRIFT, s) for traj, s in zip(corpus, seeds)]
+        preds = iter(resample_many([(pred, factor) for pred in drifted for factor in grid]))
+        return [[(traj, _ok(next(preds))) for _ in grid] for traj in corpus]
+    rows = []
+    for pred_mask in rasterize_many(corpus):
+        if isinstance(pred_mask, ValueError):  # a point outside the canvas: no width can be scored
+            rows.append([pred_mask] * len(grid))
+            continue
+        gt_mask, done, row = pred_mask, 0, []
+        for k in map(int, grid):  # exact: _check_run_inputs proved it whole, ascending
+            gt_mask, done = dilate3x3(gt_mask, k - done), k
+            row.append(ValueError(f"stroke width {k} fills the canvas") if gt_mask.bits.all()
+                       else (gt_mask, pred_mask))
+        rows.append(row)
+    return rows
 
 
 def _run(corpus, kind: str, grid, metrics, seed: int, k_max: int) -> list[CurveReport]:
-    """Curves of every glyph's `_row`, scored in one `score_pairs` call; a ValueError skips."""
+    """Curves of the glyphs' `_rows`, scored in one `score_pairs` call; a ValueError skips."""
     metrics = _check_metrics(metrics)
     grid = tuple(grid if grid is not None else DEFAULT_GRIDS[kind])
     _check_run_inputs(corpus, kind, grid, k_max)
-    rows = [_row(traj, kind, grid, derive_seed(seed, i)) for i, traj in enumerate(corpus)]
+    rows = _rows(corpus, kind, grid, seed)
     scores = iter(score_pairs([p for row in rows for p in row if not isinstance(p, ValueError)],
                               metrics, k_max))
     per_sample = [[dict.fromkeys(metrics) if isinstance(p, ValueError) else next(scores)[0]
@@ -248,7 +253,11 @@ def invariance_run(corpus, transform: str, grid=None, metrics=None, seed: int = 
     glyph scores to the width axis, and the ground truth is that mask dilated
     k times (so sequence metrics are skipped).  A sample is skipped at a width
     whose mask fills the canvas, and at every width if it cannot be rendered.
-    The stroke-width sweep holds every widened mask until its `score_pairs` call.
+    Each layer is one batch: the sample-rate sweep resamples every (glyph,
+    factor) in one `resample_many` call, and the first job it rejects ends
+    the sweep; the stroke-width sweep renders the corpus in one
+    `rasterize_many` call and holds every widened mask until its
+    `score_pairs` call.
     """
     if transform not in INVARIANCE_TRANSFORMS:
         raise ValueError(

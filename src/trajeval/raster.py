@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traj_core import DOWN, Trajectory, _ok, pixel_of
+from .traj_core import DOWN, Trajectory, _canvas_side, _ok, pixel_of
 
 
 class OutOfCanvasError(ValueError):
@@ -91,6 +91,7 @@ def rasterize_many(trajs, side: int | None = None) -> list[BinaryMask | OutOfCan
     Each stack `_stacks` cuts by canvas side (`side`, else each one's own) is
     rendered by one set of numpy calls into a (count, side, side) grid, and
     each mask is a view of its stack."""
+    side = side if side is None else _canvas_side(side)
     out: list[BinaryMask | OutOfCanvasError | None] = [None] * len(trajs)
     sides = (side if side is not None else traj.canvas_side for traj in trajs)
     for (canvas, _), stack in _stacks((index, (s, s)) for index, s in enumerate(sides)):
@@ -105,9 +106,8 @@ def _render_stack(trajs, side: int) -> list[BinaryMask | OutOfCanvasError]:
     Every drawn point is set, and each segment from a pen-down point to its
     successor in the same trajectory is drawn pixel by pixel: between pixels
     p0 and p1, n = max(|dx|, |dy|) steps apart, each i in 0..n sets
-    p0 + round-half-up((p1 - p0) * i / n), computed exactly in integers.  A
-    trajectory with a point outside the canvas draws nothing and gets its
-    error instead.
+    p0 + round-half-up((p1 - p0) * i / n) (`_segment_pixels`).  A trajectory
+    with a point outside the canvas draws nothing and gets its error instead.
     """
     xys = [traj.drawn_xy() for traj in trajs]
     lens = np.array([len(xy) for xy in xys])
@@ -131,18 +131,24 @@ def _render_stack(trajs, side: int) -> list[BinaryMask | OutOfCanvasError]:
         pix, owner, down = pix[keep], owner[keep], down[keep]
     pix = pix.astype(np.int64)
     seg = np.flatnonzero(down)
-    start, delta = pix[seg], pix[seg + 1] - pix[seg]
-    n = np.abs(delta).max(axis=1)
-    step = np.repeat(np.arange(len(seg)), n)  # one row per step i in 0..n-1
-    i = (np.arange(len(step)) - np.repeat(np.cumsum(n) - n, n))[:, None]
-    m = n[step, None]
-    line = start[step] + (2 * delta[step] * i + m) // (2 * m)
-    # a side below 1 has rejected every drawn point; its masks stay empty
-    grid = np.zeros((len(trajs),) + (max(side, 0),) * 2, dtype=bool)
+    line, n = _segment_pixels(pix[seg], pix[seg + 1] - pix[seg])
+    grid = np.zeros((len(trajs), side, side), dtype=bool)
     flat = grid.reshape(-1)
     flat[(owner * side + pix[:, 1]) * side + pix[:, 0]] = True
-    flat[(owner[seg][step] * side + line[:, 1]) * side + line[:, 0]] = True
+    flat[(np.repeat(owner[seg], n) * side + line[:, 1]) * side + line[:, 0]] = True
     return [errors[k] if k in errors else BinaryMask(grid[k]) for k in range(len(trajs))]
+
+
+def _segment_pixels(start: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pixels, n) of int64 segments start -> start + delta, n = max(|dx|, |dy|) each:
+    start + floor((2 delta i + n) / 2n) per step i in 0..n-1.  The float64 quotient's
+    floor is exact while |2 delta i + n| < 2**53: on any side up to 2**26, where one
+    mask would take 2**52 bytes."""
+    n = np.abs(delta).max(axis=1)
+    i = (np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n))[:, None]
+    m = np.repeat(n, n)[:, None]
+    return (np.floor((2 * np.repeat(delta, n, axis=0) * i + m) / (2 * m))
+            + np.repeat(start, n, axis=0)).astype(np.int64), n
 
 
 def rasterize(traj: Trajectory, side: int | None = None) -> BinaryMask:

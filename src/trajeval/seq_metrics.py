@@ -82,9 +82,10 @@ def _diagonals(m: int, n: int) -> list[tuple[int, int]]:
 
 # Cells of one chunk's stacked table.  The distances are built in place
 # (`_sq_dist_tables`), so the table is most of a chunk's working memory
-# (1 MiB) while a chunk holds about 50 of the sweeps' 49-point pairs: the
+# (2 MiB) while a chunk holds about 100 of the sweeps' 49-point pairs: the
 # per-diagonal numpy calls cost about the same for 12 stacked pairs as for 40.
-_CHUNK_CELLS = 1 << 17
+# At 2**19 a 1,600-pair sweep's working memory passes a tenth of its table.
+_CHUNK_CELLS = 1 << 18
 
 # Cells of the scratch band through which `_sq_dist_tables` adds the y-terms
 # (32 KiB, at least one table row).  Over a band of several rows numpy buffers
@@ -236,6 +237,7 @@ def dtw_many(pairs) -> list[DtwResult | ValueError]:
         flat, w, g_count = memoryview(r.reshape(-1)), r.shape[1], len(chunk)
         for g, (m, n, index, _, _) in enumerate(chunk):
             out[index] = DtwResult(*_walk(flat, w, g_count, g, m, n), pairs[index])
+        del r, flat  # free this chunk's table before the next one is built
         start = stop
     return out
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -55,6 +56,13 @@ def pixel_of(x: float, y: float) -> tuple[int, int]:
 def _check_finite(x, y) -> None:
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"non-finite coordinates ({x}, {y})")
+
+
+def _canvas_side(side) -> int:
+    """side as an int; ValueError, naming it, unless it is a whole number >= 1."""
+    if not (side >= 1 and (isinstance(side, numbers.Integral) or float(side).is_integer())):
+        raise ValueError(f"canvas side must be a whole number of at least 1, got {side}")
+    return int(side)
 
 
 def _ok(result):
@@ -105,8 +113,7 @@ class Trajectory:
         state = np.array(state)
         if len(state) == 0:
             raise ValueError("trajectory must contain at least one point")
-        if canvas_side <= 0:
-            raise ValueError("canvas_side must be positive")
+        canvas_side = _canvas_side(canvas_side)
         if xy.shape != (len(state), 2) or state.ndim != 1:
             raise ValueError(f"xy of shape {xy.shape} does not match "
                              f"{len(state)} pen states")
@@ -228,50 +235,97 @@ def _rhu(v):
     return np.floor(v + 0.5).astype(np.int64)
 
 
-def resample(traj: Trajectory, factor: float) -> Trajectory:
-    """Change the sampling density of every stroke by `factor`.
+# About the output rows of one `_resample_group` pass, whose temporaries take
+# about 90 bytes a row (2.8 MiB): 40 of the sweeps' 49-point glyphs at factor 4.
+_BATCH_ROWS = 1 << 15
 
-    factor >= 1 subdivides each within-stroke segment by linear interpolation
-    so a stroke of n points ends up with round(factor*(n-1))+1 points; factor
-    < 1 decimates uniformly, always keeping stroke endpoints and closing states.
-    One set of numpy calls over global row indices serves every stroke; each
-    point gets the arithmetic it would get in a stroke of its own.
-    """
-    if not 0 < factor < math.inf:
-        raise ValueError(f"resample factor must be positive and finite, got {factor}")
-    xy = traj.drawn_xy()
-    bounds = np.array(stroke_bounds(traj), dtype=np.intp).reshape(-1, 2)
-    starts, lens = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
-    if factor < 1:
+
+def resample_many(jobs) -> list[Trajectory | ValueError]:
+    """`resample` of each (trajectory, factor) job, in input order, or the
+    ValueError it would raise.  factor >= 1 subdivides each within-stroke
+    segment by linear interpolation so a stroke of n points ends up with
+    round(factor*(n-1))+1 points; factor < 1 decimates uniformly, always
+    keeping stroke endpoints and closing states.  The factor < 1 jobs and the
+    factor >= 1 jobs each run one set of numpy calls per `_BATCH_ROWS` over the
+    rows of all their strokes; each point gets the arithmetic it would get in a
+    stroke of its own."""
+    out: list = [None] * len(jobs)
+    groups: tuple[list, list] = ([], [])  # (index, traj, factor, bounds): factor < 1, >= 1
+    for index, (traj, factor) in enumerate(jobs):
+        bounds = np.array(stroke_bounds(traj), dtype=np.intp).reshape(-1, 2)
+        if not 0 < factor < math.inf:
+            out[index] = ValueError(f"resample factor must be positive and finite, got {factor}")
+        elif factor >= 1 and factor * (np.diff(bounds).max(initial=1) - 1) >= 2 ** 53:
+            out[index] = ValueError(f"resample factor {factor} gives a stroke over 2**53 points")
+        else:
+            groups[factor >= 1].append((index, traj, factor, bounds))
+    for up, group in enumerate(groups):
+        start, rows = 0, 0
+        for stop, (_, traj, factor, _) in enumerate(group, 1):
+            rows += len(traj) * max(factor, 1)
+            if rows > _BATCH_ROWS or stop == len(group):
+                _resample_group(group[start:stop], up, out)
+                start, rows = stop, 0
+    return out
+
+
+def _resample_group(group, up: bool, out: list) -> None:
+    """Set out[index] for each (index, traj, factor, bounds) job of `group`,
+    whose factors are all >= 1 (`up`) or all < 1, with one set of numpy calls."""
+    indices, trajs, factors, job_bounds = zip(*group)
+    drawn = [len(traj.drawn_xy()) for traj in trajs]
+    counts = [len(bounds) for bounds in job_bounds]  # strokes per job
+    xy = np.concatenate([traj.xy[:n] for traj, n in zip(trajs, drawn)])
+    bounds = np.concatenate(job_bounds)
+    starts = bounds[:, 0] + np.repeat(np.cumsum(drawn) - drawn, counts)
+    lens = bounds[:, 1] - bounds[:, 0]
+    factor = np.repeat(np.array(factors, dtype=np.float64), counts)
+    if not up:
         # rows at `target` rounded even steps per stroke never decrease: dedupe drops repeats
         target = np.where(lens > 1, np.maximum(_rhu(factor * (lens - 1)) + 1, 2), 1)
         stroke = np.repeat(np.arange(len(lens)), target)
         k = np.arange(len(stroke)) - np.repeat(np.cumsum(target) - target, target)
         rows = starts[stroke] + _rhu(k * (lens - 1)[stroke] / np.maximum(target - 1, 1)[stroke])
         keep = np.diff(rows, prepend=-1) != 0
-        out, stroke = xy[rows[keep]], stroke[keep]
+        new_xy, stroke = xy[rows[keep]], stroke[keep]
     else:
-        if factor * (lens.max(initial=1) - 1) >= 2 ** 53:  # counts past it are not exact
-            raise ValueError(f"resample factor {factor} gives a stroke over 2**53 points")
         # a stroke's row i > 0 ends max(rhu(factor*i) - rhu(factor*(i-1)), 1) pieces
         # interpolated from row i-1, its row 0 one; every row is kept exactly
         local = np.arange(len(xy)) - np.repeat(starts, lens)
-        pieces = np.where(local > 0, np.maximum(np.diff(_rhu(factor * local), prepend=0), 1), 1)
+        pieces = np.where(local > 0, np.maximum(
+            np.diff(_rhu(np.repeat(factor, lens) * local), prepend=0), 1), 1)
         try:
             end = np.repeat(np.arange(len(xy)), pieces)
-        except MemoryError:  # more rows than the address space: numpy refuses them
-            raise ValueError(f"resample factor {factor} gives too many points to hold") from None
+        except (MemoryError, ValueError):  # more rows than numpy can count or allocate
+            for job, index, job_factor in zip(group, indices, factors):
+                out[index] = ValueError(f"resample factor {job_factor} gives too many points "
+                                        "to hold")
+                if len(group) > 1:  # alone, only the jobs too large to hold fail
+                    _resample_group([job], True, out)
+            return
         j = np.arange(len(end)) + 1 - np.repeat(np.cumsum(pieces) - pieces, pieces)
         a, b = xy[end - (local[end] > 0)], xy[end]
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: a non-finite row
-            out = a + (b - a) * (j / pieces[end])[:, None]
+            new_xy = a + (b - a) * (j / pieces[end])[:, None]
         ends = j == pieces[end]
-        out[ends] = b[ends]
+        new_xy[ends] = b[ends]
         stroke = np.repeat(np.arange(len(lens)), lens)[end]
-    state = np.where(np.diff(stroke, append=len(lens)) != 0,  # a stroke's last point
-                     traj.state[bounds[:, 1] - 1][stroke], DOWN)
-    return Trajectory.from_arrays(np.concatenate([out, traj.xy[len(xy):]]),
-                                  np.concatenate([state, traj.state[len(xy):]]), traj.canvas_side)
+    closing = np.concatenate([traj.state[own[:, 1] - 1] for traj, own in zip(trajs, job_bounds)])
+    state = np.where(np.diff(stroke, append=len(lens)) != 0, closing[stroke], DOWN)
+    cuts = np.searchsorted(stroke, np.cumsum(counts)).tolist()  # one past each job's rows
+    for index, traj, n, lo, hi in zip(indices, trajs, drawn, [0] + cuts, cuts):
+        try:
+            out[index] = Trajectory.from_arrays(np.concatenate([new_xy[lo:hi], traj.xy[n:]]),
+                                                np.concatenate([state[lo:hi], traj.state[n:]]),
+                                                traj.canvas_side)
+        except ValueError as exc:  # an interpolated row past the float range
+            out[index] = exc
+
+
+def resample(traj: Trajectory, factor: float) -> Trajectory:
+    """Change the sampling density of every stroke by `factor`: a batch of
+    one through `resample_many`."""
+    return _ok(resample_many([(traj, factor)])[0])
 
 
 # --- canonical file formats -------------------------------------------------

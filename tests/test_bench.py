@@ -66,7 +66,6 @@ def test_score_pair_matches_direct_calls(corpus):
 def test_score_pair_rasterizes_only_for_glyph_metrics(corpus, monkeypatch):
     def no_raster(*args):
         raise AssertionError("rasterized without a glyph metric")
-    monkeypatch.setattr(bench, "rasterize", no_raster)
     monkeypatch.setattr(bench, "rasterize_many", no_raster)
     values, errors = score_pair(corpus[0], corpus[1], ("ldtw", "dtw"))
     assert not errors and values["dtw"] > 0
@@ -483,7 +482,7 @@ def test_invariance_skips_a_width_that_fills_the_canvas(corpus):
         assert rep.samples_used == (len(corpus), 0)
         assert rep.samples_skipped == (0, len(corpus))
         assert math.isnan(rep.raw_mean[1])
-    skip = bench._row(corpus[0], "stroke-width", (0, 63), 0)[1]
+    skip = bench._rows(corpus[:1], "stroke-width", (0, 63), 0)[0][1]
     assert isinstance(skip, ValueError) and str(skip) == "stroke width 63 fills the canvas"
 
 
@@ -497,7 +496,7 @@ def test_invariance_skips_a_glyph_outside_the_canvas_at_every_width(corpus):
         assert rep.samples_skipped == (1, 1)
     with pytest.raises(OutOfCanvasError) as exc:
         rasterize(outside)
-    row = bench._row(outside, "stroke-width", (0, 1), 0)
+    row = bench._rows([outside], "stroke-width", (0, 1), 0)[0]
     assert [(type(skip), str(skip)) for skip in row] == [(OutOfCanvasError, str(exc.value))] * 2
 
 
@@ -605,9 +604,12 @@ def test_runners_match_the_pair_at_a_time_reference(kind, grid, metrics, monkeyp
 @pytest.mark.parametrize("kind", DEFAULT_GRIDS)
 def test_each_sweep_scores_in_one_score_pairs_call(corpus, monkeypatch, kind):
     """Every runner call passes all its pairs to one `score_pairs` call, even
-    with a glyph outside the canvas and a width that fills it."""
+    with a glyph outside the canvas and a width that fills it.  The rows are
+    batches too: the sample-rate sweep makes one `resample_many` call, and the
+    stroke-width sweep renders its glyphs in one `rasterize_many` call (its
+    `score_pairs` gets masks only, so renders nothing)."""
     calls = []
-    for name in ("score_pairs", "score_pair"):
+    for name in ("score_pairs", "score_pair", "resample_many", "rasterize_many"):
         fn = getattr(bench, name)
         monkeypatch.setattr(bench, name, lambda *args, _name=name, _fn=fn, **kwargs:
                             calls.append(_name) or _fn(*args, **kwargs))
@@ -619,7 +621,9 @@ def test_each_sweep_scores_in_one_score_pairs_call(corpus, monkeypatch, kind):
         invariance_run(glyphs, kind, metrics=metrics)
     else:
         sensitivity_run(glyphs, kind, metrics=metrics)
-    assert calls == ["score_pairs"]
+    assert [name for name in calls if name.startswith("score_")] == ["score_pairs"]
+    assert calls.count("resample_many") == (kind == "sample-rate")
+    assert calls.count("rasterize_many") == 1
 
 
 def test_invariance_rejects_unknown_transform(corpus):
@@ -644,7 +648,7 @@ RUNS = {
 def _log_work(monkeypatch) -> list:
     """Wrap every bench call that perturbs, renders or aligns; return the log."""
     calls = []
-    for name in ("perturb_row", "drift_points", "rasterize", "rasterize_many", "dtw_many"):
+    for name in ("perturb_row", "drift_points", "resample_many", "rasterize_many", "dtw_many"):
         fn = getattr(bench, name)
         monkeypatch.setattr(bench, name, lambda *args, _name=name, _fn=fn, **kwargs:
                             calls.append(_name) or _fn(*args, **kwargs))

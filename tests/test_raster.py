@@ -17,7 +17,7 @@ from trajeval import (BinaryMask, DegenerateHistogramError, GrayImage,
                       binarize, dedupe_points, dilate3x3, make_synthetic_corpus,
                       otsu_threshold, rasterize, rasterize_many, read_pgm, resample,
                       write_pgm)
-from trajeval.raster import _STACK_CELLS, mask_to_gray
+from trajeval.raster import _STACK_CELLS, _segment_pixels, mask_to_gray
 from trajeval.traj_core import DOWN, EOS, UP
 
 from conftest import random_traj, traj_from_strokes
@@ -235,11 +235,58 @@ def test_rasterize_many_ends_each_trajectory_at_its_last_point():
     assert last.count() == 4 and last.bits[5, :4].all()
 
 
-@pytest.mark.parametrize("side", [0, -3])
-def test_rasterize_rejects_every_point_of_an_empty_canvas(side):
-    traj = traj_from_strokes([[(1, 1), (2, 2)]])
-    with pytest.raises(OutOfCanvasError, match=f"point 0 .* outside the {side}x{side} canvas"):
-        rasterize(traj, side)
+@pytest.mark.parametrize("side", [0, -3, 64.5, math.nan, math.inf])
+def test_rasterize_rejects_a_canvas_side_that_is_not_a_whole_number_of_at_least_1(side):
+    """Checked before any render, also for a trajectory with no drawn point,
+    whose batch used to fail as a whole on its empty 0 x 0 mask."""
+    eos_only = Trajectory.from_arrays([(1.0, 1.0)], [EOS], 8)
+    for call in (lambda: rasterize(traj_from_strokes([[(1, 1), (2, 2)]]), side),
+                 lambda: rasterize_many([eos_only, traj_from_strokes([[(1, 1)]])], side)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"canvas side must be a whole number of at least 1, got {side}"
+
+
+def test_rasterize_takes_a_whole_float_side_as_an_int():
+    mask = rasterize(traj_from_strokes([[(1, 1), (2, 2)]]), np.float64(8.0))
+    assert mask.bits.shape == (8, 8) and mask.count() == 2
+
+
+@st.composite
+def _segments(draw):
+    """Segments on a canvas of side up to 2**24, each at most 300 steps long;
+    odd minor deltas of even step counts put an exact half-way tie at i = n/2."""
+    side = draw(st.integers(1, 2 ** 24))
+    out = []
+    for _ in range(draw(st.integers(0, 6))):
+        n = draw(st.integers(1, min(300, side - 1))) if side > 1 else 0
+        if draw(st.booleans()) and n > 1:
+            n -= n % 2
+            minor = draw(st.integers(-(n - 1) // 2, (n - 1) // 2)) * 2 + 1
+        else:
+            minor = draw(st.integers(-n, n))
+        major = draw(st.sampled_from([-n, n]))
+        delta = (major, minor) if draw(st.booleans()) else (minor, major)
+        x0 = draw(st.integers(max(0, -delta[0]), side - 1 - max(0, delta[0])))
+        y0 = draw(st.integers(max(0, -delta[1]), side - 1 - max(0, delta[1])))
+        out.append(((x0, y0), delta))
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_segments())
+def test_segment_pixels_match_the_integer_formula(segments):
+    """Each step i in 0..n-1 of a segment is start + (2 delta i + n) // 2n,
+    the exact integer round-half-up, ties included."""
+    start = np.array([s for s, _ in segments], dtype=np.int64).reshape(-1, 2)
+    delta = np.array([d for _, d in segments], dtype=np.int64).reshape(-1, 2)
+    pixels, n = _segment_pixels(start, delta)
+    want = [(x0 + (2 * dx * i + m) // (2 * m), y0 + (2 * dy * i + m) // (2 * m))
+            for (x0, y0), (dx, dy) in segments
+            for m in [max(abs(dx), abs(dy))] for i in range(m)]
+    assert n.tolist() == [max(abs(dx), abs(dy)) for _, (dx, dy) in segments]
+    assert pixels.dtype == np.int64
+    assert [tuple(p) for p in pixels.tolist()] == want
 
 
 def test_rasterize_many_of_nothing_is_empty():

@@ -325,6 +325,47 @@ def test_a_full_chunk_peaks_near_its_table(monkeypatch):
     assert peaks[0][1] < 1.25
 
 
+def test_dtw_many_frees_each_chunk_before_the_next(monkeypatch):
+    """100 pairs of 49 points cut into two chunks peak near one chunk's table,
+    not two (2.12 MiB when the first table was held while the second was built)."""
+    rng = np.random.Generator(np.random.PCG64(50))
+    pairs = [(_polyline(rng.uniform(0.0, 63.0, size=(49, 2))),
+              _polyline(rng.uniform(0.0, 63.0, size=(49, 2)))) for _ in range(100)]
+    monkeypatch.setattr(seq_metrics, "_CHUNK_CELLS", 50 * 51 * 51)
+    forward, tables = seq_metrics._forward, []
+    monkeypatch.setattr(seq_metrics, "_forward",
+                        lambda coords: tables.append(len(coords)) or forward(coords))
+    tracemalloc.start()
+    try:
+        dtw_many(pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tables == [50, 50]
+    assert peak < 1.25 * 50 * 51 * 51 * 8
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(1, 150), st.integers(1, 150)), min_size=2, max_size=8),
+       st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+def test_dtw_many_is_bit_identical_across_chunk_sizes(lengths, seed, per_chunk):
+    """Long pairs of unequal lengths, cut into chunks of about `per_chunk`
+    pairs, into one chunk, or aligned alone, get the same cost and T."""
+    rng = np.random.default_rng(seed)
+    pairs = [(_polyline(rng.uniform(0.0, 63.0, size=(m, 2))),
+              _polyline(rng.uniform(0.0, 63.0, size=(n, 2)))) for m, n in lengths]
+    largest = max((m + 2) * (n + 2) for m, n in lengths)
+    results = []
+    for cells in (per_chunk * largest, len(lengths) * 152 * 152):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(seq_metrics, "_CHUNK_CELLS", cells)
+            results.append(dtw_many(pairs))
+    results.append([dtw(q, p) for q, p in pairs])
+    for chunked, whole, alone in zip(*results):
+        assert (chunked.cost, chunked.length) == (whole.cost, whole.length)
+        assert (alone.cost, alone.length) == (whole.cost, whole.length)
+
+
 # --- batched DTW -------------------------------------------------------------
 
 def test_dtw_many_matches_row_loop_reference(monkeypatch):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajeval import traj_core
+from trajeval import rasterize, traj_core
 from trajeval import (PenState, TrajPoint, Trajectory, dedupe_points,
                       downsample_half, load_trajectory, make_synthetic_corpus,
-                      normalize_to_canvas, resample, save_trajectory, stroke_bounds,
-                      strokes_of)
+                      normalize_to_canvas, resample, resample_many, save_trajectory,
+                      stroke_bounds, strokes_of)
 from trajeval.traj_core import (_canvas_side_of, pixel_of, trajectory_from_obj,
                                 trajectory_to_points_obj,
                                 trajectory_to_strokes_obj)
@@ -388,6 +389,80 @@ def test_resample_is_byte_identical_to_the_per_stroke_reference(traj, factor):
         (want.xy.tobytes(), want.state.tobytes(), want.canvas_side)
 
 
+def _result(result) -> tuple:
+    """A resampled trajectory's bytes, or an error's type and text."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    return result.xy.tobytes(), result.state.tobytes(), result.canvas_side
+
+
+def _alone(traj, factor):
+    try:
+        return _result(resample(traj, factor))
+    except ValueError as exc:
+        return _result(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(trajectories(max_points=4, coord=st.floats(-100.0, 100.0)),
+                          st.floats(0.01, 0.99) | st.floats(1.0, 6.0)
+                          | st.sampled_from([0.5, 1.0, 2, 3])), min_size=1, max_size=6),
+       st.integers(0, 6), st.sampled_from([1, 20, traj_core._BATCH_ROWS]))
+def test_resample_many_is_bit_identical_to_lone_resample(jobs, bad_at, batch_rows):
+    """Factors below and at or above 1 in one call, strokes of 1 and 2 points,
+    trajectories with and without EOS, and a factor past 2**53 points among
+    them, in one batch or cut into several: each job gets a lone `resample`'s
+    bytes, and the per-stroke reference's, or its error."""
+    jobs.insert(min(bad_at, len(jobs)), (traj_from_strokes([[(0, 0), (1, 1)]]), 2.0 ** 60))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(traj_core, "_BATCH_ROWS", batch_rows)
+        got = resample_many(jobs)
+    assert len(got) == len(jobs)
+    for (traj, factor), result in zip(jobs, got):
+        assert _result(result) == _alone(traj, factor)
+        if factor != 2.0 ** 60:
+            assert _result(result) == _result(resample_per_stroke(traj, factor))
+    assert str(got[min(bad_at, len(jobs) - 1)]) == \
+        "resample factor 1.152921504606847e+18 gives a stroke over 2**53 points"
+
+
+def test_resample_many_fails_only_the_jobs_that_cannot_be_held():
+    """Rows numpy cannot count (twenty jobs of 60 strokes at 2**52.9 points
+    each) or allocate (1e15 on a 44-point glyph) fail only their own jobs,
+    each named by its own factor; the other jobs are resampled as alone."""
+    glyph = make_synthetic_corpus(1, seed=1)[0]
+    wide = traj_from_strokes([[(0, 0), (1, 1)]] * 60)
+    huge = 2.0 ** 52.9
+    jobs = [(glyph, 2.0), (glyph, 1e15), (glyph, 0.5)] + [(wide, huge)] * 20 + [(glyph, 3.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = resample_many(jobs)
+        assert [_result(result) for result in got] == [_alone(*job) for job in jobs]
+    assert [type(result) for result in got] == \
+        [Trajectory, ValueError, Trajectory] + [ValueError] * 20 + [Trajectory]
+    assert str(got[1]) == "resample factor 1000000000000000.0 gives too many points to hold"
+    assert str(got[3]) == f"resample factor {huge} gives too many points to hold"
+
+
+def test_resample_many_holds_one_batch_of_temporaries_at_a_time():
+    """800 jobs of 44-point glyphs at factor 4 (about 140,000 rows) peak within
+    a few MiB of the trajectories they return: about 12 MiB more as one batch."""
+    corpus = make_synthetic_corpus(50, seed=0)
+    jobs = [(glyph, 4.0) for glyph in corpus] * 16
+    tracemalloc.start()
+    try:
+        got = resample_many(jobs)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, got)) > 130_000
+    assert peak - held < 5 * 2 ** 20
+
+
+def test_resample_many_of_nothing_is_empty():
+    assert resample_many([]) == []
+
+
 def test_preprocessing_preserves_eos(rng):
     traj = random_traj(rng, eos=True)
     for op in (dedupe_points, downsample_half, lambda t: resample(t, 2.0)):
@@ -454,6 +529,49 @@ def test_canvas_sides_are_compared_as_numbers():
     obj = {"canvas": ["100", "64"], "strokes": [[[1, 2]]]}
     assert trajectory_from_obj(obj).canvas_side == 100
     assert trajectory_from_obj({"canvas": [64.0, 32], "strokes": [[[1, 2]]]}).canvas_side == 64
+
+
+_BAD_SIDES = [64.5, np.float64(64.5), 0, -3, math.nan, math.inf]
+_ONE_STROKE = ([(1.0, 2.0), (30.0, 40.0)], [PenState.DOWN.value, PenState.UP.value])
+
+
+@pytest.mark.parametrize("side", _BAD_SIDES)
+def test_from_arrays_rejects_a_canvas_side_that_is_not_a_whole_number_of_at_least_1(side):
+    with pytest.raises(ValueError) as exc:
+        Trajectory.from_arrays(*_ONE_STROKE, side)
+    assert str(exc.value) == f"canvas side must be a whole number of at least 1, got {side}"
+
+
+@pytest.mark.parametrize("side", _BAD_SIDES)
+def test_points_constructor_rejects_a_canvas_side_that_is_not_a_whole_number_of_at_least_1(side):
+    points = [TrajPoint(x, y, PenState(s)) for (x, y), s in zip(*_ONE_STROKE)]
+    with pytest.raises(ValueError) as exc:
+        Trajectory(points, side)
+    assert str(exc.value) == f"canvas side must be a whole number of at least 1, got {side}"
+
+
+@pytest.mark.parametrize("side", [64.5, np.float64(64.5), math.nan])
+def test_normalize_to_canvas_rejects_a_side_that_is_not_whole(side):
+    """A side of at least 2 passes normalize's own check; the trajectory it
+    builds names the side instead of failing at the first render."""
+    with pytest.raises(ValueError) as exc:
+        normalize_to_canvas(Trajectory.from_arrays(*_ONE_STROKE), side)
+    assert str(exc.value) == f"canvas side must be a whole number of at least 1, got {side}"
+
+
+@pytest.mark.parametrize("side", [64.5, np.float64(64.5)])
+def test_make_synthetic_corpus_rejects_a_side_that_is_not_whole(side):
+    with pytest.raises(ValueError) as exc:
+        make_synthetic_corpus(2, seed=1, side=side)
+    assert str(exc.value) == f"canvas side must be a whole number of at least 1, got {side}"
+
+
+def test_a_whole_float_canvas_side_is_kept_as_an_int():
+    for traj in (Trajectory.from_arrays(*_ONE_STROKE, np.float64(64.0)),
+                 normalize_to_canvas(Trajectory.from_arrays(*_ONE_STROKE), 32.0),
+                 make_synthetic_corpus(1, seed=1, side=np.float64(48.0))[0]):
+        assert type(traj.canvas_side) is int
+        assert rasterize(traj).width == traj.canvas_side
 
 
 _scalars = (st.none() | st.booleans() | st.text(max_size=4) | st.floats()
