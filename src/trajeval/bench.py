@@ -19,7 +19,7 @@ import numpy as np
 
 from .error_sim import ERROR_KINDS, _check_magnitude, _is_finite, drift_points, perturb_row
 from .glyph_metrics import _aiou_many
-from .raster import BinaryMask, _whole_count, dilate3x3, rasterize_many
+from .raster import BinaryMask, _whole_count, dilate3x3, rasterize, rasterize_many
 from .seq_metrics import dtw_many, rmse
 from .traj_core import DOWN, EOS, UP, Trajectory, _ok, normalize_to_canvas, resample_many
 
@@ -190,8 +190,8 @@ def _check_run_inputs(corpus, kind, grid, k_max):
 
 def _rows(corpus, kind: str, grid, seed: int) -> list[list]:
     """Per glyph, one (gt, pred) pair per magnitude of grid, or the ValueError
-    that skips it.  A sensitivity kind makes one `perturb_row` call per glyph;
-    an invariance transform resamples or renders the whole corpus in one call."""
+    that skips it.  A sensitivity kind makes one `perturb_row` call per glyph,
+    and the sample-rate sweep one `resample_many` call over every glyph."""
     seeds = [derive_seed(seed, i) for i in range(len(corpus))]
     if kind in SENSITIVITY_KINDS:
         return [[pred if isinstance(pred, ValueError) else (traj, pred)
@@ -200,18 +200,21 @@ def _rows(corpus, kind: str, grid, seed: int) -> list[list]:
         drifted = [drift_points(traj, DEFAULT_BASE_DRIFT, s) for traj, s in zip(corpus, seeds)]
         preds = iter(resample_many([(pred, factor) for pred in drifted for factor in grid]))
         return [[(traj, _ok(next(preds))) for _ in grid] for traj in corpus]
-    rows = []
-    for pred_mask in rasterize_many(corpus):
-        if isinstance(pred_mask, ValueError):  # a point outside the canvas: no width can be scored
-            rows.append([pred_mask] * len(grid))
-            continue
-        gt_mask, done, row = pred_mask, 0, []
-        for k in map(int, grid):  # exact: _check_run_inputs proved it whole, ascending
-            gt_mask, done = dilate3x3(gt_mask, k - done), k
-            row.append(ValueError(f"stroke width {k} fills the canvas") if gt_mask.bits.all()
-                       else (gt_mask, pred_mask))
-        rows.append(row)
-    return rows
+    return [_width_row(traj, grid) for traj in corpus]
+
+
+def _width_row(traj, grid) -> list:
+    """One (widened, width-1) mask pair per width of grid, or the ValueError that skips it."""
+    try:
+        pred_mask = gt_mask = rasterize(traj)
+    except ValueError as exc:  # a point outside the canvas: no width can be scored
+        return [exc] * len(grid)
+    row, done = [], 0
+    for k in map(int, grid):  # exact: _check_run_inputs proved it whole, ascending
+        gt_mask, done = dilate3x3(gt_mask, k - done), k
+        row.append(ValueError(f"stroke width {k} fills the canvas") if gt_mask.bits.all()
+                   else (gt_mask, pred_mask))
+    return row
 
 
 def _run(corpus, kind: str, grid, metrics, seed: int, k_max: int) -> list[CurveReport]:
@@ -253,11 +256,9 @@ def invariance_run(corpus, transform: str, grid=None, metrics=None, seed: int = 
     glyph scores to the width axis, and the ground truth is that mask dilated
     k times (so sequence metrics are skipped).  A sample is skipped at a width
     whose mask fills the canvas, and at every width if it cannot be rendered.
-    Each layer is one batch: the sample-rate sweep resamples every (glyph,
-    factor) in one `resample_many` call, and the first job it rejects ends
-    the sweep; the stroke-width sweep renders the corpus in one
-    `rasterize_many` call and holds every widened mask until its
-    `score_pairs` call.
+    The sample-rate sweep resamples every (glyph, factor) in one
+    `resample_many` call, and the first job it rejects ends the sweep.  The
+    stroke-width sweep holds every widened mask until its `score_pairs` call.
     """
     if transform not in INVARIANCE_TRANSFORMS:
         raise ValueError(

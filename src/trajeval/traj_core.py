@@ -235,20 +235,15 @@ def _rhu(v):
     return np.floor(v + 0.5).astype(np.int64)
 
 
-# About the output rows of one `_resample_group` pass, whose temporaries take
-# about 90 bytes a row (2.8 MiB): 40 of the sweeps' 49-point glyphs at factor 4.
-_BATCH_ROWS = 1 << 15
-
-
 def resample_many(jobs) -> list[Trajectory | ValueError]:
     """`resample` of each (trajectory, factor) job, in input order, or the
     ValueError it would raise.  factor >= 1 subdivides each within-stroke
     segment by linear interpolation so a stroke of n points ends up with
     round(factor*(n-1))+1 points; factor < 1 decimates uniformly, always
     keeping stroke endpoints and closing states.  The factor < 1 jobs and the
-    factor >= 1 jobs each run one set of numpy calls per `_BATCH_ROWS` over the
-    rows of all their strokes; each point gets the arithmetic it would get in a
-    stroke of its own."""
+    factor >= 1 jobs each run one set of numpy calls over the rows of all
+    their strokes; each point gets the arithmetic it would get in a stroke of
+    its own."""
     out: list = [None] * len(jobs)
     groups: tuple[list, list] = ([], [])  # (index, traj, factor, bounds): factor < 1, >= 1
     for index, (traj, factor) in enumerate(jobs):
@@ -258,14 +253,10 @@ def resample_many(jobs) -> list[Trajectory | ValueError]:
         elif factor >= 1 and factor * (np.diff(bounds).max(initial=1) - 1) >= 2 ** 53:
             out[index] = ValueError(f"resample factor {factor} gives a stroke over 2**53 points")
         else:
-            groups[factor >= 1].append((index, traj, factor, bounds))
+            groups[1 if factor >= 1 else 0].append((index, traj, factor, bounds))
     for up, group in enumerate(groups):
-        start, rows = 0, 0
-        for stop, (_, traj, factor, _) in enumerate(group, 1):
-            rows += len(traj) * max(factor, 1)
-            if rows > _BATCH_ROWS or stop == len(group):
-                _resample_group(group[start:stop], up, out)
-                start, rows = stop, 0
+        if group:
+            _resample_group(group, up, out)
     return out
 
 
@@ -350,12 +341,9 @@ def _canvas_side_of(obj) -> int:
     if not isinstance(canvas, (list, tuple)) or len(canvas) != 2:
         raise ValueError(f"canvas must be a [width, height] pair, got {canvas!r}")
     try:
-        sides = [float(v) for v in canvas]
+        return max(_canvas_side(float(v)) for v in canvas)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"canvas must hold two positive whole numbers, got {canvas!r}") from exc
-    if not all(math.isfinite(v) and v.is_integer() and v >= 1 for v in sides):
-        raise ValueError(f"canvas must hold two positive whole numbers, got {canvas!r}")
-    return int(max(sides))
 
 
 def trajectory_from_obj(obj) -> Trajectory:

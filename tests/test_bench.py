@@ -66,6 +66,7 @@ def test_score_pair_matches_direct_calls(corpus):
 def test_score_pair_rasterizes_only_for_glyph_metrics(corpus, monkeypatch):
     def no_raster(*args):
         raise AssertionError("rasterized without a glyph metric")
+    monkeypatch.setattr(bench, "rasterize", no_raster)
     monkeypatch.setattr(bench, "rasterize_many", no_raster)
     values, errors = score_pair(corpus[0], corpus[1], ("ldtw", "dtw"))
     assert not errors and values["dtw"] > 0
@@ -473,6 +474,13 @@ def test_invariance_sample_rate_mode_defaults_to_sequence_metrics(corpus):
     assert all(v > 0 for v in by["dtw"].raw_mean)  # base drift keeps it nonzero
 
 
+def test_invariance_sample_rate_takes_a_numpy_grid(corpus):
+    """Factors given as numpy scalars sweep exactly as the same Python floats."""
+    want = invariance_run(corpus[:3], "sample-rate", grid=[0.5, 1.0, 2.0], seed=3)
+    assert invariance_run(corpus[:3], "sample-rate", grid=np.array([0.5, 1.0, 2.0]),
+                          seed=3) == want
+
+
 def test_invariance_skips_a_width_that_fills_the_canvas(corpus):
     # a 63-step dilation of any pixel covers the 64-px canvas: no background left
     by_width = {r.metric: r for r in invariance_run(corpus, "stroke-width", grid=(0, 63))}
@@ -604,12 +612,10 @@ def test_runners_match_the_pair_at_a_time_reference(kind, grid, metrics, monkeyp
 @pytest.mark.parametrize("kind", DEFAULT_GRIDS)
 def test_each_sweep_scores_in_one_score_pairs_call(corpus, monkeypatch, kind):
     """Every runner call passes all its pairs to one `score_pairs` call, even
-    with a glyph outside the canvas and a width that fills it.  The rows are
-    batches too: the sample-rate sweep makes one `resample_many` call, and the
-    stroke-width sweep renders its glyphs in one `rasterize_many` call (its
-    `score_pairs` gets masks only, so renders nothing)."""
+    with a glyph outside the canvas and a width that fills it.  The sample-rate
+    sweep also resamples its rows in one `resample_many` call."""
     calls = []
-    for name in ("score_pairs", "score_pair", "resample_many", "rasterize_many"):
+    for name in ("score_pairs", "score_pair", "resample_many"):
         fn = getattr(bench, name)
         monkeypatch.setattr(bench, name, lambda *args, _name=name, _fn=fn, **kwargs:
                             calls.append(_name) or _fn(*args, **kwargs))
@@ -623,7 +629,6 @@ def test_each_sweep_scores_in_one_score_pairs_call(corpus, monkeypatch, kind):
         sensitivity_run(glyphs, kind, metrics=metrics)
     assert [name for name in calls if name.startswith("score_")] == ["score_pairs"]
     assert calls.count("resample_many") == (kind == "sample-rate")
-    assert calls.count("rasterize_many") == 1
 
 
 def test_invariance_rejects_unknown_transform(corpus):
@@ -648,7 +653,8 @@ RUNS = {
 def _log_work(monkeypatch) -> list:
     """Wrap every bench call that perturbs, renders or aligns; return the log."""
     calls = []
-    for name in ("perturb_row", "drift_points", "resample_many", "rasterize_many", "dtw_many"):
+    for name in ("perturb_row", "drift_points", "resample_many", "rasterize", "rasterize_many",
+                 "dtw_many"):
         fn = getattr(bench, name)
         monkeypatch.setattr(bench, name, lambda *args, _name=name, _fn=fn, **kwargs:
                             calls.append(_name) or _fn(*args, **kwargs))

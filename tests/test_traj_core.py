@@ -2,7 +2,6 @@
 
 import json
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -406,17 +405,16 @@ def _alone(traj, factor):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.tuples(trajectories(max_points=4, coord=st.floats(-100.0, 100.0)),
                           st.floats(0.01, 0.99) | st.floats(1.0, 6.0)
-                          | st.sampled_from([0.5, 1.0, 2, 3])), min_size=1, max_size=6),
-       st.integers(0, 6), st.sampled_from([1, 20, traj_core._BATCH_ROWS]))
-def test_resample_many_is_bit_identical_to_lone_resample(jobs, bad_at, batch_rows):
-    """Factors below and at or above 1 in one call, strokes of 1 and 2 points,
-    trajectories with and without EOS, and a factor past 2**53 points among
-    them, in one batch or cut into several: each job gets a lone `resample`'s
+                          | st.sampled_from([0.5, 1.0, 2, 3, np.float64(0.5), np.float64(2.0)])),
+                min_size=1, max_size=6),
+       st.integers(0, 6))
+def test_resample_many_is_bit_identical_to_lone_resample(jobs, bad_at):
+    """Factors below and at or above 1 in one call (numpy scalars too),
+    strokes of 1 and 2 points, trajectories with and without EOS, and a
+    factor past 2**53 points among them: each job gets a lone `resample`'s
     bytes, and the per-stroke reference's, or its error."""
     jobs.insert(min(bad_at, len(jobs)), (traj_from_strokes([[(0, 0), (1, 1)]]), 2.0 ** 60))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(traj_core, "_BATCH_ROWS", batch_rows)
-        got = resample_many(jobs)
+    got = resample_many(jobs)
     assert len(got) == len(jobs)
     for (traj, factor), result in zip(jobs, got):
         assert _result(result) == _alone(traj, factor)
@@ -442,21 +440,6 @@ def test_resample_many_fails_only_the_jobs_that_cannot_be_held():
         [Trajectory, ValueError, Trajectory] + [ValueError] * 20 + [Trajectory]
     assert str(got[1]) == "resample factor 1000000000000000.0 gives too many points to hold"
     assert str(got[3]) == f"resample factor {huge} gives too many points to hold"
-
-
-def test_resample_many_holds_one_batch_of_temporaries_at_a_time():
-    """800 jobs of 44-point glyphs at factor 4 (about 140,000 rows) peak within
-    a few MiB of the trajectories they return: about 12 MiB more as one batch."""
-    corpus = make_synthetic_corpus(50, seed=0)
-    jobs = [(glyph, 4.0) for glyph in corpus] * 16
-    tracemalloc.start()
-    try:
-        got = resample_many(jobs)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sum(map(len, got)) > 130_000
-    assert peak - held < 5 * 2 ** 20
 
 
 def test_resample_many_of_nothing_is_empty():
