@@ -286,10 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # parsing leaves the parser as it was, so every `main` call can share it
-    return build_parser()
+# parsing leaves the parser as it was, so every `main` call can share it
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:

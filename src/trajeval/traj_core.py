@@ -241,76 +241,68 @@ def resample_many(jobs) -> list[Trajectory | ValueError]:
     segment by linear interpolation so a stroke of n points ends up with
     round(factor*(n-1))+1 points; factor < 1 decimates uniformly, always
     keeping stroke endpoints and closing states.  The factor < 1 jobs and the
-    factor >= 1 jobs each run one set of numpy calls over the rows of all
-    their strokes; each point gets the arithmetic it would get in a stroke of
-    its own."""
+    factor >= 1 jobs each take one pass of numpy calls over their strokes,
+    which tile the drawn rows (`stroke_bounds`); each point gets a lone
+    stroke's arithmetic.  If numpy cannot count or allocate a pass's rows, each
+    of its jobs is rerun as a batch of one, so only jobs too large alone fail."""
     out: list = [None] * len(jobs)
-    groups: tuple[list, list] = ([], [])  # (index, traj, factor, bounds): factor < 1, >= 1
+    passes: dict = {}  # (factor >= 1) -> [(index, traj, factor, stroke lengths)]
     for index, (traj, factor) in enumerate(jobs):
-        bounds = np.array(stroke_bounds(traj), dtype=np.intp).reshape(-1, 2)
+        lens = np.array([b - a for a, b in stroke_bounds(traj)], dtype=np.intp)
         if not 0 < factor < math.inf:
             out[index] = ValueError(f"resample factor must be positive and finite, got {factor}")
-        elif factor >= 1 and factor * (np.diff(bounds).max(initial=1) - 1) >= 2 ** 53:
+        elif factor >= 1 and factor * (lens.max(initial=1) - 1) >= 2 ** 53:
             out[index] = ValueError(f"resample factor {factor} gives a stroke over 2**53 points")
         else:
-            groups[1 if factor >= 1 else 0].append((index, traj, factor, bounds))
-    for up, group in enumerate(groups):
-        if group:
-            _resample_group(group, up, out)
+            passes.setdefault(factor >= 1, []).append((index, traj, factor, lens))
+    for up, group in passes.items():
+        indices, trajs, factors, job_lens = zip(*group)
+        drawn = [len(traj.drawn_xy()) for traj in trajs]
+        counts = [len(own) for own in job_lens]  # strokes per job
+        xy = np.concatenate([traj.xy[:n] for traj, n in zip(trajs, drawn)])
+        lens = np.concatenate(job_lens)
+        stops = np.cumsum(lens)  # the strokes tile the rows
+        starts = stops - lens
+        closing = np.concatenate([traj.state[:n] for traj, n in zip(trajs, drawn)])[stops - 1]
+        factor = np.repeat(np.array(factors, dtype=np.float64), counts)
+        if not up:
+            # rows at `target` rounded even steps per stroke never decrease: dedupe drops repeats
+            target = np.where(lens > 1, np.maximum(_rhu(factor * (lens - 1)) + 1, 2), 1)
+            stroke = np.repeat(np.arange(len(lens)), target)
+            k = np.arange(len(stroke)) - np.repeat(np.cumsum(target) - target, target)
+            rows = starts[stroke] + _rhu(k * (lens - 1)[stroke] / np.maximum(target - 1, 1)[stroke])
+            keep = np.diff(rows, prepend=-1) != 0
+            new_xy, stroke = xy[rows[keep]], stroke[keep]
+        else:
+            # a stroke's row i > 0 ends max(rhu(factor*i) - rhu(factor*(i-1)), 1) pieces
+            # interpolated from row i-1, its row 0 one; every row is kept exactly
+            local = np.arange(len(xy)) - np.repeat(starts, lens)
+            pieces = np.where(local > 0, np.maximum(
+                np.diff(_rhu(np.repeat(factor, lens) * local), prepend=0), 1), 1)
+            try:
+                end = np.repeat(np.arange(len(xy)), pieces)
+            except (MemoryError, ValueError):  # more rows than numpy can count or allocate
+                for index, traj, job_factor in zip(indices, trajs, factors):
+                    out[index] = resample_many([(traj, job_factor)])[0] if len(group) > 1 else \
+                        ValueError(f"resample factor {job_factor} gives too many points to hold")
+                continue
+            j = np.arange(len(end)) + 1 - np.repeat(np.cumsum(pieces) - pieces, pieces)
+            a, b = xy[end - (local[end] > 0)], xy[end]
+            with np.errstate(over="ignore", invalid="ignore"):  # overflow: a non-finite row
+                new_xy = a + (b - a) * (j / pieces[end])[:, None]
+            ends = j == pieces[end]
+            new_xy[ends] = b[ends]
+            stroke = np.repeat(np.arange(len(lens)), lens)[end]
+        state = np.where(np.diff(stroke, append=len(lens)) != 0, closing[stroke], DOWN)
+        cuts = np.searchsorted(stroke, np.cumsum(counts)).tolist()  # one past each job's rows
+        for index, traj, n, lo, hi in zip(indices, trajs, drawn, [0] + cuts, cuts):
+            try:
+                out[index] = Trajectory.from_arrays(
+                    np.concatenate([new_xy[lo:hi], traj.xy[n:]]),
+                    np.concatenate([state[lo:hi], traj.state[n:]]), traj.canvas_side)
+            except ValueError as exc:  # an interpolated row past the float range
+                out[index] = exc
     return out
-
-
-def _resample_group(group, up: bool, out: list) -> None:
-    """Set out[index] for each (index, traj, factor, bounds) job of `group`,
-    whose factors are all >= 1 (`up`) or all < 1, with one set of numpy calls."""
-    indices, trajs, factors, job_bounds = zip(*group)
-    drawn = [len(traj.drawn_xy()) for traj in trajs]
-    counts = [len(bounds) for bounds in job_bounds]  # strokes per job
-    xy = np.concatenate([traj.xy[:n] for traj, n in zip(trajs, drawn)])
-    bounds = np.concatenate(job_bounds)
-    starts = bounds[:, 0] + np.repeat(np.cumsum(drawn) - drawn, counts)
-    lens = bounds[:, 1] - bounds[:, 0]
-    factor = np.repeat(np.array(factors, dtype=np.float64), counts)
-    if not up:
-        # rows at `target` rounded even steps per stroke never decrease: dedupe drops repeats
-        target = np.where(lens > 1, np.maximum(_rhu(factor * (lens - 1)) + 1, 2), 1)
-        stroke = np.repeat(np.arange(len(lens)), target)
-        k = np.arange(len(stroke)) - np.repeat(np.cumsum(target) - target, target)
-        rows = starts[stroke] + _rhu(k * (lens - 1)[stroke] / np.maximum(target - 1, 1)[stroke])
-        keep = np.diff(rows, prepend=-1) != 0
-        new_xy, stroke = xy[rows[keep]], stroke[keep]
-    else:
-        # a stroke's row i > 0 ends max(rhu(factor*i) - rhu(factor*(i-1)), 1) pieces
-        # interpolated from row i-1, its row 0 one; every row is kept exactly
-        local = np.arange(len(xy)) - np.repeat(starts, lens)
-        pieces = np.where(local > 0, np.maximum(
-            np.diff(_rhu(np.repeat(factor, lens) * local), prepend=0), 1), 1)
-        try:
-            end = np.repeat(np.arange(len(xy)), pieces)
-        except (MemoryError, ValueError):  # more rows than numpy can count or allocate
-            for job, index, job_factor in zip(group, indices, factors):
-                out[index] = ValueError(f"resample factor {job_factor} gives too many points "
-                                        "to hold")
-                if len(group) > 1:  # alone, only the jobs too large to hold fail
-                    _resample_group([job], True, out)
-            return
-        j = np.arange(len(end)) + 1 - np.repeat(np.cumsum(pieces) - pieces, pieces)
-        a, b = xy[end - (local[end] > 0)], xy[end]
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow: a non-finite row
-            new_xy = a + (b - a) * (j / pieces[end])[:, None]
-        ends = j == pieces[end]
-        new_xy[ends] = b[ends]
-        stroke = np.repeat(np.arange(len(lens)), lens)[end]
-    closing = np.concatenate([traj.state[own[:, 1] - 1] for traj, own in zip(trajs, job_bounds)])
-    state = np.where(np.diff(stroke, append=len(lens)) != 0, closing[stroke], DOWN)
-    cuts = np.searchsorted(stroke, np.cumsum(counts)).tolist()  # one past each job's rows
-    for index, traj, n, lo, hi in zip(indices, trajs, drawn, [0] + cuts, cuts):
-        try:
-            out[index] = Trajectory.from_arrays(np.concatenate([new_xy[lo:hi], traj.xy[n:]]),
-                                                np.concatenate([state[lo:hi], traj.state[n:]]),
-                                                traj.canvas_side)
-        except ValueError as exc:  # an interpolated row past the float range
-            out[index] = exc
 
 
 def resample(traj: Trajectory, factor: float) -> Trajectory:

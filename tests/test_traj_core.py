@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trajeval import rasterize, traj_core
@@ -117,6 +117,29 @@ def test_stroke_bounds_follow_pen_up_points():
     traj = Trajectory.from_arrays(np.zeros((len(state), 2)), state, 8)
     assert stroke_bounds(traj) == [(0, 2), (2, 3), (3, 6), (6, 8)]
     assert stroke_bounds(Trajectory.from_arrays([[0.0, 0.0]], [2], 8)) == []
+
+
+def _rows(state):
+    return Trajectory.from_arrays(np.zeros((len(state), 2)), state, 8)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(trajectories())
+@example(_rows([0, 1, 1, 0, 1, 2]))  # with an EOS row
+@example(_rows([0, 1, 0, 0, 1]))     # without one
+@example(_rows([0, 1, 0, 0, 2]))     # a last stroke without its pen-up
+@example(_rows([1, 0]))              # the same, and no EOS row
+@example(_rows([2]))                 # EOS only: no strokes
+def test_stroke_bounds_tile_the_drawn_rows(traj):
+    """The strokes are non-empty and in order, and cover the drawn rows
+    0 .. len(drawn_xy()) with no gap: `resample_many` relies on it."""
+    bounds = stroke_bounds(traj)
+    edges = [0] + [b for _, b in bounds]
+    assert bounds == list(zip(edges, edges[1:]))
+    assert all(a < b for a, b in bounds)
+    assert edges[-1] == len(traj.drawn_xy())
+    if len(traj) == 1 and traj.has_eos:
+        assert bounds == []
 
 
 def test_pixel_rounding_is_half_up():
