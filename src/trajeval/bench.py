@@ -316,6 +316,7 @@ def make_synthetic_corpus(n: int, seed: int = 0, side: int = 64,
     """
     if n < 1:
         raise ValueError("corpus size must be at least 1")
+    n = _whole_count(n, "corpus size")
     if seed < 0:
         raise ValueError(f"seed must be non-negative for synthetic glyphs, got {seed}")
     if side < 9:  # strokes start at least 4 px inside every edge

@@ -59,7 +59,7 @@ def _insert_row(traj: Trajectory, ks, seed: int) -> list:
     if not strokes:
         return [ValueError("trajectory has no strokes to copy") for _ in ks]
     side, rng, out, joined = traj.canvas_side, np.random.default_rng(seed), list(strokes), {}
-    for count in range(1, max(ks) + 1):
+    for count in range(1, max(ks, default=0) + 1):
         src = strokes[int(rng.integers(len(strokes)))]
         (min_x, min_y), (max_x, max_y) = src.min(axis=0).tolist(), src.max(axis=0).tolist()
         new_min_x = rng.uniform(0.0, max(side - 1 - (max_x - min_x), 0.0))

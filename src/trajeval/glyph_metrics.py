@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import BinaryMask, _dilate_step, _ones, _pack, _stacks, _whole_count
-from .traj_core import _ok
+from .raster import BinaryMask, _dilate_step, _ones, _pack, _whole_count
+from .traj_core import _ok, _stacks
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,8 @@ def _aiou_many(pairs, k_max: int) -> list[tuple[float, AiouResult] | ValueError]
            else None if g.bits.shape == p.bits.shape else ValueError(
                f"mask dimensions differ: {g.width}x{g.height} vs {p.width}x{p.height}")
            for g, p in pairs]
-    for (_, width), stack in _stacks((i, pair[0].bits.shape) for i, pair in enumerate(pairs)
-                                     if out[i] is None):
+    for (_, width), stack in _stacks((i, g.bits.shape, g.bits.shape)
+                                     for i, (g, _) in enumerate(pairs) if out[i] is None):
         g, widened = (_pack(np.array([pairs[i][side].bits for i in stack])) for side in (0, 1))
         g_count, inter, union = _ones(g), _ones(g & widened), _ones(g | widened)
         best, best_k = inter / np.maximum(union, 1), np.zeros(len(stack), np.int64)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traj_core import DOWN, Trajectory, _canvas_side, _ok, pixel_of
+from .traj_core import DOWN, Trajectory, _canvas_side, _ok, _stacks, pixel_of
 
 
 class OutOfCanvasError(ValueError):
@@ -68,23 +68,6 @@ class BinaryMask:
             np.array_equal(self.bits, other.bits))
 
 
-# Mask cells of one stacked render or AIoU side: 64 canvases of 64 x 64 px,
-# 256 KiB of bools.  A render's point and line-pixel index arrays grow with it.
-_STACK_CELLS = 1 << 18
-
-
-def _stacks(shaped):
-    """(shape, indices) of each stack of (index, mask shape) items: one shape's
-    indices in input order, at most `_STACK_CELLS` mask cells (or one item) each."""
-    groups: dict[tuple, list[int]] = {}
-    for index, shape in shaped:
-        groups.setdefault(shape, []).append(index)
-    for shape, members in groups.items():
-        per_stack = max(1, _STACK_CELLS // max(shape[0] * shape[1], 1))
-        for start in range(0, len(members), per_stack):
-            yield shape, members[start:start + per_stack]
-
-
 def rasterize_many(trajs, side: int | None = None) -> list[BinaryMask | OutOfCanvasError]:
     """`rasterize` of each trajectory, in input order; a trajectory that
     `rasterize` rejects gets the OutOfCanvasError it would raise in its place.
@@ -94,7 +77,7 @@ def rasterize_many(trajs, side: int | None = None) -> list[BinaryMask | OutOfCan
     side = side if side is None else _canvas_side(side)
     out: list[BinaryMask | OutOfCanvasError | None] = [None] * len(trajs)
     sides = (side if side is not None else traj.canvas_side for traj in trajs)
-    for (canvas, _), stack in _stacks((index, (s, s)) for index, s in enumerate(sides)):
+    for (canvas, _), stack in _stacks((index, (s, s), (s, s)) for index, s in enumerate(sides)):
         for index, mask in zip(stack, _render_stack([trajs[index] for index in stack], canvas)):
             out[index] = mask
     return out

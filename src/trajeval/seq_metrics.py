@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .traj_core import Trajectory, _ok
+from .traj_core import Trajectory, _ok, _stacks
 
 
 @dataclass(frozen=True)
@@ -79,13 +79,6 @@ def _diagonals(m: int, n: int) -> list[tuple[int, int]]:
     b = np.minimum(m, s - 1) * (n + 1) + s + 1
     return list(zip(a.tolist(), b.tolist()))
 
-
-# Cells of one chunk's stacked table.  The distances are built in place
-# (`_sq_dist_tables`), so the table is most of a chunk's working memory
-# (2 MiB) while a chunk holds about 100 of the sweeps' 49-point pairs: the
-# per-diagonal numpy calls cost about the same for 12 stacked pairs as for 40.
-# At 2**19 a 1,600-pair sweep's working memory passes a tenth of its table.
-_CHUNK_CELLS = 1 << 18
 
 # Cells of the scratch band through which `_sq_dist_tables` adds the y-terms
 # (32 KiB, at least one table row).  Over a band of several rows numpy buffers
@@ -208,37 +201,26 @@ def dtw_many(pairs) -> list[DtwResult | ValueError]:
     """`dtw` of each (q, p) pair, in input order; a pair that `dtw` rejects
     gets the ValueError that `dtw` would raise in its place.
 
-    The pairs are sorted by (m, n) and cut into chunks of at most
-    `_CHUNK_CELLS` stacked cells (a larger pair is a chunk of its own); each
-    chunk is one anti-diagonal sweep, so the per-diagonal numpy calls are
-    shared by the whole chunk.  Every pair's table is bit-identical to the one
-    it would get alone.
+    `_stacks` cuts the pairs, sorted by (m, n), into chunks of (m + 2) x (n + 2)
+    tables padded to the largest; each chunk is one anti-diagonal sweep, so the
+    per-diagonal numpy calls are shared by the whole chunk.  Every pair's table
+    is bit-identical to the one it would get alone.
     """
     out: list[DtwResult | ValueError | None] = [None] * len(pairs)
-    jobs = []
+    coords = {}
     for index, (q, p) in enumerate(pairs):
         try:
-            qc, pc = _coords(q), _coords(p)
+            coords[index] = _coords(q), _coords(p)
         except ValueError as exc:
             out[index] = exc
-            continue
-        jobs.append((len(qc), len(pc), index, qc, pc))
-    jobs.sort(key=lambda job: job[:2])
-    start = 0
-    while start < len(jobs):
-        stop, n_max = start + 1, jobs[start][1]
-        while stop < len(jobs):
-            m, n = jobs[stop][:2]
-            if (stop + 1 - start) * (m + 2) * (max(n_max, n) + 2) > _CHUNK_CELLS:
-                break
-            stop, n_max = stop + 1, max(n_max, n)
-        chunk = jobs[start:stop]
-        r = _forward([(qc, pc) for _, _, _, qc, pc in chunk])
+    for _, chunk in _stacks((index, None, (len(qc) + 2, len(pc) + 2))
+                            for index, (qc, pc) in coords.items()):
+        r = _forward([coords[index] for index in chunk])
         flat, w, g_count = memoryview(r.reshape(-1)), r.shape[1], len(chunk)
-        for g, (m, n, index, _, _) in enumerate(chunk):
-            out[index] = DtwResult(*_walk(flat, w, g_count, g, m, n), pairs[index])
+        for g, index in enumerate(chunk):
+            qc, pc = coords[index]
+            out[index] = DtwResult(*_walk(flat, w, g_count, g, len(qc), len(pc)), pairs[index])
         del r, flat  # free this chunk's table before the next one is built
-        start = stop
     return out
 
 

@@ -20,6 +20,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 import numpy as np
 
@@ -70,6 +71,30 @@ def _ok(result):
     if isinstance(result, ValueError):
         raise result
     return result
+
+
+# Cells of one `_stacks` stack: 2 MiB of a DTW chunk's float64 table (its
+# distances are built in place, so the table is most of its working memory; about
+# 100 of the sweeps' 49-point pairs), or 256 KiB of bool masks (64 canvases of
+# 64 x 64 px).  At 2**19 a 1,600-pair sweep's working memory passes a tenth of its table.
+_STACK_CELLS = 1 << 18
+
+
+def _stacks(items):
+    """(largest shape, indices) of each stack of (index, key, shape) items,
+    sorted stably by (key, shape).  A stack holds one key and grows while its
+    count times its largest height times its largest width stays within
+    `_STACK_CELLS` (or holds one item)."""
+    stack, key, h, w = [], None, 0, 0
+    for index, k, (m, n) in sorted(items, key=itemgetter(1, 2)):
+        wi = n if n > w else w  # m is the stack's largest height: sorted within a key
+        if stack and (k != key or (len(stack) + 1) * m * wi > _STACK_CELLS):
+            yield (h, w), stack
+            stack, wi = [], n
+        stack.append(index)
+        key, h, w = k, m, wi
+    if stack:
+        yield (h, w), stack
 
 
 @dataclass(frozen=True)

@@ -169,7 +169,7 @@ def test_stacks_cut_by_the_cell_cap_give_the_lone_results(monkeypatch):
     pairs = [(BinaryMask(rng.random((16, 16)) < 0.3), BinaryMask(rng.random((16, 16)) < 0.05))
              for _ in range(20)]
     alone = [glyph_metrics._aiou_many([pair], 6)[0] for pair in pairs]
-    monkeypatch.setattr("trajeval.raster._STACK_CELLS", 3 * 16 * 16)  # 7 stacks of <= 3
+    monkeypatch.setattr("trajeval.traj_core._STACK_CELLS", 3 * 16 * 16)  # 7 stacks of <= 3
     assert glyph_metrics._aiou_many(pairs, 6) == alone
 
 

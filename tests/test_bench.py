@@ -366,6 +366,17 @@ def test_synthetic_corpus_rejects_empty():
         make_synthetic_corpus(1, side=8)
     with pytest.raises(ValueError, match="seed"):
         make_synthetic_corpus(1, seed=-1)
+    for n in (2.5, np.float64(2.5), math.nan, math.inf):
+        with pytest.raises(ValueError, match="corpus size must be a whole number, got"):
+            make_synthetic_corpus(n)
+    with pytest.raises(TypeError):
+        make_synthetic_corpus("3")
+    whole = make_synthetic_corpus(3)
+    for n in (3.0, np.float64(3.0)):
+        corpus = make_synthetic_corpus(n)
+        assert len(corpus) == 3
+        assert all(np.array_equal(a.xy, b.xy) and np.array_equal(a.state, b.state)
+                   for a, b in zip(corpus, whole))
 
 
 def synthetic_corpus_reference(n, seed=0, side=64, stroke_range=(6, 8), points_range=(5, 9),

@@ -233,6 +233,28 @@ def test_evaluate_rmse_resample_matches_lengths(tmp_path, rng, capsys):
     assert csv_rows(out)[0]["rmse"] != ""
 
 
+@pytest.mark.parametrize("pred, gt, calls, status, row", [
+    (5, 6, 2, 0, {"rmse": "30.186991", "error": ""}),
+    (1, 2, 5, 1, {"rmse": "", "error": "rmse: length mismatch: 40 vs 38 points "
+                                       "(RMSE needs a strict one-to-one correspondence)"}),
+])
+def test_evaluate_rmse_resample_corrects_a_missed_count(tmp_path, monkeypatch, capsys,
+                                                         pred, gt, calls, status, row):
+    """`_resample_to_count`'s factor search for a 40-point target: glyph 5's
+    prediction reaches it on the second `resample` call, glyph 1's still misses
+    after five and is left with a length mismatch (its only row fails: status 1)."""
+    corpus = make_synthetic_corpus(40, seed=4)
+    save_trajectory(corpus[gt], tmp_path / "gt.json")
+    save_trajectory(corpus[pred], tmp_path / "pred.json")
+    made, resample = [], cli.resample
+    monkeypatch.setattr(cli, "resample", lambda *args: made.append(args) or resample(*args))
+    code, out = run_cli(["evaluate", str(tmp_path / "gt.json"), str(tmp_path / "pred.json"),
+                         "--metrics", "rmse", "--rmse-resample"], capsys)
+    assert code == status and len(corpus[gt].drawn_xy()) == 40
+    assert len(made) == calls
+    assert csv_rows(out)[0] == {"sample": "gt", **row}
+
+
 @pytest.fixture
 def far_pairs(tmp_path):
     """gt/a.json and gt/b.json hold the same three points; pred/a.json is their
@@ -683,6 +705,7 @@ def test_main_reuses_its_parser_without_carrying_options_over(sample_files,
 def test_main_builds_its_parser_once_per_process(sample_files, monkeypatch, capsys):
     argv = ["evaluate", str(sample_files[0]), str(sample_files[1])]
     main(argv)
+    first = capsys.readouterr().out
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -693,6 +716,7 @@ def test_main_builds_its_parser_once_per_process(sample_files, monkeypatch, caps
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert main(argv) == 0
     assert built == []
+    assert capsys.readouterr().out == first != ""
     # build_parser still gives each caller its own: the top level and 5 commands
     assert build_parser() is not build_parser()
     assert len(built) == 12

@@ -357,6 +357,12 @@ def test_perturb_row_matches_the_per_magnitude_references(traj, kind, data, seed
             _outcome(lambda: point_drift_reference(traj, grid[0], seed))
 
 
+@pytest.mark.parametrize("kind", sorted(ERROR_KINDS))
+def test_perturb_row_of_an_empty_grid_is_empty(kind):
+    traj = make_synthetic_corpus(1, seed=2)[0]
+    assert perturb_row(traj, kind, (), 7) == []
+
+
 def test_row_predictions_pass_every_check():
     """The rows build their predictions without `from_arrays`' checks; each one
     passes them, with equal columns, read-only float64 xy and int8 states."""

@@ -17,8 +17,8 @@ from trajeval import (BinaryMask, DegenerateHistogramError, GrayImage,
                       binarize, dedupe_points, dilate3x3, make_synthetic_corpus,
                       otsu_threshold, rasterize, rasterize_many, read_pgm, resample,
                       write_pgm)
-from trajeval.raster import _STACK_CELLS, _segment_pixels, mask_to_gray
-from trajeval.traj_core import DOWN, EOS, UP
+from trajeval.raster import _segment_pixels, mask_to_gray
+from trajeval.traj_core import _STACK_CELLS, DOWN, EOS, UP
 
 from conftest import random_traj, traj_from_strokes
 

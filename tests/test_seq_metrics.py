@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajeval import AlignmentPath, Trajectory, dtw, dtw_many, ldtw, rmse
-from trajeval import seq_metrics
+from trajeval import seq_metrics, traj_core
 from trajeval.bench import (DEFAULT_GRIDS, SENSITIVITY_KINDS, derive_seed,
                             make_synthetic_corpus)
 from trajeval.error_sim import change_sample_rate, perturb
@@ -300,11 +300,11 @@ def test_dtw_peak_memory_per_cell():
 
 
 def test_a_full_chunk_peaks_near_its_table(monkeypatch):
-    """A full `_CHUNK_CELLS` chunk of the sweeps' 49-point pairs is one forward
+    """A full `_STACK_CELLS` chunk of the sweeps' 49-point pairs is one forward
     pass that peaks within 1.25x its table's bytes: the distances are built
     in the table, not beside it."""
     rng = np.random.Generator(np.random.PCG64(49))
-    count = seq_metrics._CHUNK_CELLS // (51 * 51)
+    count = traj_core._STACK_CELLS // (51 * 51)
     pairs = [(_polyline(rng.uniform(0.0, 63.0, size=(49, 2))),
               _polyline(rng.uniform(0.0, 63.0, size=(49, 2)))) for _ in range(count)]
     forward, peaks = seq_metrics._forward, []
@@ -331,7 +331,7 @@ def test_dtw_many_frees_each_chunk_before_the_next(monkeypatch):
     rng = np.random.Generator(np.random.PCG64(50))
     pairs = [(_polyline(rng.uniform(0.0, 63.0, size=(49, 2))),
               _polyline(rng.uniform(0.0, 63.0, size=(49, 2)))) for _ in range(100)]
-    monkeypatch.setattr(seq_metrics, "_CHUNK_CELLS", 50 * 51 * 51)
+    monkeypatch.setattr(traj_core, "_STACK_CELLS", 50 * 51 * 51)
     forward, tables = seq_metrics._forward, []
     monkeypatch.setattr(seq_metrics, "_forward",
                         lambda coords: tables.append(len(coords)) or forward(coords))
@@ -358,7 +358,7 @@ def test_dtw_many_is_bit_identical_across_chunk_sizes(lengths, seed, per_chunk):
     results = []
     for cells in (per_chunk * largest, len(lengths) * 152 * 152):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(seq_metrics, "_CHUNK_CELLS", cells)
+            patch.setattr(traj_core, "_STACK_CELLS", cells)
             results.append(dtw_many(pairs))
     results.append([dtw(q, p) for q, p in pairs])
     for chunked, whole, alone in zip(*results):

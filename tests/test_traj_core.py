@@ -802,3 +802,55 @@ def test_load_reports_bad_point_index(tmp_path):
     path.write_text(json.dumps(obj))
     with pytest.raises(ValueError, match="index 1"):
         load_trajectory(path)
+
+
+# --- batch planner -------------------------------------------------------------
+
+def _greedy_chunks(shapes, cells):
+    """The sort-and-grow rule `dtw_many` once ran itself: shapes sorted by
+    (h, w), each chunk grown while count x h x largest w stays within `cells`."""
+    jobs = sorted(range(len(shapes)), key=lambda i: shapes[i])
+    chunks, start = [], 0
+    while start < len(jobs):
+        stop, w_max = start + 1, shapes[jobs[start]][1]
+        while stop < len(jobs):
+            h, w = shapes[jobs[stop]]
+            if (stop + 1 - start) * h * max(w_max, w) > cells:
+                break
+            stop, w_max = stop + 1, max(w_max, w)
+        chunks.append(jobs[start:stop])
+        start = stop
+    return chunks
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 40),
+                          st.integers(1, 40)), max_size=40),
+       st.integers(1, 6000))
+@example([(0, 10, 10), (0, 10, 10), (1, 10, 10)], 200)  # a stack that fills the cap exactly
+def test_stacks_hold_one_key_within_the_cell_cap(items, cells):
+    """Every index once, one key per stack, the stack's largest shape, and a
+    stack of more than one item within the cap; with one key the cuts are
+    the old greedy chunks, and with each shape its own key they are the old
+    per-shape stacks: input order, cap // (h x w) at a time."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(traj_core, "_STACK_CELLS", cells)
+        stacks = list(traj_core._stacks((i, key, (h, w)) for i, (key, h, w) in enumerate(items)))
+        shapes = [(h, w) for _, h, w in items]
+        one_key = [stack for _, stack in traj_core._stacks(
+            (i, None, shape) for i, shape in enumerate(shapes))]
+        by_shape = [stack for _, stack in traj_core._stacks(
+            (i, shape, shape) for i, shape in enumerate(shapes))]
+    assert sorted(i for _, stack in stacks for i in stack) == list(range(len(items)))
+    for (h, w), stack in stacks:
+        assert len({items[i][0] for i in stack}) == 1
+        assert (h, w) == (max(items[i][1] for i in stack), max(items[i][2] for i in stack))
+        assert len(stack) == 1 or len(stack) * h * w <= cells
+    assert one_key == _greedy_chunks(shapes, cells)
+    per_shape: dict = {}
+    for i, shape in enumerate(shapes):
+        per_shape.setdefault(shape, []).append(i)
+    assert sorted(by_shape) == sorted(
+        members[start:start + max(1, cells // (h * w))]
+        for (h, w), members in per_shape.items()
+        for start in range(0, len(members), max(1, cells // (h * w))))
