@@ -19,9 +19,9 @@ import numpy as np
 
 from .error_sim import ERROR_KINDS, _check_magnitude, _is_finite, drift_points, perturb_row
 from .glyph_metrics import _aiou_many
-from .raster import BinaryMask, _whole_count, dilate3x3, rasterize, rasterize_many
+from .raster import BinaryMask, dilate3x3, rasterize, rasterize_many
 from .seq_metrics import dtw_many, rmse
-from .traj_core import DOWN, EOS, UP, Trajectory, _ok, normalize_to_canvas, resample_many
+from .traj_core import DOWN, EOS, UP, Trajectory, _ok, _whole, normalize_to_canvas, resample_many
 
 GLYPH_METRICS = ("aiou", "iou")
 DTW_METRICS = ("ldtw", "dtw")
@@ -131,7 +131,7 @@ def score_pairs(pairs, metrics, k_max: int = 10, rmse_preds=None) -> list[tuple[
     whose length is not the number of pairs raise before any work.
     """
     metrics = _check_metrics(metrics)
-    k_max = _whole_count(k_max, "k_max")
+    k_max = _whole(k_max, "k_max")
     rmse_preds = [None] * len(pairs) if rmse_preds is None else list(rmse_preds)
     if len(rmse_preds) != len(pairs):
         raise ValueError(f"rmse_preds has {len(rmse_preds)} entries for {len(pairs)} pairs")
@@ -185,7 +185,7 @@ def _check_run_inputs(corpus, kind, grid, k_max):
         raise ValueError("magnitude grid must be ascending")
     for value in grid:
         _check_magnitude(kind, value)
-    _whole_count(k_max, "k_max")
+    _whole(k_max, "k_max")
 
 
 def _rows(corpus, kind: str, grid, seed: int) -> list[list]:
@@ -312,27 +312,32 @@ def make_synthetic_corpus(n: int, seed: int = 0, side: int = 64,
 
     Each stroke is a random walk: per-point heading change is uniform in
     [-wiggle, wiggle] radians and step length uniform in step_range, so small
-    wiggle yields smooth curves and large wiggle jagged zigzags.
-    """
-    if n < 1:
-        raise ValueError("corpus size must be at least 1")
-    n = _whole_count(n, "corpus size")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative for synthetic glyphs, got {seed}")
+    wiggle yields smooth curves and large wiggle jagged zigzags.  Every
+    parameter is checked before the first draw."""
+    n, seed = _whole(n, "corpus size", 1), _whole(seed, "seed")
     if side < 9:  # strokes start at least 4 px inside every edge
         raise ValueError(f"side must be at least 9 for synthetic glyphs, got {side}")
+    side = _whole(side, "canvas side", 1)  # NaN, inf and 9.5 pass the test above
+    s_low = _whole(stroke_range[0], "stroke_range low end", 1)
+    s_high = _whole(stroke_range[1], "stroke_range high end", s_low)
+    p_low = _whole(points_range[0], "points_range low end", 1)
+    p_high = _whole(points_range[1], "points_range high end", p_low)
+    if not all(map(_is_finite, step_range)):
+        raise ValueError(f"step_range must be finite, got {step_range}")
+    if not _is_finite(wiggle):
+        raise ValueError(f"wiggle must be finite, got {wiggle}")
     # (low, high) columns of a stroke's one uniform draw: x, y, heading, then turn, step per point
     bounds = np.array([(4.0, side - 5.0)] * 2 + [(0.0, 2.0 * math.pi)]
-                      + [(-wiggle, wiggle), step_range] * max(points_range[1] - 1, 0)).T
+                      + [(-wiggle, wiggle), step_range] * (p_high - 1)).T
     corpus = []
     for i in range(n):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        n_strokes = int(rng.integers(stroke_range[0], stroke_range[1] + 1))
+        n_strokes = int(rng.integers(s_low, s_high + 1))
         xy: list[tuple[float, float]] = []
         state: list[int] = []
         for _ in range(n_strokes):
-            m = int(rng.integers(points_range[0], points_range[1] + 1))
-            x, y, heading, *walk = rng.uniform(*bounds[:, :1 + 2 * max(m, 1)]).tolist()
+            m = int(rng.integers(p_low, p_high + 1))
+            x, y, heading, *walk = rng.uniform(*bounds[:, :1 + 2 * m]).tolist()
             xy.append((x, y))
             for turn, step in zip(walk[::2], walk[1::2]):
                 heading += turn

@@ -17,25 +17,19 @@ import sys
 import numpy as np
 
 from .raster import GrayImage, dilate3x3, mask_to_gray, rasterize
-from .traj_core import Trajectory, _ok, join_strokes, resample, stroke_bounds
+from .traj_core import Trajectory, _ok, _whole, join_strokes, resample, stroke_bounds
 
 
 def _stroke_xy(traj: Trajectory) -> list[np.ndarray]:
     return [traj.xy[a:b] for a, b in stroke_bounds(traj)]
 
 
-# (test, demand) rules per kind, checked in order after finiteness.  Counts and
-# dilations are cast to int only once they pass, so 1.5 is never truncated.
-_COUNT_RULES = ((lambda v: v >= 1, "count must be finite and at least 1"),
-                (lambda v: float(v).is_integer(), "count must be a whole number"))
+# kind -> (noun, least whole value), or (noun, None) for a positive magnitude; checked
+# after finiteness.  A count or dilation becomes an int only once `_whole` passes it.
 _MAGNITUDE_RULES = {
-    "point-drift": ((lambda v: v > 0, "distance must be positive"),),
-    "stroke-drift": ((lambda v: v > 0, "distance must be positive"),),
-    "stroke-insert": _COUNT_RULES,
-    "stroke-delete": _COUNT_RULES,
-    "stroke-width": ((lambda v: v >= 0, "dilation must be non-negative"),
-                     (lambda v: float(v).is_integer(), "dilation must be a whole number")),
-    "sample-rate": ((lambda v: v > 0, "factor must be positive"),),
+    "point-drift": ("distance", None), "stroke-drift": ("distance", None),
+    "stroke-insert": ("count", 1), "stroke-delete": ("count", 1),
+    "stroke-width": ("dilation", 0), "sample-rate": ("factor", None),
 }
 
 
@@ -44,18 +38,18 @@ def _is_finite(value) -> bool:
     return abs(value) <= sys.float_info.max
 
 
-def _check_magnitude(kind: str, value) -> None:
-    """Raise ValueError unless `value` is a magnitude the named kind can take."""
+def _check_magnitude(kind: str, value):
+    """`value`, as an int for a whole kind; ValueError unless the named kind can take it."""
     if not _is_finite(value):
         raise ValueError(f"{kind} magnitude must be finite, got {value}")
-    for test, demand in _MAGNITUDE_RULES[kind]:
-        if not test(value):
-            raise ValueError(f"{kind} {demand}, got {value}")
+    noun, low = _MAGNITUDE_RULES[kind]
+    if low is None and not value > 0:
+        raise ValueError(f"{kind} {noun} must be positive, got {value}")
+    return value if low is None else _whole(value, f"{kind} {noun}", low)
 
 
 def _insert_row(traj: Trajectory, ks, seed: int) -> list:
     strokes = _stroke_xy(traj)
-    ks = [int(k) for k in ks]
     if not strokes:
         return [ValueError("trajectory has no strokes to copy") for _ in ks]
     side, rng, out, joined = traj.canvas_side, np.random.default_rng(seed), list(strokes), {}
@@ -76,7 +70,7 @@ def _delete_row(traj: Trajectory, ks, seed: int) -> list:
     order = np.random.default_rng(seed).permutation(n).tolist()  # the first k are deleted
     return [join_strokes([strokes[i] for i in sorted(order[k:])], traj) if k < n
             else ValueError(f"cannot delete {k} of {n} strokes: at least one must remain")
-            for k in map(int, ks)]
+            for k in ks]
 
 
 def _point_drift_row(traj: Trajectory, ds, seed: int) -> list:
@@ -116,14 +110,13 @@ ERROR_KINDS = {"stroke-insert": _insert_row, "stroke-delete": _delete_row,
 
 
 def perturb_row(traj: Trajectory, kind: str, grid, seed: int) -> list:
-    """`perturb` at each magnitude of `grid`, in grid order, from one set of
-    seeded draws.  Every magnitude is checked before any draw; one this glyph
-    cannot take gets the ValueError `perturb` would raise in its place."""
+    """`perturb` at each magnitude of `grid`, in grid order, from one seeded set
+    of draws.  The magnitudes and the seed are checked before any draw; a
+    magnitude this glyph cannot take gets `perturb`'s ValueError in its place."""
     if kind not in ERROR_KINDS:
         raise ValueError(f"unknown error kind {kind!r}; expected one of {tuple(ERROR_KINDS)}")
-    grid = tuple(grid)  # read twice: checked, then drawn for
-    for magnitude in grid:
-        _check_magnitude(kind, magnitude)
+    grid = [_check_magnitude(kind, magnitude) for magnitude in grid]
+    seed = _whole(seed, "seed")
     with np.errstate(over="ignore"):  # a coordinate past the float range: inf, refused or clamped
         return ERROR_KINDS[kind](traj, grid, seed)
 
@@ -162,8 +155,8 @@ def drift_strokes(traj: Trajectory, d: float, seed: int) -> Trajectory:
 
 def widen_strokes(traj: Trajectory, k: int, side: int | None = None) -> GrayImage:
     """Render the trajectory k-times dilated as a dark-ink-on-white image."""
-    _check_magnitude("stroke-width", k)
-    return mask_to_gray(dilate3x3(rasterize(traj, side), int(k)))
+    k = _check_magnitude("stroke-width", k)  # before the render: its error comes first
+    return mask_to_gray(dilate3x3(rasterize(traj, side), k))
 
 
 def change_sample_rate(traj: Trajectory, factor: float) -> Trajectory:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import BinaryMask, _dilate_step, _ones, _pack, _whole_count
-from .traj_core import _ok, _stacks
+from .raster import BinaryMask, _dilate_step, _ones, _pack
+from .traj_core import _ok, _stacks, _whole
 
 
 @dataclass(frozen=True)
@@ -71,4 +71,4 @@ def aiou(g: BinaryMask, p: BinaryMask, k_max: int = 10) -> AiouResult:
     """Best IoU over k in [0, k_max] dilations of the prediction mask, with
     best_k the smallest k attaining it; the sweep stops early (see the module
     docstring) with the full sweep's result.  k_max must be a whole number >= 0."""
-    return _ok(_aiou_many([(g, p)], _whole_count(k_max, "k_max"))[0])[1]
+    return _ok(_aiou_many([(g, p)], _whole(k_max, "k_max"))[0])[1]

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import numbers
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .traj_core import DOWN, Trajectory, _canvas_side, _ok, _stacks, pixel_of
+from .traj_core import DOWN, Trajectory, _ok, _stacks, _whole, pixel_of
 
 
 class OutOfCanvasError(ValueError):
@@ -74,7 +73,7 @@ def rasterize_many(trajs, side: int | None = None) -> list[BinaryMask | OutOfCan
     Each stack `_stacks` cuts by canvas side (`side`, else each one's own) is
     rendered by one set of numpy calls into a (count, side, side) grid, and
     each mask is a view of its stack."""
-    side = side if side is None else _canvas_side(side)
+    side = side if side is None else _whole(side, "canvas side", 1)
     out: list[BinaryMask | OutOfCanvasError | None] = [None] * len(trajs)
     sides = (side if side is not None else traj.canvas_side for traj in trajs)
     for (canvas, _), stack in _stacks((index, (s, s), (s, s)) for index, s in enumerate(sides)):
@@ -170,15 +169,6 @@ def binarize(img: GrayImage) -> BinaryMask:
     return BinaryMask(img.pixels <= otsu_threshold(img))
 
 
-def _whole_count(value, name: str) -> int:
-    """value as an int; ValueError if negative or not whole (2.5, NaN, inf)."""
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative")
-    if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
-        raise ValueError(f"{name} must be a whole number, got {value}")
-    return int(value)
-
-
 def _pack(bits: np.ndarray) -> np.ndarray:
     """(..., h, w) bools as (..., h, ceil(w / 64)) words: pixel x is bit x % 64 of word x // 64."""
     if bits.shape[-1] % 64:  # pad each row to whole words
@@ -209,7 +199,7 @@ def dilate3x3(mask: BinaryMask, k: int = 1) -> BinaryMask:
     """k applications of dilation with the full 3x3 element (`_dilate_step`),
     clipped at borders.  k is capped at max(height, width): by then any
     non-empty mask fills the canvas, so further applications change nothing."""
-    steps = min(_whole_count(k, "dilation count"), max(mask.bits.shape))
+    steps = min(_whole(k, "dilation count"), max(mask.bits.shape))
     words = _pack(mask.bits)
     for _ in range(steps):
         words = _dilate_step(words, mask.width)

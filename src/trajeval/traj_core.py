@@ -59,11 +59,11 @@ def _check_finite(x, y) -> None:
         raise ValueError(f"non-finite coordinates ({x}, {y})")
 
 
-def _canvas_side(side) -> int:
-    """side as an int; ValueError, naming it, unless it is a whole number >= 1."""
-    if not (side >= 1 and (isinstance(side, numbers.Integral) or float(side).is_integer())):
-        raise ValueError(f"canvas side must be a whole number of at least 1, got {side}")
-    return int(side)
+def _whole(value, name: str, low: int = 0) -> int:
+    """value as an int; ValueError, naming it, unless it is a whole number >= low."""
+    if not (value >= low and (isinstance(value, numbers.Integral) or float(value).is_integer())):
+        raise ValueError(f"{name} must be a whole number of at least {low}, got {value}")
+    return int(value)
 
 
 def _ok(result):
@@ -138,7 +138,7 @@ class Trajectory:
         state = np.array(state)
         if len(state) == 0:
             raise ValueError("trajectory must contain at least one point")
-        canvas_side = _canvas_side(canvas_side)
+        canvas_side = _whole(canvas_side, "canvas side", 1)
         if xy.shape != (len(state), 2) or state.ndim != 1:
             raise ValueError(f"xy of shape {xy.shape} does not match "
                              f"{len(state)} pen states")
@@ -358,7 +358,7 @@ def _canvas_side_of(obj) -> int:
     if not isinstance(canvas, (list, tuple)) or len(canvas) != 2:
         raise ValueError(f"canvas must be a [width, height] pair, got {canvas!r}")
     try:
-        return max(_canvas_side(float(v)) for v in canvas)
+        return max(_whole(float(v), "canvas side", 1) for v in canvas)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"canvas must hold two positive whole numbers, got {canvas!r}") from exc
 

@@ -367,7 +367,8 @@ def test_synthetic_corpus_rejects_empty():
     with pytest.raises(ValueError, match="seed"):
         make_synthetic_corpus(1, seed=-1)
     for n in (2.5, np.float64(2.5), math.nan, math.inf):
-        with pytest.raises(ValueError, match="corpus size must be a whole number, got"):
+        with pytest.raises(ValueError,
+                           match="corpus size must be a whole number of at least 1, got"):
             make_synthetic_corpus(n)
     with pytest.raises(TypeError):
         make_synthetic_corpus("3")
@@ -456,10 +457,13 @@ def test_sensitivity_validates_inputs(corpus):
 @pytest.mark.parametrize("kind, grid, message", [
     ("point-drift", (-1, 2), "point-drift distance must be positive, got -1"),
     ("stroke-drift", (0.0, 1.0), "stroke-drift distance must be positive, got 0.0"),
-    ("stroke-insert", (0.5, 1), "stroke-insert count must be finite and at least 1, got 0.5"),
-    ("stroke-delete", (0, 1), "stroke-delete count must be finite and at least 1, got 0"),
-    ("stroke-insert", (1, 1.5, 2), "stroke-insert count must be a whole number, got 1.5"),
-    ("stroke-delete", (1.0, 2.5), "stroke-delete count must be a whole number, got 2.5"),
+    ("stroke-insert", (0.5, 1),
+     "stroke-insert count must be a whole number of at least 1, got 0.5"),
+    ("stroke-delete", (0, 1), "stroke-delete count must be a whole number of at least 1, got 0"),
+    ("stroke-insert", (1, 1.5, 2),
+     "stroke-insert count must be a whole number of at least 1, got 1.5"),
+    ("stroke-delete", (1.0, 2.5),
+     "stroke-delete count must be a whole number of at least 1, got 2.5"),
     ("stroke-drift", (1, -10**400), f"magnitude grid must be finite, got {-10**400}"),
 ])
 def test_sensitivity_rejects_magnitudes_no_glyph_can_take(corpus, kind, grid, message):
@@ -700,7 +704,7 @@ def test_runners_reject_a_negative_k_max_before_any_work(corpus, monkeypatch, ru
     calls = _log_work(monkeypatch)
     with pytest.raises(ValueError) as exc:
         RUNS[run](corpus, k_max=-1)
-    assert str(exc.value) == "k_max must be non-negative"
+    assert str(exc.value) == "k_max must be a whole number of at least 0, got -1"
     assert calls == []
 
 
@@ -711,7 +715,7 @@ def test_runners_reject_a_k_max_that_is_not_whole_before_any_work(corpus, monkey
     calls = _log_work(monkeypatch)
     with pytest.raises(ValueError) as exc:
         RUNS[run](corpus, k_max=k_max)
-    assert str(exc.value) == f"k_max must be a whole number, got {k_max}"
+    assert str(exc.value) == f"k_max must be a whole number of at least 0, got {k_max}"
     assert calls == []
 
 

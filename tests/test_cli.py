@@ -536,17 +536,17 @@ def test_out_of_range_numeric_flags_fail_cleanly(argv, message, tmp_path, rng,
     (["invariance", "--transform", "sample-rate", "--grid=0,2"],
      "error: sample-rate factor must be positive, got 0.0"),
     (["invariance", "--transform", "stroke-width", "--grid=-1,2"],
-     "error: stroke-width dilation must be non-negative, got -1.0"),
+     "error: stroke-width dilation must be a whole number of at least 0, got -1.0"),
     (["invariance", "--transform", "sample-rate", "--grid=2,1"],
      "error: magnitude grid must be ascending"),
     (["sensitivity", "--error", "point-drift", "--grid=3,1"],
      "error: magnitude grid must be ascending"),
     (["sensitivity", "--error", "point-drift", "--seed", "-1"],
-     "error: seed must be non-negative for synthetic glyphs, got -1"),
+     "error: seed must be a whole number of at least 0, got -1"),
     (["sensitivity", "--error", "point-drift", "--grid=-1,2", "--metrics", "ldtw"],
      "error: point-drift distance must be positive, got -1.0"),
     (["sensitivity", "--error", "stroke-insert", "--grid=0,1"],
-     "error: stroke-insert count must be finite and at least 1, got 0.0"),
+     "error: stroke-insert count must be a whole number of at least 1, got 0.0"),
     (["sensitivity", "--error", "point-drift", "--grid", "1,inf", "--format", "json"],
      "error: magnitude grid must be finite, got inf"),
     (["invariance", "--transform", "sample-rate", "--grid", "1,inf"],
@@ -554,9 +554,9 @@ def test_out_of_range_numeric_flags_fail_cleanly(argv, message, tmp_path, rng,
     (["invariance", "--transform", "stroke-width", "--grid", "0,inf"],
      "error: magnitude grid must be finite, got inf"),
     (["sensitivity", "--error", "stroke-insert", "--grid", "1,1.5,2", "--metrics", "ldtw"],
-     "error: stroke-insert count must be a whole number, got 1.5"),
+     "error: stroke-insert count must be a whole number of at least 1, got 1.5"),
     (["invariance", "--transform", "stroke-width", "--grid", "0,0.5,1"],
-     "error: stroke-width dilation must be a whole number, got 0.5"),
+     "error: stroke-width dilation must be a whole number of at least 0, got 0.5"),
     (["invariance", "--transform", "sample-rate", "--grid", "1,1e20"],
      "error: resample factor 1e+20 gives a stroke over 2**53 points"),
     # 5.3e16 rows (376 PiB), past any address space: numpy refuses before allocating

@@ -239,10 +239,13 @@ def test_generators_reject_exactly_the_magnitudes_the_runners_reject(kind, value
 
 @pytest.mark.parametrize("call,message", [
     (lambda t: perturb(t, "stroke-insert", 1.5, 0),
-     "stroke-insert count must be a whole number, got 1.5"),
-    (lambda t: insert_strokes(t, 1.5, 0), "stroke-insert count must be a whole number, got 1.5"),
-    (lambda t: delete_strokes(t, 1.5, 0), "stroke-delete count must be a whole number, got 1.5"),
-    (lambda t: widen_strokes(t, 0.5), "stroke-width dilation must be a whole number, got 0.5"),
+     "stroke-insert count must be a whole number of at least 1, got 1.5"),
+    (lambda t: insert_strokes(t, 1.5, 0),
+     "stroke-insert count must be a whole number of at least 1, got 1.5"),
+    (lambda t: delete_strokes(t, 1.5, 0),
+     "stroke-delete count must be a whole number of at least 1, got 1.5"),
+    (lambda t: widen_strokes(t, 0.5),
+     "stroke-width dilation must be a whole number of at least 0, got 0.5"),
     (lambda t: widen_strokes(t, math.nan), "stroke-width magnitude must be finite, got nan"),
     (lambda t: perturb(t, "stroke-insert", math.inf, 0),
      "stroke-insert magnitude must be finite, got inf"),
@@ -413,7 +416,8 @@ def test_an_overflowing_move_warns_nothing(kind, strokes, magnitude):
 
 def test_perturb_row_checks_every_magnitude_before_drawing(rng):
     traj = random_traj(rng, n_strokes=(3, 4))
-    with pytest.raises(ValueError, match="stroke-delete count must be a whole number, got 1.5"):
+    with pytest.raises(ValueError,
+                       match="stroke-delete count must be a whole number of at least 1, got 1.5"):
         perturb_row(traj, "stroke-delete", (9, 1, 1.5), 0)
     with pytest.raises(ValueError, match="unknown error kind"):
         perturb_row(traj, "nope", (1,), 0)

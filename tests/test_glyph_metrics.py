@@ -95,11 +95,11 @@ def test_aiou_k_max_zero_equals_plain_iou(rng):
 
 
 @pytest.mark.parametrize("k_max, message", [
-    (2.5, "k_max must be a whole number, got 2.5"),
-    (math.nan, "k_max must be a whole number, got nan"),
-    (math.inf, "k_max must be a whole number, got inf"),
-    (-math.inf, "k_max must be non-negative"),
-    (-1, "k_max must be non-negative"),
+    (2.5, "k_max must be a whole number of at least 0, got 2.5"),
+    (math.nan, "k_max must be a whole number of at least 0, got nan"),
+    (math.inf, "k_max must be a whole number of at least 0, got inf"),
+    (-math.inf, "k_max must be a whole number of at least 0, got -inf"),
+    (-1, "k_max must be a whole number of at least 0, got -1"),
 ])
 def test_aiou_rejects_a_k_max_that_is_not_a_non_negative_whole_number(k_max, message):
     g = BinaryMask(np.eye(4, dtype=bool))

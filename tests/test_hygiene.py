@@ -1,7 +1,7 @@
 """Static checks that stand in for a linter: no unused import, no dead
-private helper, no unread parameter, no chunked `json.dump` write and no
-randomness but a seeded `np.random.default_rng` in the package modules.
-Standard-library `ast` only."""
+private helper, no unread parameter, no chunked `json.dump` write, no
+randomness but a seeded `np.random.default_rng` and no whole-number test but
+`traj_core._whole` in the package modules.  Standard-library `ast` only."""
 
 import ast
 from collections import Counter
@@ -109,6 +109,14 @@ def json_dump_calls(tree: ast.Module) -> list[int]:
                   and any(a.name == "dump" for a in node.names))
 
 
+def is_integer_lookups(tree: ast.Module) -> list[str]:
+    """`line:name` of each `.is_integer` lookup, by the module-level function
+    or class that holds it (`<module>` for one outside any)."""
+    return [f"{node.lineno}:{getattr(top, 'name', '<module>')}" for top in tree.body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and node.attr == "is_integer"]
+
+
 # the numpy random names a module may use: each generator is built from its own seed
 SEEDED_RANDOM = {"default_rng", "SeedSequence"}
 
@@ -207,3 +215,18 @@ def test_the_randomness_check_catches_planted_generators():
         "1:random", "3:numpy.random", "4:numpy.random", "5:numpy.random.PCG64",
         "6:random.shuffle", "7:np.random.Generator", "7:np.random.PCG64", "8:numpy.random.rand",
         "9:np.random.seed"]
+
+
+def test_only_traj_core_whole_tests_for_a_whole_number(trees):
+    """One whole-number rule: every count, width, canvas side, seed and
+    dilation bound is judged by `traj_core._whole`, in one wording."""
+    assert {name: [site.split(":")[1] for site in is_integer_lookups(tree)]
+            for name, tree in trees.items() if is_integer_lookups(tree)} == \
+        {"traj_core.py": ["_whole"]}
+
+
+def test_the_whole_number_check_catches_planted_tests():
+    planted = ast.parse("def f(v):\n    return float(v).is_integer()\n"
+                        "class C:\n    def g(self, v):\n        return map(float.is_integer, v)\n"
+                        "OK = (2.0).is_integer()\n")
+    assert is_integer_lookups(planted) == ["2:f", "5:C", "6:<module>"]

@@ -582,11 +582,11 @@ def test_dilate_equals_k_oracle_steps_at_any_width(h, w, k, density, seed):
 
 
 @pytest.mark.parametrize("k, message", [
-    (2.5, "dilation count must be a whole number, got 2.5"),
-    (math.nan, "dilation count must be a whole number, got nan"),
-    (math.inf, "dilation count must be a whole number, got inf"),
-    (-math.inf, "dilation count must be non-negative"),
-    (-2, "dilation count must be non-negative"),
+    (2.5, "dilation count must be a whole number of at least 0, got 2.5"),
+    (math.nan, "dilation count must be a whole number of at least 0, got nan"),
+    (math.inf, "dilation count must be a whole number of at least 0, got inf"),
+    (-math.inf, "dilation count must be a whole number of at least 0, got -inf"),
+    (-2, "dilation count must be a whole number of at least 0, got -2"),
 ])
 def test_dilate_rejects_a_count_that_is_not_a_non_negative_whole_number(k, message):
     with pytest.raises(ValueError) as exc:
