@@ -4,7 +4,7 @@ Runs a seeded error simulation over a trajectory corpus, averages the chosen
 metrics per error magnitude, and min-max normalizes each curve to [0, 1] for
 trend comparison.  `score_pairs` is the one place (ground truth, prediction)
 pairs are scored, each render and alignment done once, and `_check_metrics`
-the one rule for a metric list; every sweep (one call over its glyphs' `_rows`)
+the one rule for a metric list; every sweep (one call per window of `_rows`)
 and `trajeval evaluate` (`score_pair`, a batch of one) go through both.  A
 seeded synthetic corpus generator ships here so the runners need no datasets.
 """
@@ -188,19 +188,19 @@ def _check_run_inputs(corpus, kind, grid, k_max):
     _whole(k_max, "k_max")
 
 
-def _rows(corpus, kind: str, grid, seed: int) -> list[list]:
+def _rows(glyphs, kind: str, grid, seeds) -> list[list]:
     """Per glyph, one (gt, pred) pair per magnitude of grid, or the ValueError
-    that skips it.  A sensitivity kind makes one `perturb_row` call per glyph,
-    and the sample-rate sweep one `resample_many` call over every glyph."""
-    seeds = [derive_seed(seed, i) for i in range(len(corpus))]
+    that skips it; seeds[i] seeds glyph i.  A sensitivity kind makes one
+    `perturb_row` call per glyph, and the sample-rate sweep one `resample_many`
+    call over every glyph."""
     if kind in SENSITIVITY_KINDS:
         return [[pred if isinstance(pred, ValueError) else (traj, pred)
-                 for pred in perturb_row(traj, kind, grid, s)] for traj, s in zip(corpus, seeds)]
+                 for pred in perturb_row(traj, kind, grid, s)] for traj, s in zip(glyphs, seeds)]
     if kind == "sample-rate":
-        drifted = [drift_points(traj, DEFAULT_BASE_DRIFT, s) for traj, s in zip(corpus, seeds)]
+        drifted = [drift_points(traj, DEFAULT_BASE_DRIFT, s) for traj, s in zip(glyphs, seeds)]
         preds = iter(resample_many([(pred, factor) for pred in drifted for factor in grid]))
-        return [[(traj, _ok(next(preds))) for _ in grid] for traj in corpus]
-    return [_width_row(traj, grid) for traj in corpus]
+        return [[(traj, _ok(next(preds))) for _ in grid] for traj in glyphs]
+    return [_width_row(traj, grid) for traj in glyphs]
 
 
 def _width_row(traj, grid) -> list:
@@ -217,16 +217,32 @@ def _width_row(traj, grid) -> list:
     return row
 
 
+# Glyphs per `score_pairs` call of a sweep: a window's rows, masks and DTW chunks
+# are freed before the next is built, so a sweep's working memory does not grow
+# with the corpus.  256 of the default glyphs give `dtw_many` 30 or more full chunks.
+_WINDOW = 256
+
+
+def _window(corpus, start: int, kind: str, grid, metrics, seed: int, k_max: int) -> list[list]:
+    """Per glyph of corpus[start:start + _WINDOW], each magnitude's metric values
+    from one `score_pairs` call over their `_rows` (all None where a ValueError
+    skips the sample); glyph i is seeded by `derive_seed(seed, i)`."""
+    glyphs = corpus[start:start + _WINDOW]
+    rows = _rows(glyphs, kind, grid, [derive_seed(seed, start + i) for i in range(len(glyphs))])
+    scores = iter(score_pairs([p for row in rows for p in row if not isinstance(p, ValueError)],
+                              metrics, k_max))
+    return [[dict.fromkeys(metrics) if isinstance(p, ValueError) else next(scores)[0]
+             for p in row] for row in rows]
+
+
 def _run(corpus, kind: str, grid, metrics, seed: int, k_max: int) -> list[CurveReport]:
-    """Curves of the glyphs' `_rows`, scored in one `score_pairs` call; a ValueError skips."""
+    """Curves of the corpus, scored one `_window` of `_WINDOW` glyphs at a time."""
     metrics = _check_metrics(metrics)
     grid = tuple(grid if grid is not None else DEFAULT_GRIDS[kind])
     _check_run_inputs(corpus, kind, grid, k_max)
-    rows = _rows(corpus, kind, grid, seed)
-    scores = iter(score_pairs([p for row in rows for p in row if not isinstance(p, ValueError)],
-                              metrics, k_max))
-    per_sample = [[dict.fromkeys(metrics) if isinstance(p, ValueError) else next(scores)[0]
-                   for p in row] for row in rows]
+    seed = _whole(seed, "seed")  # derive_seed would mask -1 to 64 bits, and fail on 2.5
+    per_sample = [values for start in range(0, len(corpus), _WINDOW)
+                  for values in _window(corpus, start, kind, grid, metrics, seed, k_max)]
     return _aggregate(grid, metrics, per_sample, seed)
 
 
@@ -234,10 +250,11 @@ def sensitivity_run(corpus, kind: str, grid=None, metrics=None,
                     seed: int = 0, k_max: int = 10) -> list[CurveReport]:
     """Error-sensitivity curves: mean metric value per error magnitude.
 
-    Metrics default to AIoU and LDTW.  A bad metric list, a negative k_max
-    and a magnitude no glyph can take (a drift <= 0, a stroke count < 1 or
-    not a whole number) are rejected up front; one a glyph cannot take
-    (deleting all its strokes) is counted as a skipped sample.
+    Metrics default to AIoU and LDTW.  A bad metric list, a k_max or seed
+    that is not a whole number >= 0 and a magnitude no glyph can take (a
+    drift <= 0, a stroke count < 1 or not a whole number) are rejected up
+    front; one a glyph cannot take (deleting all its strokes) is counted as a
+    skipped sample.
     """
     if kind not in SENSITIVITY_KINDS:
         raise ValueError(f"unknown error kind {kind!r}; expected one of {SENSITIVITY_KINDS}")
@@ -256,9 +273,10 @@ def invariance_run(corpus, transform: str, grid=None, metrics=None, seed: int = 
     glyph scores to the width axis, and the ground truth is that mask dilated
     k times (so sequence metrics are skipped).  A sample is skipped at a width
     whose mask fills the canvas, and at every width if it cannot be rendered.
-    The sample-rate sweep resamples every (glyph, factor) in one
+    The sample-rate sweep resamples every (glyph, factor) of a window in one
     `resample_many` call, and the first job it rejects ends the sweep.  The
-    stroke-width sweep holds every widened mask until its `score_pairs` call.
+    stroke-width sweep holds a window's widened masks until its `score_pairs`
+    call.
     """
     if transform not in INVARIANCE_TRANSFORMS:
         raise ValueError(
@@ -322,10 +340,12 @@ def make_synthetic_corpus(n: int, seed: int = 0, side: int = 64,
     s_high = _whole(stroke_range[1], "stroke_range high end", s_low)
     p_low = _whole(points_range[0], "points_range low end", 1)
     p_high = _whole(points_range[1], "points_range high end", p_low)
-    if not all(map(_is_finite, step_range)):
-        raise ValueError(f"step_range must be finite, got {step_range}")
-    if not _is_finite(wiggle):
-        raise ValueError(f"wiggle must be finite, got {wiggle}")
+    for name, given, (low, high) in (("step_range", step_range, step_range),
+                                     ("wiggle", wiggle, (-wiggle, wiggle))):
+        if not (_is_finite(low) and _is_finite(high)):
+            raise ValueError(f"{name} must be finite, got {given}")
+        if not _is_finite(high - low):  # numpy's uniform draw refuses such a span
+            raise ValueError(f"{name} spans past the float range, got {given}")
     # (low, high) columns of a stroke's one uniform draw: x, y, heading, then turn, step per point
     bounds = np.array([(4.0, side - 5.0)] * 2 + [(0.0, 2.0 * math.pi)]
                       + [(-wiggle, wiggle), step_range] * (p_high - 1)).T

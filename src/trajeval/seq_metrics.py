@@ -202,9 +202,10 @@ def dtw_many(pairs) -> list[DtwResult | ValueError]:
     gets the ValueError that `dtw` would raise in its place.
 
     `_stacks` cuts the pairs, sorted by (m, n), into chunks of (m + 2) x (n + 2)
-    tables padded to the largest; each chunk is one anti-diagonal sweep, so the
-    per-diagonal numpy calls are shared by the whole chunk.  Every pair's table
-    is bit-identical to the one it would get alone.
+    tables padded to the largest, each within the cell cap and at most half
+    padding; each chunk is one anti-diagonal sweep, so the per-diagonal numpy
+    calls are shared by the whole chunk.  Every pair's table is bit-identical
+    to the one it would get alone.
     """
     out: list[DtwResult | ValueError | None] = [None] * len(pairs)
     coords = {}

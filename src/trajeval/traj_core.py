@@ -77,6 +77,8 @@ def _ok(result):
 # distances are built in place, so the table is most of its working memory; about
 # 100 of the sweeps' 49-point pairs), or 256 KiB of bool masks (64 canvases of
 # 64 x 64 px).  At 2**19 a 1,600-pair sweep's working memory passes a tenth of its table.
+# A stack is also cut before padding would fill half of it, which only unequal
+# DTW pairs can do: a mask stack holds one shape.
 _STACK_CELLS = 1 << 18
 
 
@@ -84,15 +86,17 @@ def _stacks(items):
     """(largest shape, indices) of each stack of (index, key, shape) items,
     sorted stably by (key, shape).  A stack holds one key and grows while its
     count times its largest height times its largest width stays within
-    `_STACK_CELLS` (or holds one item)."""
-    stack, key, h, w = [], None, 0, 0
+    `_STACK_CELLS` and within twice the cells its items use, the sum of their
+    own height times width (or holds one item)."""
+    stack, key, h, w, used = [], None, 0, 0, 0
     for index, k, (m, n) in sorted(items, key=itemgetter(1, 2)):
         wi = n if n > w else w  # m is the stack's largest height: sorted within a key
-        if stack and (k != key or (len(stack) + 1) * m * wi > _STACK_CELLS):
+        cells = (len(stack) + 1) * m * wi
+        if stack and (k != key or cells > _STACK_CELLS or cells > 2 * (used + m * n)):
             yield (h, w), stack
-            stack, wi = [], n
+            stack, wi, used = [], n, 0
         stack.append(index)
-        key, h, w = k, m, wi
+        key, h, w, used = k, m, wi, used + m * n
     if stack:
         yield (h, w), stack
 

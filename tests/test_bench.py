@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -626,9 +627,10 @@ def test_runners_match_the_pair_at_a_time_reference(kind, grid, metrics, monkeyp
 
 @pytest.mark.parametrize("kind", DEFAULT_GRIDS)
 def test_each_sweep_scores_in_one_score_pairs_call(corpus, monkeypatch, kind):
-    """Every runner call passes all its pairs to one `score_pairs` call, even
-    with a glyph outside the canvas and a width that fills it.  The sample-rate
-    sweep also resamples its rows in one `resample_many` call."""
+    """Every window of a runner call passes all its pairs to one `score_pairs`
+    call, even with a glyph outside the canvas and a width that fills it, and a
+    corpus smaller than `bench._WINDOW` is one window.  The sample-rate sweep
+    also resamples every window's rows in one `resample_many` call."""
     calls = []
     for name in ("score_pairs", "score_pair", "resample_many"):
         fn = getattr(bench, name)
@@ -644,6 +646,60 @@ def test_each_sweep_scores_in_one_score_pairs_call(corpus, monkeypatch, kind):
         sensitivity_run(glyphs, kind, metrics=metrics)
     assert [name for name in calls if name.startswith("score_")] == ["score_pairs"]
     assert calls.count("resample_many") == (kind == "sample-rate")
+
+
+@pytest.mark.parametrize("kind", DEFAULT_GRIDS)
+def test_windows_of_two_glyphs_write_the_bytes_of_one_window(monkeypatch, kind):
+    """Five glyphs in windows of two make three `score_pairs` calls (and, for
+    the sample-rate sweep, three `resample_many` calls) and the same CSV as
+    one call: each glyph keeps its corpus index's seed.  The glyph outside the
+    canvas and a one-stroke glyph give skips inside the second window."""
+    glyphs = (make_synthetic_corpus(3, seed=3) + [traj_from_strokes([[(10, 10), (70, 20)]])]
+              + make_synthetic_corpus(1, seed=4))
+    glyphs[2:2] = [glyphs.pop(3)]
+
+    def curves():
+        if kind in bench.SENSITIVITY_KINDS:
+            return reports_to_csv(sensitivity_run(glyphs, kind, seed=9))
+        return reports_to_csv(invariance_run(glyphs, kind, seed=9))
+
+    whole, calls = curves(), []
+    for name in ("score_pairs", "resample_many"):
+        fn = getattr(bench, name)
+        monkeypatch.setattr(bench, name, lambda *args, _name=name, _fn=fn, **kwargs:
+                            calls.append(_name) or _fn(*args, **kwargs))
+    monkeypatch.setattr(bench, "_WINDOW", 2)
+    assert curves() == whole
+    assert calls.count("score_pairs") == 3
+    assert calls.count("resample_many") == (3 if kind == "sample-rate" else 0)
+
+
+@pytest.mark.parametrize("kind", ["point-drift", "sample-rate"])
+def test_a_sweeps_working_memory_does_not_grow_with_the_corpus(monkeypatch, kind):
+    """In windows of 16 glyphs, a sweep's tracemalloc peak less the per-sample
+    values it holds at the end (read as it aggregates) grows by under a
+    quarter MiB from 32 to 128 glyphs.  Scored in one call, the point-drift
+    sweep held about 51 KiB more per glyph: 4.8 MiB more here."""
+    monkeypatch.setattr(bench, "_WINDOW", 16)
+    held = []
+    aggregate = bench._aggregate
+    monkeypatch.setattr(bench, "_aggregate", lambda *args: held.append(
+        tracemalloc.get_traced_memory()[0]) or aggregate(*args))
+
+    def working(n):
+        corpus = make_synthetic_corpus(n, seed=0)
+        run = sensitivity_run if kind in bench.SENSITIVITY_KINDS else invariance_run
+        tracemalloc.start()
+        try:
+            run(corpus, kind, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - held.pop()
+
+    working(16)  # first calls fill caches
+    small, large = working(32), working(128)
+    assert large - small < 2 ** 18
 
 
 def test_invariance_rejects_unknown_transform(corpus):

@@ -571,6 +571,19 @@ def test_bench_commands_reject_bad_grid_or_seed(argv, message):
     assert exc.value.code == message
 
 
+@pytest.mark.parametrize("argv", [["sensitivity", "--error", "point-drift"],
+                                  ["invariance", "--transform", "sample-rate"]])
+def test_bench_commands_reject_a_negative_seed_on_a_corpus_directory(argv, tmp_path, rng):
+    """With --corpus no synthetic draw judges the seed: the runner does, before
+    any work (-1 used to be masked to 64 bits and the curves written)."""
+    save_trajectory(random_traj(rng), tmp_path / "g.json")
+    out = tmp_path / "curves.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--corpus", str(tmp_path), "--seed", "-1", "--out", str(out)])
+    assert exc.value.code == "error: seed must be a whole number of at least 0, got -1"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["evaluate", "GT", "PRED"],
     ["sensitivity", "--synthetic", "2", "--error", "point-drift", "--grid", "1"],

@@ -366,6 +366,41 @@ def test_dtw_many_is_bit_identical_across_chunk_sizes(lengths, seed, per_chunk):
         assert (alone.cost, alone.length) == (whole.cost, whole.length)
 
 
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(st.integers(100, 300), st.tuples(st.integers(1, 5), st.integers(1, 5)),
+       st.lists(st.integers(30, 60), min_size=1, max_size=3),
+       st.lists(st.integers(250, 300), min_size=3, max_size=4),
+       st.integers(0, 2 ** 32 - 1), st.randoms())
+def test_long_unequal_pairs_match_alone_and_the_reference_across_cap_and_padding_cuts(
+        m, short, middle, wide, seed, shuffler):
+    """Pairs of one q length against p lengths up to 300, in shuffled order, in
+    one `dtw_many` call whose cap holds two of the widest tables.  The two
+    shortest pairs are cut off by padding alone (a third, 30 or more points,
+    would make padding most of the stack), and the wide ones by the cap alone
+    (three would pass it, with little padding).  Each pair's cost and T are
+    bit-identical to a lone `dtw` and to the row-loop reference."""
+    rng = np.random.default_rng(seed)
+    lengths = list(short) + middle + wide
+    coords = [(rng.uniform(0.0, 63.0, size=(m, 2)), rng.uniform(0.0, 63.0, size=(n, 2)))
+              for n in lengths]
+    shuffler.shuffle(coords)
+    pairs = [(_polyline(qc), _polyline(pc)) for qc, pc in coords]
+    chunks = []
+    forward = seq_metrics._forward
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(traj_core, "_STACK_CELLS", 2 * (m + 2) * (max(wide) + 2))
+        patch.setattr(seq_metrics, "_forward",
+                      lambda chunk: chunks.append(sorted(len(pc) for _, pc in chunk))
+                      or forward(chunk))
+        batch = dtw_many(pairs)
+    assert chunks[0] == sorted(short) and sum(map(len, chunks)) == len(lengths)
+    assert max(sum(n >= 250 for n in chunk) for chunk in chunks) == 2
+    for (qc, pc), got, (q, p) in zip(coords, batch, pairs):
+        alone = dtw(q, p)
+        cost, path = dtw_reference(qc, pc)
+        assert (got.cost, got.length) == (alone.cost, alone.length) == (cost, len(path))
+
+
 # --- batched DTW -------------------------------------------------------------
 
 def test_dtw_many_matches_row_loop_reference(monkeypatch):

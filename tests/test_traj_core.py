@@ -808,16 +808,19 @@ def test_load_reports_bad_point_index(tmp_path):
 
 def _greedy_chunks(shapes, cells):
     """The sort-and-grow rule `dtw_many` once ran itself: shapes sorted by
-    (h, w), each chunk grown while count x h x largest w stays within `cells`."""
+    (h, w), each chunk grown while count x h x largest w stays within `cells`
+    and within twice the sum of its shapes' own h x w (at most half padding)."""
     jobs = sorted(range(len(shapes)), key=lambda i: shapes[i])
     chunks, start = [], 0
     while start < len(jobs):
         stop, w_max = start + 1, shapes[jobs[start]][1]
+        used = shapes[jobs[start]][0] * w_max
         while stop < len(jobs):
             h, w = shapes[jobs[stop]]
-            if (stop + 1 - start) * h * max(w_max, w) > cells:
+            size = (stop + 1 - start) * h * max(w_max, w)
+            if size > cells or size > 2 * (used + h * w):
                 break
-            stop, w_max = stop + 1, max(w_max, w)
+            stop, w_max, used = stop + 1, max(w_max, w), used + h * w
         chunks.append(jobs[start:stop])
         start = stop
     return chunks
@@ -828,6 +831,7 @@ def _greedy_chunks(shapes, cells):
                           st.integers(1, 40)), max_size=40),
        st.integers(1, 6000))
 @example([(0, 10, 10), (0, 10, 10), (1, 10, 10)], 200)  # a stack that fills the cap exactly
+@example([(0, 2, 2), (0, 2, 2), (0, 2, 10)], 1000)  # padding cuts first: 3 x 20 > 2 x 28
 def test_stacks_hold_one_key_within_the_cell_cap(items, cells):
     """Every index once, one key per stack, the stack's largest shape, and a
     stack of more than one item within the cap; with one key the cuts are
@@ -854,3 +858,16 @@ def test_stacks_hold_one_key_within_the_cell_cap(items, cells):
         members[start:start + max(1, cells // (h * w))]
         for (h, w), members in per_shape.items()
         for start in range(0, len(members), max(1, cells // (h * w))))
+
+
+def test_stacks_cut_before_padding_fills_half_a_stack():
+    """Far below the cap, a third table five times wider is cut off: with it
+    the stack would hold 3 x 2 x 10 = 60 cells, of which its items use 28.
+    Two items always share a stack, and equal shapes never pad."""
+    def cuts(shapes):
+        return [(shape, stack) for shape, stack in traj_core._stacks(
+            (i, None, shape) for i, shape in enumerate(shapes))]
+
+    assert cuts([(2, 2), (2, 10), (2, 2)]) == [((2, 2), [0, 2]), ((2, 10), [1])]
+    assert cuts([(2, 2), (2, 10)]) == [((2, 10), [0, 1])]
+    assert cuts([(2, 10)] * 5) == [((2, 10), [0, 1, 2, 3, 4])]

@@ -4,6 +4,7 @@ for every value it refuses, no random draw before it, and a whole float
 accepted as the int it names."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,3 +148,41 @@ def test_synthetic_corpus_refuses_a_side_that_is_not_whole_before_any_draw(monke
     with pytest.raises(ValueError) as exc:
         make_synthetic_corpus(2, side=side)
     assert str(exc.value) == f"canvas side must be a whole number of at least 1, got {side}"
+
+
+# one call of each runner on the module corpus with a small grid, by seed
+RUNNER_SEEDS = {
+    "sensitivity": lambda s: sensitivity_run(CORPUS, "point-drift", (1,), seed=s),
+    "stroke-width": lambda s: invariance_run(CORPUS, "stroke-width", (0, 1), seed=s),
+    "sample-rate": lambda s: invariance_run(CORPUS, "sample-rate", (1.0, 2.0), seed=s),
+}
+
+
+@pytest.mark.parametrize("run", list(RUNNER_SEEDS.values()), ids=list(RUNNER_SEEDS))
+@pytest.mark.parametrize("seed", [2.5, math.nan, -1])
+def test_runners_refuse_a_seed_that_is_not_whole_before_any_draw(monkeypatch, run, seed):
+    """2.5 was numpy's TypeError from `derive_seed`, and -1 was masked to 64 bits."""
+    _refuse_draws(monkeypatch)
+    with pytest.raises(ValueError) as exc:
+        run(seed)
+    assert str(exc.value) == f"seed must be a whole number of at least 0, got {seed}"
+
+
+@pytest.mark.parametrize("run", list(RUNNER_SEEDS.values()), ids=list(RUNNER_SEEDS))
+def test_a_whole_float_runner_seed_gives_the_int_seeds_curves(run):
+    reports = run(np.float64(2.0))
+    assert reports_to_csv(reports) == reports_to_csv(run(2))
+    assert all(type(report.seed) is int and report.seed == 2 for report in reports)
+
+
+@pytest.mark.parametrize("shape, name", [({"wiggle": 1e308}, "wiggle"),
+                                         ({"step_range": (-1e308, 1e308)}, "step_range")])
+def test_synthetic_corpus_refuses_a_draw_span_past_the_float_range(monkeypatch, shape, name):
+    """Each end is finite, but high - low of the uniform draw is not: numpy
+    warned of an overflow, then raised its own OverflowError."""
+    _refuse_draws(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            make_synthetic_corpus(2, **shape)
+    assert str(exc.value) == f"{name} spans past the float range, got {shape[name]}"
