@@ -336,6 +336,8 @@ def make_synthetic_corpus(n: int, seed: int = 0, side: int = 64,
     if side < 9:  # strokes start at least 4 px inside every edge
         raise ValueError(f"side must be at least 9 for synthetic glyphs, got {side}")
     side = _whole(side, "canvas side", 1)  # NaN, inf and 9.5 pass the test above
+    if not _is_finite(side):  # 10**400 is whole, but the draw bound side - 5.0 is a float
+        raise ValueError(f"canvas side must be finite, got {side}")
     s_low = _whole(stroke_range[0], "stroke_range low end", 1)
     s_high = _whole(stroke_range[1], "stroke_range high end", s_low)
     p_low = _whole(points_range[0], "points_range low end", 1)

@@ -78,7 +78,8 @@ def softmin(values, gamma: float):
 
 class NonFiniteSdtwError(ValueError):
     """The soft-DTW value or gradient is not finite: the squared distances
-    are too large for float64 relative to gamma."""
+    are too large for float64 relative to gamma, or, for a value of -inf,
+    gamma itself is too large."""
 
 
 def _soft_dp(q: Trajectory, p: Trajectory, gamma: float):
@@ -87,6 +88,8 @@ def _soft_dp(q: Trajectory, p: Trajectory, gamma: float):
 
     d holds squared distances under a zero border and r the soft-DP table,
     both (m+2, n+2); r[m, n] is the value.  An overflow leaves inf in r.
+    The fill runs unguarded; only a NaN value shows that a cell's minimum
+    was infinite, and then the same r is refilled with `_fill`'s guard.
     """
     if not 0 < gamma < math.inf:
         raise ValueError("gamma must be positive and finite")
@@ -96,6 +99,8 @@ def _soft_dp(q: Trajectory, p: Trajectory, gamma: float):
         r = np.full_like(d, math.inf)
         r[0, 0] = 0.0
         diagonals = _fill(d, r, gamma)
+        if math.isnan(r[-2, -2, 0]):
+            _fill(d, r, gamma, guard=True)
     return qc, pc, d[:, :, 0], r[:, :, 0], diagonals
 
 
@@ -109,7 +114,10 @@ _last_forward: dict = {}
 _FORWARD = "forward"
 
 
-def _check_value(value: float) -> None:
+def _check_value(value: float, gamma: float) -> None:
+    if value == -math.inf:  # each soft-min may fall up to gamma * ln 3 below the minimum
+        raise NonFiniteSdtwError(
+            f"soft-DTW value is -inf: gamma={gamma} is too large for float64")
     if not math.isfinite(value):
         raise NonFiniteSdtwError(
             f"soft-DTW value is {value}: the squared distances overflow float64")
@@ -126,7 +134,7 @@ def sdtw(q: Trajectory, p: Trajectory, gamma: float = 1.0) -> float:
     _last_forward.pop(_FORWARD, None)  # free the old tables before the new ones
     forward = _soft_dp(q, p, gamma)
     value = float(forward[3][-2, -2])
-    _check_value(value)
+    _check_value(value, gamma)
     _last_forward[_FORWARD] = (q, p, gamma, forward)
     return value
 
@@ -197,7 +205,7 @@ def sdtw_grad(q: Trajectory, p: Trajectory, gamma: float = 1.0) -> np.ndarray:
     """
     qc, pc, d, r, diagonals = _take_forward(q, p, gamma)
     m, n = len(qc), len(pc)
-    _check_value(float(r[m, n]))
+    _check_value(float(r[m, n]), gamma)
     with np.errstate(over="ignore", invalid="ignore"):  # checked on the gradient below
         r[m + 1, :] = -math.inf
         r[:, n + 1] = -math.inf
@@ -208,13 +216,14 @@ def sdtw_grad(q: Trajectory, p: Trajectory, gamma: float = 1.0) -> np.ndarray:
         # each cell holds the weights of its successors below, right and on
         # the diagonal (n+2, 1 and n+3 flat cells on) in e, d and r
         fd, fr, fe, w = d.ravel(), r.ravel(), e.ravel(), n + 2
+        multiply, add = np.multiply, np.add
         for a, b in reversed(diagonals):
             cells, right, diag = fe[a:b:n + 1], fd[a:b:n + 1], fr[a:b:n + 1]
-            cells *= fe[a + w:b + w:n + 1]
-            right *= fe[a + 1:b + 1:n + 1]
-            diag *= fe[a + w + 1:b + w + 1:n + 1]
-            cells += right
-            cells += diag
+            multiply(cells, fe[a + w:b + w:n + 1], cells)
+            multiply(right, fe[a + 1:b + 1:n + 1], right)
+            multiply(diag, fe[a + w + 1:b + w + 1:n + 1], diag)
+            add(cells, right, cells)
+            add(cells, diag, cells)
         weights = e[1:m + 1, 1:n + 1]
         # d/dp_j of sum_i w_ij * |q_i - p_j|^2  =  2 * (sum_i w_ij) p_j - 2 * sum_i w_ij q_i
         grad = 2.0 * (weights.sum(axis=0)[:, None] * pc - weights.T @ qc)

@@ -119,12 +119,17 @@ def _sq_dist_tables(coords, border: float) -> np.ndarray:
     return table
 
 
-def _fill(d: np.ndarray, r: np.ndarray, gamma: float | None = None):
+def _fill(d: np.ndarray, r: np.ndarray, gamma: float | None = None, guard: bool = False):
     """Fill the stacked tables r one anti-diagonal at a time for all pairs;
     return the diagonals' flat bounds.  Each cell gets its d plus the minimum
     of its diagonal, up and left predecessors or, with `gamma`, their soft-min:
     `losses.softmin`'s arithmetic in its order on buffers allocated once, so
-    bit-identical to it.  Hard DTW passes r as d (distances in r's interior)."""
+    bit-identical to it; gamma == 1 skips / gamma and * gamma (x / 1.0 is x).
+    Hard DTW passes r as d (distances in r's interior).  Only with `guard` is
+    an infinite minimum its own soft-min, as in softmin; unguarded, such a cell
+    is inf - inf = NaN, which np.minimum carries to every later cell and to
+    r[m, n], so a caller refills r with the guard only when r[m, n] is NaN.
+    `out` is positional but in np.minimum, where numpy deprecates it."""
     m, n, g_count = r.shape[0] - 2, r.shape[1] - 2, r.shape[2]
     cell = (g_count,) if g_count > 1 else ()  # a lone pair walks 1-D views: fewer numpy strides
     fd, fr, w = d.reshape((-1,) + cell), r.reshape((-1,) + cell), n + 2
@@ -132,32 +137,36 @@ def _fill(d: np.ndarray, r: np.ndarray, gamma: float | None = None):
     lo_buf = np.empty((size,) + cell)
     if gamma is not None:
         inf_buf, terms_buf = np.empty((size,) + cell, bool), np.empty((3 * size,) + cell)
-        g = np.array(gamma)  # a 0-d array divides faster than a Python float
+        g = None if gamma == 1.0 else np.array(gamma)  # a 0-d array divides faster than a float
+    minimum, add, subtract, exp, log = np.minimum, np.add, np.subtract, np.exp, np.log
     diagonals = _diagonals(m, n)
     for a, b in diagonals:
         k = (b - a + n) // (n + 1)
         lo = lo_buf[:k]
         diag, up, left = (fr[a - w - 1:b - w - 1:n + 1], fr[a - w:b - w:n + 1],
                           fr[a - 1:b - 1:n + 1])
-        np.minimum(diag, up, out=lo)
-        np.minimum(lo, left, out=lo)
+        minimum(diag, up, out=lo)
+        minimum(lo, left, out=lo)
         if gamma is not None:
-            inf, terms = inf_buf[:k], terms_buf[:3 * k]
+            terms = terms_buf[:3 * k]
             total, up_term, left_term = terms[:k], terms[k:2 * k], terms[2 * k:]
-            np.subtract(lo, diag, out=total)
-            np.subtract(lo, up, out=up_term)
-            np.subtract(lo, left, out=left_term)
-            np.divide(terms, g, out=terms)
-            np.exp(terms, out=terms)
-            total += up_term
-            total += left_term
-            np.log(total, out=total)
-            total *= g
-            np.subtract(lo, total, out=total)
-            np.isinf(lo, out=inf)
-            np.copyto(total, lo, where=inf)
+            subtract(lo, diag, total)
+            subtract(lo, up, up_term)
+            subtract(lo, left, left_term)
+            if g is not None:
+                np.divide(terms, g, terms)
+            exp(terms, terms)
+            add(total, up_term, total)
+            add(total, left_term, total)
+            log(total, total)
+            if g is not None:
+                np.multiply(total, g, total)
+            subtract(lo, total, total)
+            if guard:
+                np.isinf(lo, inf_buf[:k])
+                np.copyto(total, lo, where=inf_buf[:k])
             lo = total
-        np.add(fd[a:b:n + 1], lo, out=fr[a:b:n + 1])
+        add(fd[a:b:n + 1], lo, fr[a:b:n + 1])
     return diagonals
 
 

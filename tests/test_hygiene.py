@@ -1,7 +1,8 @@
 """Static checks that stand in for a linter: no unused import, no dead
 private helper, no unread parameter, no chunked `json.dump` write, no
-randomness but a seeded `np.random.default_rng` and no whole-number test but
-`traj_core._whole` in the package modules.  Standard-library `ast` only."""
+randomness but a seeded `np.random.default_rng`, no whole-number test but
+`traj_core._whole` and no positional `out` to `minimum`/`maximum` in the
+package modules.  Standard-library `ast` only."""
 
 import ast
 from collections import Counter
@@ -117,6 +118,29 @@ def is_integer_lookups(tree: ast.Module) -> list[str]:
             if isinstance(node, ast.Attribute) and node.attr == "is_integer"]
 
 
+def positional_extrema(tree: ast.Module) -> list[str]:
+    """`line:name` of each `minimum` or `maximum` call with three or more
+    positional arguments, called by attribute (`np.minimum`) or through a
+    name bound to one (`minimum = np.minimum`, `from numpy import maximum`):
+    numpy deprecates a positional `out` for them."""
+    extrema = {"minimum", "maximum"}
+    bound = set(extrema)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            bound |= {a.asname or a.name for a in node.names if a.name in extrema}
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = (zip(target.elts, node.value.elts)
+                         if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                         else [(target, node.value)])
+                bound |= {t.id for t, v in pairs if isinstance(t, ast.Name)
+                          and isinstance(v, ast.Attribute) and v.attr in extrema}
+    return [f"{node.lineno}:{ast.unparse(node.func)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and len(node.args) >= 3
+            and (isinstance(node.func, ast.Attribute) and node.func.attr in extrema
+                 or isinstance(node.func, ast.Name) and node.func.id in bound)]
+
+
 # the numpy random names a module may use: each generator is built from its own seed
 SEEDED_RANDOM = {"default_rng", "SeedSequence"}
 
@@ -230,3 +254,20 @@ def test_the_whole_number_check_catches_planted_tests():
                         "class C:\n    def g(self, v):\n        return map(float.is_integer, v)\n"
                         "OK = (2.0).is_integer()\n")
     assert is_integer_lookups(planted) == ["2:f", "5:C", "6:<module>"]
+
+
+def test_no_minimum_or_maximum_takes_a_positional_out(trees):
+    """numpy 2.4 warns on a positional third argument to minimum and maximum,
+    which the suite turns into a failure only on the path that runs it."""
+    assert {name: positional_extrema(tree) for name, tree in trees.items()
+            if positional_extrema(tree)} == {}
+
+
+def test_the_extrema_check_catches_planted_calls():
+    planted = ast.parse("import numpy as np\nfrom numpy import maximum as mx\n"
+                        "minimum, add = np.minimum, np.add\nlo = np.maximum\n"
+                        "np.minimum(a, b, out=c)\nnp.minimum(a, b, c)\nminimum(a, b, c)\n"
+                        "lo(a, b, c)\nmx(a, b, c)\nadd(a, b, c)\nmin(a, b, c)\n"
+                        "numpy.maximum(a, b, c, where=d)\nminimum(a, b)\n")
+    assert positional_extrema(planted) == ["6:np.minimum", "7:minimum", "8:lo", "9:mx",
+                                           "12:numpy.maximum"]

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trajeval import (LossWeights, NonFiniteSdtwError, PredictedPoint, PenState,
@@ -296,6 +296,7 @@ _coord = st.floats(0.0, 4.0, allow_nan=False)
 @given(st.lists(st.tuples(_coord, _coord), min_size=1, max_size=12),
        st.lists(st.tuples(_coord, _coord), min_size=1, max_size=12),
        st.floats(1e-3, 10.0))
+@example([(0.0, 0.0), (1.5, 2.0), (3.0, 0.5)], [(0.5, 0.0), (2.0, 2.5)], 1.0)  # no / gamma, * gamma
 def test_soft_dtw_matches_the_per_diagonal_reference_on_random_pairs(qxy, pxy, gamma):
     assert_matches_per_diagonal_reference(traj_from_strokes([qxy]),
                                           traj_from_strokes([pxy]), gamma)
@@ -323,6 +324,45 @@ def test_soft_dtw_raises_instead_of_returning_a_non_finite_result():
         with pytest.raises(NonFiniteSdtwError):
             sdtw_grad(q160, p160)
     assert issubclass(NonFiniteSdtwError, ValueError)
+
+
+def test_a_value_of_minus_inf_names_gamma():
+    """Each soft-min falls up to gamma * ln 3 below the minimum, so a huge
+    gamma sinks the value to -inf while every distance is small.  Unguarded,
+    the -inf cells give NaN, so this value also comes from the guarded rerun."""
+    q = traj_from_strokes([[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]])
+    p = traj_from_strokes([[(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (sdtw, sdtw_grad):
+            with pytest.raises(NonFiniteSdtwError) as exc:
+                call(q, p, gamma=1e308)
+            assert str(exc.value) == "soft-DTW value is -inf: gamma=1e+308 is too large for float64"
+
+
+def test_a_nan_value_reruns_the_fill_with_the_guard():
+    """Cell (1, 3) has three infinite predecessors: unguarded it is
+    inf - inf = NaN, which reaches r[m, n], so the fill runs again with the
+    guard and the value is the finite path's 0.  Both tables match the
+    reference bit for bit; its gradient is NaN (it takes no weight-0 rule
+    for overflowed cells), so the gradient is checked against its zeros."""
+    q = traj_from_strokes([[(0.0, 0.0), (1e160, 0.0)]])
+    p = traj_from_strokes([[(0.0, 0.0), (1e160, 0.0), (1e160, 0.0)]])
+    with np.errstate(over="ignore", invalid="ignore"):  # the reference's own overflows
+        ref = soft_dp_reference(q, p, 1.0)
+    got = _soft_dp(q, p, 1.0)
+    assert got[2].tobytes() == ref[2].tobytes()
+    assert got[3].tobytes() == ref[3].tobytes()
+    assert math.isinf(got[3][1, 3]) and got[3][2, 3] == 0.0
+    ordinary = traj_from_strokes([[(0.0, 0.0), (1.0, 2.0)]])
+    with warnings.catch_warnings(), \
+            mock.patch.object(losses, "_fill", wraps=losses._fill) as fills:
+        warnings.simplefilter("error")
+        assert sdtw(q, p) == 0.0
+        assert fills.call_count == 2
+        sdtw(ordinary, ordinary)
+        assert fills.call_count == 3
+        assert sdtw_grad(q, p).tolist() == [[0.0, 0.0]] * 3
 
 
 def test_sdtw_peak_memory_per_cell():

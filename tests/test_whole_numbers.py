@@ -150,6 +150,16 @@ def test_synthetic_corpus_refuses_a_side_that_is_not_whole_before_any_draw(monke
     assert str(exc.value) == f"canvas side must be a whole number of at least 1, got {side}"
 
 
+@pytest.mark.parametrize("side", [10**400, 2**1024], ids=["10**400", "2**1024"])
+def test_synthetic_corpus_refuses_a_side_past_the_float_range_before_any_draw(monkeypatch, side):
+    """A whole int past the float range passes `_whole`; its draw bound
+    side - 5.0 raised Python's OverflowError."""
+    _refuse_draws(monkeypatch)
+    with pytest.raises(ValueError) as exc:
+        make_synthetic_corpus(1, side=side)
+    assert str(exc.value) == f"canvas side must be finite, got {side}"
+
+
 # one call of each runner on the module corpus with a small grid, by seed
 RUNNER_SEEDS = {
     "sensitivity": lambda s: sensitivity_run(CORPUS, "point-drift", (1,), seed=s),
