@@ -13,15 +13,17 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .error_sim import ERROR_KINDS, _check_magnitude, _is_finite, drift_points, perturb_row
+from .error_sim import ERROR_KINDS, _check_magnitude, drift_points, perturb_row
 from .glyph_metrics import _aiou_many
 from .raster import BinaryMask, dilate3x3, rasterize, rasterize_many
 from .seq_metrics import dtw_many, rmse
-from .traj_core import DOWN, EOS, UP, Trajectory, _ok, _whole, normalize_to_canvas, resample_many
+from .traj_core import (DOWN, EOS, UP, Trajectory, _canvas_side, _is_finite, _ok, _whole,
+                        normalize_to_canvas, resample_many)
 
 GLYPH_METRICS = ("aiou", "iou")
 DTW_METRICS = ("ldtw", "dtw")
@@ -159,17 +161,15 @@ def score_pair(gt, pred, metrics, k_max: int = 10, rmse_pred=None) -> tuple[dict
     return score_pairs([(gt, pred)], metrics, k_max, [rmse_pred])[0]
 
 
-def _aggregate(grid, metrics, per_sample: list, seed: int) -> list[CurveReport]:
-    """per_sample[i][mi] is a metric->value dict for sample i at magnitude mi."""
+def _aggregate(grid, kept: dict, samples: int, seed: int) -> list[CurveReport]:
+    """kept[name][mi] is metric name's values at magnitude mi; the other samples were skipped."""
     reports = []
-    for name in metrics:
-        vals = [[row[mi][name] for row in per_sample if row[mi][name] is not None]
-                for mi in range(len(grid))]
-        means = [math.fsum(v) / len(v) if v else math.nan for v in vals]
+    for name, columns in kept.items():
+        means = [math.fsum(v) / len(v) if v else math.nan for v in columns]
         reports.append(CurveReport(
             metric=name, grid=tuple(grid), raw_mean=tuple(means),
-            normalized=tuple(normalize_curve(means)), samples_used=tuple(map(len, vals)),
-            samples_skipped=tuple(len(per_sample) - len(v) for v in vals), seed=seed))
+            normalized=tuple(normalize_curve(means)), samples_used=tuple(map(len, columns)),
+            samples_skipped=tuple(samples - len(v) for v in columns), seed=seed))
     return reports
 
 
@@ -223,27 +223,30 @@ def _width_row(traj, grid) -> list:
 _WINDOW = 256
 
 
-def _window(corpus, start: int, kind: str, grid, metrics, seed: int, k_max: int) -> list[list]:
-    """Per glyph of corpus[start:start + _WINDOW], each magnitude's metric values
-    from one `score_pairs` call over their `_rows` (all None where a ValueError
-    skips the sample); glyph i is seeded by `derive_seed(seed, i)`."""
+def _window(corpus, start: int, kind: str, grid, kept: dict, seed: int, k_max: int) -> None:
+    """Append to kept[name][mi] each value of corpus[start:start + _WINDOW] that
+    one `score_pairs` call over their `_rows` defines (a ValueError skips the
+    sample: nothing is appended); glyph i is seeded by `derive_seed(seed, i)`."""
     glyphs = corpus[start:start + _WINDOW]
     rows = _rows(glyphs, kind, grid, [derive_seed(seed, start + i) for i in range(len(glyphs))])
-    scores = iter(score_pairs([p for row in rows for p in row if not isinstance(p, ValueError)],
-                              metrics, k_max))
-    return [[dict.fromkeys(metrics) if isinstance(p, ValueError) else next(scores)[0]
-             for p in row] for row in rows]
+    scored = [mi for row in rows for mi, p in enumerate(row) if not isinstance(p, ValueError)]
+    pairs = [p for row in rows for p in row if not isinstance(p, ValueError)]
+    for mi, (values, _) in zip(scored, score_pairs(pairs, tuple(kept), k_max)):
+        for name, value in values.items():
+            if value is not None:
+                kept[name][mi].append(value)
 
 
 def _run(corpus, kind: str, grid, metrics, seed: int, k_max: int) -> list[CurveReport]:
-    """Curves of the corpus, scored one `_window` of `_WINDOW` glyphs at a time."""
+    """Curves of the corpus, scored into value columns one `_window` of glyphs at a time."""
     metrics = _check_metrics(metrics)
     grid = tuple(grid if grid is not None else DEFAULT_GRIDS[kind])
     _check_run_inputs(corpus, kind, grid, k_max)
     seed = _whole(seed, "seed")  # derive_seed would mask -1 to 64 bits, and fail on 2.5
-    per_sample = [values for start in range(0, len(corpus), _WINDOW)
-                  for values in _window(corpus, start, kind, grid, metrics, seed, k_max)]
-    return _aggregate(grid, metrics, per_sample, seed)
+    kept = {name: [array("d") for _ in grid] for name in metrics}
+    for start in range(0, len(corpus), _WINDOW):
+        _window(corpus, start, kind, grid, kept, seed, k_max)
+    return _aggregate(grid, kept, len(corpus), seed)
 
 
 def sensitivity_run(corpus, kind: str, grid=None, metrics=None,
@@ -335,9 +338,7 @@ def make_synthetic_corpus(n: int, seed: int = 0, side: int = 64,
     n, seed = _whole(n, "corpus size", 1), _whole(seed, "seed")
     if side < 9:  # strokes start at least 4 px inside every edge
         raise ValueError(f"side must be at least 9 for synthetic glyphs, got {side}")
-    side = _whole(side, "canvas side", 1)  # NaN, inf and 9.5 pass the test above
-    if not _is_finite(side):  # 10**400 is whole, but the draw bound side - 5.0 is a float
-        raise ValueError(f"canvas side must be finite, got {side}")
+    side = _canvas_side(side)  # NaN, inf, 9.5 and 10**400 pass the test above
     s_low = _whole(stroke_range[0], "stroke_range low end", 1)
     s_high = _whole(stroke_range[1], "stroke_range high end", s_low)
     p_low = _whole(points_range[0], "points_range low end", 1)

@@ -12,12 +12,11 @@ four single-magnitude generators are `perturb`, a row of one.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
 from .raster import GrayImage, dilate3x3, mask_to_gray, rasterize
-from .traj_core import Trajectory, _ok, _whole, join_strokes, resample, stroke_bounds
+from .traj_core import Trajectory, _is_finite, _ok, _whole, join_strokes, resample, stroke_bounds
 
 
 def _stroke_xy(traj: Trajectory) -> list[np.ndarray]:
@@ -31,11 +30,6 @@ _MAGNITUDE_RULES = {
     "stroke-insert": ("count", 1), "stroke-delete": ("count", 1),
     "stroke-width": ("dilation", 0), "sample-rate": ("factor", None),
 }
-
-
-def _is_finite(value) -> bool:
-    """False for NaN, +-inf and an int beyond float range, where math.isfinite raises."""
-    return abs(value) <= sys.float_info.max
 
 
 def _check_magnitude(kind: str, value):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traj_core import Trajectory
+from .traj_core import Trajectory, _is_finite
 from .seq_metrics import _coords, _fill, _sq_dist_tables
 
 _PROB_FLOOR = 1e-12
@@ -33,10 +33,10 @@ class LossWeights:
     class_weights: tuple[float, float, float] = (1.0, 5.0, 1.0)
 
     def __post_init__(self):
-        if not all(0 <= v < math.inf for v in (self.lambda1, self.lambda2, self.lambda3)):
+        if not all(0 <= v and _is_finite(v) for v in (self.lambda1, self.lambda2, self.lambda3)):
             raise ValueError("loss weights must be finite and non-negative")
         if len(self.class_weights) != 3 or not all(
-                0 <= v < math.inf for v in self.class_weights):
+                0 <= v and _is_finite(v) for v in self.class_weights):
             raise ValueError("class_weights must be 3 finite non-negative scalars")
         object.__setattr__(self, "class_weights", tuple(self.class_weights))
 
@@ -48,11 +48,12 @@ class PredictedPoint:
     state_probs: tuple[float, float, float]
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+        if not (_is_finite(self.x) and _is_finite(self.y)):
             raise ValueError("non-finite predicted coordinates")
-        probs = tuple(float(v) for v in self.state_probs)
-        if len(probs) != 3 or not all(0 <= v < math.inf for v in probs):
+        probs = tuple(self.state_probs)
+        if len(probs) != 3 or not all(0 <= v and _is_finite(v) for v in probs):
             raise ValueError("state_probs must be 3 finite non-negative values")
+        probs = tuple(map(float, probs))
         if abs(sum(probs) - 1.0) > 1e-6:
             raise ValueError(f"state_probs must sum to 1, got {sum(probs)}")
         object.__setattr__(self, "state_probs", probs)
@@ -64,7 +65,7 @@ def softmin(values, gamma: float):
     values is a sequence of scalars, giving a float, or of same-shape arrays,
     giving their elementwise soft-min.  A minimum of +-inf is returned as is.
     """
-    if not 0 < gamma < math.inf:
+    if not (gamma > 0 and _is_finite(gamma)):
         raise ValueError("gamma must be positive and finite")
     vals = np.asarray(list(values), dtype=float)
     if not len(vals):
@@ -91,7 +92,7 @@ def _soft_dp(q: Trajectory, p: Trajectory, gamma: float):
     The fill runs unguarded; only a NaN value shows that a cell's minimum
     was infinite, and then the same r is refilled with `_fill`'s guard.
     """
-    if not 0 < gamma < math.inf:
+    if not (gamma > 0 and _is_finite(gamma)):
         raise ValueError("gamma must be positive and finite")
     qc, pc = _coords(q), _coords(p)
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf once a cell overflows
@@ -260,6 +261,6 @@ def total_loss(l1: float, wce: float, sdtw_value: float,
                w: LossWeights = LossWeights()) -> float:
     """Weighted sum lambda1*L1 + lambda2*Lwce + lambda3*Lsdtw."""
     for name, v in (("l1", l1), ("wce", wce), ("sdtw", sdtw_value)):
-        if not math.isfinite(v):
+        if not _is_finite(v):
             raise ValueError(f"{name} component is not finite: {v}")
     return w.lambda1 * l1 + w.lambda2 * wce + w.lambda3 * sdtw_value

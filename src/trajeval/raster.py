@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traj_core import DOWN, Trajectory, _ok, _stacks, _whole, pixel_of
+from .traj_core import DOWN, Trajectory, _canvas_side, _ok, _stacks, _whole, pixel_of
 
 
 class OutOfCanvasError(ValueError):
@@ -73,7 +73,7 @@ def rasterize_many(trajs, side: int | None = None) -> list[BinaryMask | OutOfCan
     Each stack `_stacks` cuts by canvas side (`side`, else each one's own) is
     rendered by one set of numpy calls into a (count, side, side) grid, and
     each mask is a view of its stack."""
-    side = side if side is None else _whole(side, "canvas side", 1)
+    side = side if side is None else _canvas_side(side)
     out: list[BinaryMask | OutOfCanvasError | None] = [None] * len(trajs)
     sides = (side if side is not None else traj.canvas_side for traj in trajs)
     for (canvas, _), stack in _stacks((index, (s, s), (s, s)) for index, s in enumerate(sides)):

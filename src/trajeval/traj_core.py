@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
@@ -64,6 +65,19 @@ def _whole(value, name: str, low: int = 0) -> int:
     if not (value >= low and (isinstance(value, numbers.Integral) or float(value).is_integer())):
         raise ValueError(f"{name} must be a whole number of at least {low}, got {value}")
     return int(value)
+
+
+def _is_finite(value) -> bool:
+    """False for NaN, +-inf and an int beyond float range, where math.isfinite raises."""
+    return abs(value) <= sys.float_info.max
+
+
+def _canvas_side(value) -> int:
+    """value as an int; ValueError unless it is a whole number >= 1 within float range."""
+    side = _whole(value, "canvas side", 1)
+    if not _is_finite(side):  # 10**400 is whole, but every float it meets overflows
+        raise ValueError(f"canvas side must be finite, got {side}")
+    return side
 
 
 def _ok(result):
@@ -142,7 +156,7 @@ class Trajectory:
         state = np.array(state)
         if len(state) == 0:
             raise ValueError("trajectory must contain at least one point")
-        canvas_side = _whole(canvas_side, "canvas side", 1)
+        canvas_side = _canvas_side(canvas_side)
         if xy.shape != (len(state), 2) or state.ndim != 1:
             raise ValueError(f"xy of shape {xy.shape} does not match "
                              f"{len(state)} pen states")
@@ -235,6 +249,7 @@ def normalize_to_canvas(traj: Trajectory, side: int | None = None) -> Trajectory
     side = side if side is not None else traj.canvas_side
     if side <= 1:
         raise ValueError("side must be at least 2")
+    side = _canvas_side(side)
     drawn = traj.drawn_xy()
     if not len(drawn):
         raise ValueError("trajectory has no drawn points to normalize")
@@ -278,7 +293,7 @@ def resample_many(jobs) -> list[Trajectory | ValueError]:
     passes: dict = {}  # (factor >= 1) -> [(index, traj, factor, stroke lengths)]
     for index, (traj, factor) in enumerate(jobs):
         lens = np.array([b - a for a, b in stroke_bounds(traj)], dtype=np.intp)
-        if not 0 < factor < math.inf:
+        if not (factor > 0 and _is_finite(factor)):
             out[index] = ValueError(f"resample factor must be positive and finite, got {factor}")
         elif factor >= 1 and factor * (lens.max(initial=1) - 1) >= 2 ** 53:
             out[index] = ValueError(f"resample factor {factor} gives a stroke over 2**53 points")

@@ -6,6 +6,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -524,6 +525,14 @@ def test_invariance_skips_a_glyph_outside_the_canvas_at_every_width(corpus):
     assert [(type(skip), str(skip)) for skip in row] == [(OutOfCanvasError, str(exc.value))] * 2
 
 
+def aggregate_rows(grid, metrics, per_sample, seed):
+    """`bench._aggregate` of per_sample[i][mi], sample i's metric->value dict at
+    magnitude mi (None where it is skipped), turned into the sweeps' value columns."""
+    kept = {name: [array("d", [row[mi][name] for row in per_sample if row[mi][name] is not None])
+                   for mi in range(len(grid))] for name in metrics}
+    return bench._aggregate(grid, kept, len(per_sample), seed)
+
+
 def invariance_width_reference(corpus, grid, metrics, seed, k_max):
     """The stroke-width runner as a four-step reference: per width, render and
     dilate the glyph with widen_strokes, Otsu-binarize that image, and score
@@ -540,7 +549,7 @@ def invariance_width_reference(corpus, grid, metrics, seed, k_max):
                 continue
             rows.append(score_pair(gt_mask, pred_mask, metrics, k_max)[0])
         per_sample.append(rows)
-    return bench._aggregate(grid, metrics, per_sample, seed)
+    return aggregate_rows(grid, metrics, per_sample, seed)
 
 
 def test_invariance_width_mode_matches_the_binarized_reference():
@@ -578,7 +587,7 @@ def sensitivity_reference(corpus, kind, grid, metrics, seed, k_max):
                 continue
             rows.append(score_pair(traj, pred, metrics, k_max)[0])
         per_sample.append(rows)
-    return bench._aggregate(grid, metrics, per_sample, seed)
+    return aggregate_rows(grid, metrics, per_sample, seed)
 
 
 def sample_rate_reference(corpus, grid, metrics, seed, k_max):
@@ -588,7 +597,7 @@ def sample_rate_reference(corpus, grid, metrics, seed, k_max):
         pred = drift_points(traj, bench.DEFAULT_BASE_DRIFT, derive_seed(seed, i))
         per_sample.append([score_pair(traj, change_sample_rate(pred, factor),
                                       metrics, k_max)[0] for factor in grid])
-    return bench._aggregate(grid, metrics, per_sample, seed)
+    return aggregate_rows(grid, metrics, per_sample, seed)
 
 
 @pytest.mark.parametrize("kind, grid, metrics", [
@@ -674,32 +683,49 @@ def test_windows_of_two_glyphs_write_the_bytes_of_one_window(monkeypatch, kind):
     assert calls.count("resample_many") == (3 if kind == "sample-rate" else 0)
 
 
+def sweep_memory(monkeypatch, kind, n):
+    """(tracemalloc peak, memory held as `_aggregate` starts) of a default
+    sweep of n seeded glyphs in windows of 16, its corpus built untraced."""
+    monkeypatch.setattr(bench, "_WINDOW", 16)
+    held = []
+    aggregate = bench._aggregate
+    monkeypatch.setattr(bench, "_aggregate", lambda *args: held.append(
+        tracemalloc.get_traced_memory()[0]) or aggregate(*args))
+    corpus = make_synthetic_corpus(n, seed=0)
+    run = sensitivity_run if kind in bench.SENSITIVITY_KINDS else invariance_run
+    tracemalloc.start()
+    try:
+        run(corpus, kind, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, held.pop()
+
+
 @pytest.mark.parametrize("kind", ["point-drift", "sample-rate"])
 def test_a_sweeps_working_memory_does_not_grow_with_the_corpus(monkeypatch, kind):
     """In windows of 16 glyphs, a sweep's tracemalloc peak less the per-sample
     values it holds at the end (read as it aggregates) grows by under a
     quarter MiB from 32 to 128 glyphs.  Scored in one call, the point-drift
     sweep held about 51 KiB more per glyph: 4.8 MiB more here."""
-    monkeypatch.setattr(bench, "_WINDOW", 16)
-    held = []
-    aggregate = bench._aggregate
-    monkeypatch.setattr(bench, "_aggregate", lambda *args: held.append(
-        tracemalloc.get_traced_memory()[0]) or aggregate(*args))
-
     def working(n):
-        corpus = make_synthetic_corpus(n, seed=0)
-        run = sensitivity_run if kind in bench.SENSITIVITY_KINDS else invariance_run
-        tracemalloc.start()
-        try:
-            run(corpus, kind, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return peak - held.pop()
+        peak, held = sweep_memory(monkeypatch, kind, n)
+        return peak - held
 
     working(16)  # first calls fill caches
     small, large = working(32), working(128)
     assert large - small < 2 ** 18
+
+
+@pytest.mark.parametrize("kind", ["point-drift", "sample-rate", "stroke-width"])
+def test_a_sweep_holds_only_value_columns_until_it_aggregates(monkeypatch, kind):
+    """In windows of 16 glyphs, what a sweep holds as `_aggregate` starts grows
+    by under 48 KiB from 32 to 128 glyphs: 8 bytes per defined (glyph, metric,
+    magnitude) value, 12-20 KiB here.  A metric->value dict per (glyph,
+    magnitude), None-filled where a sample was skipped, grew it by 103-200 KiB."""
+    sweep_memory(monkeypatch, kind, 16)  # first calls fill caches
+    small, large = sweep_memory(monkeypatch, kind, 32)[1], sweep_memory(monkeypatch, kind, 128)[1]
+    assert large - small < 48 * 1024
 
 
 def test_invariance_rejects_unknown_transform(corpus):

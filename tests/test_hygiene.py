@@ -1,8 +1,8 @@
 """Static checks that stand in for a linter: no unused import, no dead
 private helper, no unread parameter, no chunked `json.dump` write, no
 randomness but a seeded `np.random.default_rng`, no whole-number test but
-`traj_core._whole` and no positional `out` to `minimum`/`maximum` in the
-package modules.  Standard-library `ast` only."""
+`traj_core._whole`, no `math.inf` as an upper bound and no positional `out`
+to `minimum`/`maximum` in the package modules.  Standard-library `ast` only."""
 
 import ast
 from collections import Counter
@@ -116,6 +116,22 @@ def is_integer_lookups(tree: ast.Module) -> list[str]:
     return [f"{node.lineno}:{getattr(top, 'name', '<module>')}" for top in tree.body
             for node in ast.walk(top)
             if isinstance(node, ast.Attribute) and node.attr == "is_integer"]
+
+
+def inf_upper_bounds(tree: ast.Module) -> list[str]:
+    """`line:name` of each comparison that bounds a value above by `inf`
+    (`x < math.inf`, `x <= np.inf`, `math.inf > x`, a link of a chain), by the
+    module-level function or class that holds it.  An int past the float range
+    passes such a bound, and then overflows the first float it meets."""
+    def inf(node):
+        return isinstance(node, ast.Attribute) and node.attr == "inf"
+
+    return [f"{node.lineno}:{getattr(top, 'name', '<module>')}" for top in tree.body
+            for node in ast.walk(top) if isinstance(node, ast.Compare)
+            and any(isinstance(op, (ast.Lt, ast.LtE)) and inf(right)
+                    or isinstance(op, (ast.Gt, ast.GtE)) and inf(left)
+                    for left, op, right in zip([node.left, *node.comparators], node.ops,
+                                               node.comparators))]
 
 
 def positional_extrema(tree: ast.Module) -> list[str]:
@@ -254,6 +270,23 @@ def test_the_whole_number_check_catches_planted_tests():
                         "class C:\n    def g(self, v):\n        return map(float.is_integer, v)\n"
                         "OK = (2.0).is_integer()\n")
     assert is_integer_lookups(planted) == ["2:f", "5:C", "6:<module>"]
+
+
+def test_no_comparison_bounds_a_value_by_inf(trees):
+    """Finiteness is `traj_core._is_finite`: `v < math.inf` let 10**400 through
+    to an OverflowError where a ValueError was due."""
+    assert {name: inf_upper_bounds(tree) for name, tree in trees.items()
+            if inf_upper_bounds(tree)} == {}
+
+
+def test_the_inf_bound_check_catches_planted_comparisons():
+    planted = ast.parse("import math\nimport numpy as np\n"
+                        "def f(x):\n    return x < math.inf\n"
+                        "class C:\n    ok = 0 < 1 <= np.inf\n"
+                        "    def g(self, x):\n        return math.inf > x or math.inf >= x\n"
+                        "OK = (x == math.inf, -math.inf < x, math.inf < x, x > -math.inf)\n"
+                        "BAD = 0 < x < math.inf\n")
+    assert inf_upper_bounds(planted) == ["4:f", "6:C", "8:C", "8:C", "10:<module>"]
 
 
 def test_no_minimum_or_maximum_takes_a_positional_out(trees):

@@ -76,7 +76,8 @@ def test_softmin_rejects_bad_inputs():
         softmin([1.0], gamma=0.0)
 
 
-@pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, math.nan, 10**400],
+                         ids=["0.0", "-1.0", "inf", "nan", "10**400"])
 def test_soft_dtw_rejects_gamma_that_is_not_positive_and_finite(gamma, rng):
     q, p = random_traj(rng), random_traj(rng)
     for call in (lambda: softmin([1.0, 2.0], gamma), lambda: sdtw(q, p, gamma),
@@ -247,7 +248,8 @@ def soft_dp_reference(q, p, gamma):
 def sdtw_grad_reference(q, p, gamma):
     """Backward recursion computing each diagonal's successor weights as it
     walks, summed below, right, diagonal; the precomputed-weight walk must
-    match it bit for bit."""
+    match it bit for bit.  A successor whose r overflowed to +inf lies on no
+    finite path: its exponent, inf - inf or -inf, is set to -inf (weight 0)."""
     qc, pc, d, r, diagonals = soft_dp_reference(q, p, gamma)
     m, n = len(qc), len(pc)
     r[m + 1, :] = -math.inf
@@ -256,11 +258,14 @@ def sdtw_grad_reference(q, p, gamma):
     e = np.zeros_like(r)
     e[m + 1, n + 1] = 1.0
     fd, fr, fe, w = d.ravel(), r.ravel(), e.ravel(), n + 2
+
+    def weight(a, b, o):
+        succ = slice(a + o, b + o, n + 1)
+        exponent = fr[succ] - fr[a:b:n + 1] - fd[succ]
+        return np.exp(np.where(fr[succ] == math.inf, -math.inf, exponent) / gamma)
+
     for a, b in reversed(diagonals):
-        fe[a:b:n + 1] = sum(
-            np.exp((fr[a + o:b + o:n + 1] - fr[a:b:n + 1] - fd[a + o:b + o:n + 1])
-                   / gamma) * fe[a + o:b + o:n + 1]
-            for o in (w, 1, w + 1))
+        fe[a:b:n + 1] = sum(weight(a, b, o) * fe[a + o:b + o:n + 1] for o in (w, 1, w + 1))
     weights = e[1:m + 1, 1:n + 1]
     return 2.0 * (weights.sum(axis=0)[:, None] * pc - weights.T @ qc)
 
@@ -343,16 +348,13 @@ def test_a_value_of_minus_inf_names_gamma():
 def test_a_nan_value_reruns_the_fill_with_the_guard():
     """Cell (1, 3) has three infinite predecessors: unguarded it is
     inf - inf = NaN, which reaches r[m, n], so the fill runs again with the
-    guard and the value is the finite path's 0.  Both tables match the
-    reference bit for bit; its gradient is NaN (it takes no weight-0 rule
-    for overflowed cells), so the gradient is checked against its zeros."""
+    guard and the value is the finite path's 0.  Both tables and the
+    gradient match the reference bit for bit."""
     q = traj_from_strokes([[(0.0, 0.0), (1e160, 0.0)]])
     p = traj_from_strokes([[(0.0, 0.0), (1e160, 0.0), (1e160, 0.0)]])
     with np.errstate(over="ignore", invalid="ignore"):  # the reference's own overflows
-        ref = soft_dp_reference(q, p, 1.0)
+        assert_matches_per_diagonal_reference(q, p, 1.0)
     got = _soft_dp(q, p, 1.0)
-    assert got[2].tobytes() == ref[2].tobytes()
-    assert got[3].tobytes() == ref[3].tobytes()
     assert math.isinf(got[3][1, 3]) and got[3][2, 3] == 0.0
     ordinary = traj_from_strokes([[(0.0, 0.0), (1.0, 2.0)]])
     with warnings.catch_warnings(), \
@@ -553,7 +555,8 @@ def test_wce_requires_equal_lengths():
     assert str(exc.value) == "length mismatch: 1 predictions vs 2 ground-truth points"
 
 
-@pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+@pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0),
+                                  (10**400, 0.0)])
 def test_predicted_point_rejects_non_finite_coordinates(x, y):
     with pytest.raises(ValueError) as exc:
         PredictedPoint(x, y, (1, 0, 0))
@@ -592,6 +595,8 @@ def test_predicted_point_validates_probs():
         PredictedPoint(0, 0, (-0.1, 0.6, 0.5))
     with pytest.raises(ValueError):
         PredictedPoint(0, 0, (math.nan, 0.5, 0.5))
+    with pytest.raises(ValueError, match="state_probs must be 3 finite non-negative values"):
+        PredictedPoint(0, 0, (10**400, 0, 0))
 
 
 def test_default_weights():
@@ -605,6 +610,8 @@ def test_total_loss_is_the_weighted_sum():
     assert total_loss(2.0, 3.0, 6000.0, w) == pytest.approx(0.5 * 2 + 3 + 1.0)
     with pytest.raises(ValueError):
         total_loss(math.nan, 0.0, 0.0, w)
+    with pytest.raises(ValueError, match="l1 component is not finite"):
+        total_loss(10**400, 0.0, 0.0, w)
 
 
 def test_loss_weights_reject_negatives():
@@ -612,9 +619,9 @@ def test_loss_weights_reject_negatives():
         LossWeights(lambda1=-0.1)
     with pytest.raises(ValueError):
         LossWeights(class_weights=(1.0, -5.0, 1.0))
-    for bad in (math.nan, math.inf, -math.inf):
+    for bad in (math.nan, math.inf, -math.inf, 10**400):
         for field in ("lambda1", "lambda2", "lambda3"):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="loss weights must be finite and non-negative"):
                 LossWeights(**{field: bad})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="class_weights must be 3 finite non-negative"):
             LossWeights(class_weights=(1.0, bad, 1.0))

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from trajeval import (BinaryMask, Trajectory, aiou, delete_strokes, dilate3x3, insert_strokes,
-                      invariance_run, make_synthetic_corpus, perturb, perturb_row, rasterize,
-                      rasterize_many, reports_to_csv, score_pairs, sensitivity_run,
-                      widen_strokes)
+                      invariance_run, make_synthetic_corpus, normalize_to_canvas, perturb,
+                      perturb_row, rasterize, rasterize_many, reports_to_csv, score_pairs,
+                      sensitivity_run, widen_strokes)
+from trajeval import raster
 from trajeval.raster import GrayImage
 from trajeval.traj_core import DOWN, UP, _whole
 
@@ -150,13 +151,27 @@ def test_synthetic_corpus_refuses_a_side_that_is_not_whole_before_any_draw(monke
     assert str(exc.value) == f"canvas side must be a whole number of at least 1, got {side}"
 
 
+# each entry point that takes a canvas side, called with one
+SIDE_SITES = {
+    "make_synthetic_corpus": lambda side: make_synthetic_corpus(1, side=side),
+    "from_arrays": lambda side: Trajectory.from_arrays(GLYPH.xy, GLYPH.state, side),
+    "Trajectory": lambda side: Trajectory(GLYPH.points, side),
+    "rasterize": lambda side: rasterize(GLYPH, side),
+    "rasterize_many": lambda side: rasterize_many([GLYPH, GLYPH], side),
+    "normalize_to_canvas": lambda side: normalize_to_canvas(GLYPH, side),
+}
+
+
+@pytest.mark.parametrize("site", list(SIDE_SITES.values()), ids=list(SIDE_SITES))
 @pytest.mark.parametrize("side", [10**400, 2**1024], ids=["10**400", "2**1024"])
-def test_synthetic_corpus_refuses_a_side_past_the_float_range_before_any_draw(monkeypatch, side):
-    """A whole int past the float range passes `_whole`; its draw bound
-    side - 5.0 raised Python's OverflowError."""
+def test_a_canvas_side_past_the_float_range_is_refused_before_any_work(monkeypatch, site, side):
+    """A whole int past the float range passes `_whole`.  The synthetic
+    corpus's draw bound side - 5.0 raised Python's OverflowError, as did the
+    render and the normalize scale, and a trajectory took it as its side."""
     _refuse_draws(monkeypatch)
+    monkeypatch.setattr(raster, "_render_stack", lambda *_: pytest.fail("rendered"))
     with pytest.raises(ValueError) as exc:
-        make_synthetic_corpus(1, side=side)
+        site(side)
     assert str(exc.value) == f"canvas side must be finite, got {side}"
 
 
